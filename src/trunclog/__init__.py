@@ -17,7 +17,6 @@ All arithmetic is exact; every check is an identity of canonical forms.
 
 from .errors import NonSplitError, PoleError, TheoremViolationError
 from .fields import (
-    Ext2Elem,
     Ext2Field,
     FpElem,
     binom_lucas,
@@ -28,7 +27,7 @@ from .fields import (
     pochhammer,
 )
 from .polys import FpPoly, RatFn, roots_and_split
-from .quotient import XPoly, compose_mod, mulmod, powmod, reduce_mod
+from .quotient import XPoly, compose_mod
 from .special import (
     alpha_p_minus_alpha,
     finite_polylog,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BPolyKey",
-    "Ext2Elem",
     "Ext2Field",
     "FpElem",
     "FpPoly",
@@ -104,13 +102,10 @@ __all__ = [
     "laguerre_const",
     "laguerre_pm1",
     "laguerre_scaled",
-    "mulmod",
     "p_times_jacobi_p",
     "pochhammer",
-    "powmod",
     "product_all_b",
     "reciprocal_rhs",
-    "reduce_mod",
     "roots_and_split",
     "trunc_binomial",
     "verify_all",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .errors import TheoremViolationError
 from .fields import binom_lucas, check_odd_prime, inv_mod
 from .polys import FpPoly, roots_and_split
-from .special import binomials_of, laguerre_const, trunc_binomial
+from .special import binomials_of, laguerre_const, trunc_binomial, w_poly
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,7 @@ def product_all_b(p: int) -> FpPoly:
     r2 = FpPoly.one(p)
     for k in range(2, p):
         r2 = r2 * (FpPoly([1, inv_mod(k, p)], p) ** (k - 1))
-    w = FpPoly.one(p) - FpPoly.monomial(1, p - 1, p)
-    q, rem = divmod(laguerre_const(p), w)
+    q, rem = divmod(laguerre_const(p), w_poly(p))
     if not rem.is_zero or r1 != r2 or r1 != q:
         raise TheoremViolationError(f"product of the b-family disagrees at p={p}")
     return r1

@@ -55,6 +55,8 @@ class CliConfig:
         pairs = getattr(args, "pairs", None)
         if pairs is not None and pairs != "exhaustive":
             pairs = int(pairs)
+            if pairs < 1:
+                raise ValueError(f"--pairs must be >= 1 or 'exhaustive', got {pairs}")
         return cls(
             command=args.command,
             primes=primes,
@@ -91,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--pairs",
         default=None,
-        help="pair budget for CCoefficients: an int or 'exhaustive'",
+        help="pair budget for CCoefficients: an int >= 1 or 'exhaustive'",
     )
     return parser
 

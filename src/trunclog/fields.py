@@ -206,107 +206,8 @@ def binom_of_poly(f, k: int):
     return pochhammer(f, k) * inv_fact[k]
 
 
-class Ext2Elem:
-    """An element c0 + c1*t of F_{p^2} = F_p[t]/(t^2 - n)."""
-
-    __slots__ = ("field", "c0", "c1")
-
-    def __init__(self, field, c0, c1=0):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "c0", int(c0) % field.p)
-        object.__setattr__(self, "c1", int(c1) % field.p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ext2Elem is immutable")
-
-    def _pair(self, other):
-        if isinstance(other, Ext2Elem):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("mixed extension fields")
-            return (other.c0, other.c1)
-        if isinstance(other, int):
-            return (other % self.field.p, 0)
-        return None
-
-    def __add__(self, other):
-        v = self._pair(other)
-        if v is None:
-            return NotImplemented
-        return self.field.elem(*self.field.add_raw((self.c0, self.c1), v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._pair(other)
-        if v is None:
-            return NotImplemented
-        return self.field.elem(*self.field.sub_raw((self.c0, self.c1), v))
-
-    def __rsub__(self, other):
-        v = self._pair(other)
-        if v is None:
-            return NotImplemented
-        return self.field.elem(*self.field.sub_raw(v, (self.c0, self.c1)))
-
-    def __mul__(self, other):
-        v = self._pair(other)
-        if v is None:
-            return NotImplemented
-        return self.field.elem(*self.field.mul_raw((self.c0, self.c1), v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._pair(other)
-        if v is None:
-            return NotImplemented
-        return self.field.elem(
-            *self.field.mul_raw((self.c0, self.c1), self.field.inv_raw(v))
-        )
-
-    def __neg__(self):
-        p = self.field.p
-        return self.field.elem(-self.c0 % p, -self.c1 % p)
-
-    def __pow__(self, e: int):
-        return self.field.elem(*self.field.pow_raw((self.c0, self.c1), e))
-
-    def inv(self):
-        return self.field.elem(*self.field.inv_raw((self.c0, self.c1)))
-
-    def frobenius(self):
-        """x -> x^p, the order-2 automorphism fixing exactly F_p."""
-        return self.field.elem(*self.field.frobenius_raw((self.c0, self.c1)))
-
-    def in_prime_field(self) -> bool:
-        return self.c1 == 0
-
-    def __eq__(self, other):
-        if isinstance(other, Ext2Elem):
-            return self.field == other.field and (self.c0, self.c1) == (
-                other.c0,
-                other.c1,
-            )
-        if isinstance(other, int):
-            return (self.c0, self.c1) == (other % self.field.p, 0)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.c0, self.c1, self.field.p))
-
-    def __bool__(self):
-        return self.c0 != 0 or self.c1 != 0
-
-    def __repr__(self):
-        return f"Ext2Elem({self.c0} + {self.c1}*t, p={self.field.p})"
-
-
 class Ext2Field:
-    """Descriptor for F_{p^2} with arithmetic on raw (c0, c1) int pairs.
-
-    The raw tuple methods are the hot path used by bulk computations; the
-    Ext2Elem wrapper delegates to them.
-    """
+    """Descriptor for F_{p^2} with arithmetic on raw (c0, c1) int pairs."""
 
     __slots__ = ("p", "nonres")
 
@@ -317,36 +218,11 @@ class Ext2Field:
     def __setattr__(self, name, value):
         raise AttributeError("Ext2Field is immutable")
 
-    def elem(self, c0, c1=0) -> Ext2Elem:
-        return Ext2Elem(self, c0, c1)
-
-    @property
-    def zero(self):
-        return self.elem(0)
-
-    @property
-    def one(self):
-        return self.elem(1)
-
-    @property
-    def gen(self):
-        """The class of t."""
-        return self.elem(0, 1)
-
     def minpoly(self):
         """The monic irreducible quadratic t^2 - n as an FpPoly."""
         from .polys import FpPoly
 
         return FpPoly([-self.nonres, 0, 1], self.p, var="t")
-
-    def elements(self):
-        """All p^2 elements, in lexicographic (c0, c1) order."""
-        for c0 in range(self.p):
-            for c1 in range(self.p):
-                yield self.elem(c0, c1)
-
-    def order(self) -> int:
-        return self.p * self.p
 
     # -- raw tuple arithmetic ------------------------------------------------
 
@@ -384,6 +260,7 @@ class Ext2Field:
         return out
 
     def frobenius_raw(self, a):
+        """x -> x^p, the order-2 automorphism fixing exactly F_p."""
         # t^p = -t since the non-residue n satisfies n^((p-1)/2) = -1.
         return (a[0], -a[1] % self.p)
 

@@ -25,14 +25,13 @@ reports the offending (k, a) pairs and asserts nothing.
 from __future__ import annotations
 
 import functools
-import json
 
 from .errors import PoleError, TheoremViolationError
 from .bpoly import b_prefix_products
 from .fields import check_odd_prime, inv_mod
 from .polys import FpPoly, RatFn
 from .quotient import XPoly, compose_mod
-from .special import alpha_p_minus_alpha, laguerre_pm1
+from .special import alpha_p_minus_alpha, laguerre_pm1, w_poly
 
 
 class GLog:
@@ -119,16 +118,11 @@ def glog(p: int) -> GLog:
         RatFn(FpPoly.const(-inv_mod(k, p), p), pre[k - 1]) for k in range(1, p)
     ]
     g = GLog(p, coeffs)
-    c = _x_power_modulus(p)
+    c = RatFn.from_poly(alpha_p_minus_alpha(p))
     got = compose_mod(g.as_xpoly(), laguerre_pm1(p), c)
     if got != XPoly.x_power(p, 1, modulus=c):
         raise TheoremViolationError(f"left-inverse construction fails at p={p}")
     return g
-
-
-def _x_power_modulus(p: int) -> RatFn:
-    """The modulus constant a^p - a."""
-    return RatFn.from_poly(alpha_p_minus_alpha(p))
 
 
 def glog_coeff_normal(p: int, k: int):
@@ -142,7 +136,7 @@ def glog_coeff_normal(p: int, k: int):
         raise ValueError(f"coefficient index out of range: {k}")
     pre_neg = b_prefix_products(p, negate=True)
     num = pre_neg[k - 1] * (-inv_mod(k, p))
-    w = FpPoly.one(p) - FpPoly.monomial(1, p - 1, p)
+    w = w_poly(p)
     coeff = glog(p).coeff(k)
     # cross-multiplied comparison: num / w^(k-1) == coeff.num / coeff.den
     if num * coeff.den != coeff.num * w ** (k - 1):
@@ -190,14 +184,10 @@ def reciprocal_rhs(p: int) -> XPoly:
     """
     check_odd_prime(p)
     pre_neg = b_prefix_products(p, negate=True)
-    w = FpPoly.one(p) - FpPoly.monomial(1, p - 1, p)
+    w = w_poly(p)
     coeffs = [RatFn.zero(p) for _ in range(p)]
     wk = FpPoly.one(p)
     for k in range(1, p):
         wk = wk * w
         coeffs[p - k] = RatFn(wk * inv_mod(k, p), pre_neg[k - 1])
     return XPoly(coeffs, p)
-
-
-def glog_json_text(p: int) -> str:
-    return json.dumps(glog(p).to_json(), sort_keys=True)

@@ -1,15 +1,17 @@
-"""Arithmetic in F_p(a)[X] truncated below degree p, modulo a binomial X^p - c.
+"""The quotient ring F_p(a)[X] truncated below degree p, modulo X^p - c.
 
-An ``XPoly`` holds exactly p rational-function coefficients (X^0 .. X^(p-1))
-and an optional modulus constant c.  Operations between two XPoly values
-require identical modulus tags; multiplication additionally requires a tag,
-since the product must be reduced.  Only binomial moduli are supported; no
+The arithmetic runs on grids: lists of p ``FpPoly`` coefficients indexed by
+the X-power.  ``grid_mulmod`` multiplies two grids and reduces by X^p -> c for
+a polynomial constant c; c = 0 gives the product truncated below X^p.
+``compose_mod`` clears denominators and composes on grids.
+
+``XPoly`` is the type for values: p ``RatFn`` coefficients (X^0 .. X^(p-1))
+with an optional modulus tag c, for rendering, equality, ``derivative`` and
+``specialize``; ``grid_to_xpoly`` and ``xpoly_to_grid`` convert.  Its own
+product serves only ``_compose_horner``, the fallback of ``compose_mod`` when
+c is a rational function rather than a polynomial, and the reference the
+tests hold the grid composition to.  Only binomial moduli are supported; no
 other shape is needed anywhere in this package.
-
-``compose_mod`` clears denominators internally and works on plain polynomial
-grids whenever the modulus constant is a polynomial, which keeps the heavy
-compositions (inverse checks at p = 13) fast; the rational-coefficient Horner
-fallback covers the general case.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class XPoly:
     def __init__(self, coeffs, p, modulus=None):
         coeffs = [_coerce_ratfn(c, p) for c in coeffs]
         if len(coeffs) > p:
-            raise ValueError("degree in X must stay below p; use reduce_mod")
+            raise ValueError("degree in X must stay below p")
         coeffs += [RatFn.zero(p)] * (p - len(coeffs))
         if modulus is not None:
             modulus = _coerce_ratfn(modulus, p)
@@ -140,15 +142,6 @@ class XPoly:
                 full[e - p] = full[e - p] + c * full[e]
         return XPoly(full[:p], p, c)
 
-    def powmod(self, j: int):
-        """Repeated-multiplication power; j >= 0 (j stays below p here)."""
-        if j < 0:
-            raise ValueError("powmod requires j >= 0")
-        out = XPoly.constant(1, self.p, self.modulus)
-        for _ in range(j):
-            out = out * self
-        return out
-
     def derivative(self):
         """Formal d/dX; only meaningful for untagged values."""
         if self.modulus is not None:
@@ -211,36 +204,16 @@ def _is_plain(s: str) -> bool:
     return " " not in s and "/" not in s
 
 
-def reduce_mod(coeffs, c, p) -> XPoly:
-    """Reduce a polynomial in X of any degree to its representative below p.
-
-    Rewrites X^(p+t) -> c * X^t repeatedly; idempotent on already-reduced
-    input.
-    """
-    c = _coerce_ratfn(c, p)
-    work = [_coerce_ratfn(v, p) for v in coeffs]
-    for e in range(len(work) - 1, p - 1, -1):
-        if not work[e].is_zero:
-            work[e - p] = work[e - p] + c * work[e]
-            work[e] = RatFn.zero(p)
-    return XPoly(work[:p], p, c)
-
-
-def mulmod(a: XPoly, b: XPoly) -> XPoly:
-    return a * b
-
-
-def powmod(a: XPoly, j: int) -> XPoly:
-    return a.powmod(j)
-
-
 # -- polynomial-grid helpers --------------------------------------------------
 # Lists of FpPoly indexed by the X-power, used wherever every coefficient in
 # sight is a polynomial: the verification battery and the cleared composition.
 
 
 def grid_mulmod(a, b, cpoly: FpPoly, p: int):
-    """Product of two length-p FpPoly grids, reduced by X^p -> cpoly."""
+    """Product of two length-p FpPoly grids, reduced by X^p -> cpoly.
+
+    With cpoly zero this is the product truncated below X^p.
+    """
     zero = FpPoly.zero(p)
     full = [zero] * (2 * p - 1)
     for i, ai in enumerate(a):

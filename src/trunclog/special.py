@@ -124,6 +124,11 @@ def alpha_p_minus_alpha(p: int) -> FpPoly:
     return FpPoly.monomial(1, p, p) - FpPoly.x(p)
 
 
+def w_poly(p: int) -> FpPoly:
+    """The constant 1 - a^(p-1): L's constant term, and b[1,s](a) * b[1,s](-a)."""
+    return FpPoly.one(p) - FpPoly.monomial(1, p - 1, p)
+
+
 def laguerre_const_routes(p: int):
     """Both routes to the modulus constant: (substitution, product formula)."""
     check_odd_prime(p)

@@ -56,6 +56,7 @@ from .special import (
     laguerre_pm1,
     laguerre_scaled,
     trunc_binomial,
+    w_poly,
 )
 
 
@@ -123,11 +124,6 @@ def _witness(case: dict, lhs, rhs) -> dict:
     return {"case": case, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _w_poly(p: int) -> FpPoly:
-    """1 - a^(p-1)."""
-    return FpPoly.one(p) - FpPoly.monomial(1, p - 1, p)
-
-
 def _first_diff(a: XPoly, b: XPoly) -> int:
     for k in range(a.p):
         if a.coeffs[k] != b.coeffs[k]:
@@ -165,19 +161,19 @@ def _check_right_inverse(p, g=None, lag=None):
 # -- products of scaled exponentials --------------------------------------------
 
 
-def _lag_grid(x: XPoly):
+def _poly_grid(x: XPoly):
     grid = xpoly_to_grid(x)
     if grid is None:
-        raise ValueError("scaled exponential with non-polynomial coefficients")
+        raise ValueError("series with non-polynomial coefficients")
     return grid
 
 
 def _check_lemma_product(p, lag_fn=None):
     lag_fn = laguerre_scaled if lag_fn is None else lag_fn
     cpoly = alpha_p_minus_alpha(p)
-    w = _w_poly(p)
+    w = w_poly(p)
     zero = FpPoly.zero(p)
-    grids = {r: _lag_grid(lag_fn(p, r)) for r in range(1, p)}
+    grids = {r: _poly_grid(lag_fn(p, r)) for r in range(1, p)}
     cases = 0
     for r in range(1, p):
         for s in range(1, p):
@@ -200,7 +196,7 @@ def _check_lemma_product(p, lag_fn=None):
 def _check_power_formula(p, lag_fn=None):
     lag_fn = laguerre_scaled if lag_fn is None else lag_fn
     cpoly = alpha_p_minus_alpha(p)
-    base = _lag_grid(lag_fn(p, 1))
+    base = _poly_grid(lag_fn(p, 1))
     power = base
     prefix = FpPoly.one(p)
     cases = 0
@@ -209,7 +205,7 @@ def _check_power_formula(p, lag_fn=None):
         if j > 1:
             power = grid_mulmod(power, base, cpoly, p)
             prefix = prefix * b_rs(p, 1, j - 1)
-        want = [prefix * g for g in _lag_grid(lag_fn(p, j))]
+        want = [prefix * g for g in _poly_grid(lag_fn(p, j))]
         if power != want:
             return cases, _witness(
                 {"j": j}, grid_to_xpoly(power, p), grid_to_xpoly(want, p)
@@ -222,7 +218,7 @@ def _check_power_formula(p, lag_fn=None):
 
 def _check_b_conjugate(p, b_fn=None):
     b_fn = b_rs if b_fn is None else b_fn
-    w = _w_poly(p)
+    w = w_poly(p)
     cases = 0
     for s in range(1, p - 1):
         cases += 1
@@ -356,7 +352,7 @@ def _check_powers_h_pm1(p):
     lc = laguerre_const(p)
     pre = b_prefix_products(p)
     pre_neg = b_prefix_products(p, negate=True)
-    w = _w_poly(p)
+    w = w_poly(p)
     wk = FpPoly.one(p)
     for k in range(1, p):
         wk = wk * w
@@ -443,17 +439,25 @@ def _check_four_term(p):
 
 
 def _check_trunc_binomial_rules(p):
-    zero_mod = RatFn.zero(p)
+    truncate = FpPoly.zero(p)
     cases = 0
     tbs = {r: trunc_binomial(FpPoly([-1, r], p), 1, p) for r in range(1, p)}
+    grids = {r: _poly_grid(tb) for r, tb in tbs.items()}
+    # (1+X)^(ra-1) (1+X)^(sa-1) = (1+X)^(ta-2) with t = r+s mod p
+    wants = {
+        t: _poly_grid(trunc_binomial(FpPoly([-2, t], p), 1, p)) for t in range(p)
+    }
     for r in range(1, p):
-        lhs_r = tbs[r].with_modulus(zero_mod)
         for s in range(1, p):
             cases += 1
-            lhs = lhs_r * tbs[s].with_modulus(zero_mod)
-            want = trunc_binomial(FpPoly([-2, (r + s) % p], p), 1, p)
-            if lhs != want.with_modulus(zero_mod):
-                return cases, _witness({"r": r, "s": s}, lhs, want), None
+            prod = grid_mulmod(grids[r], grids[s], truncate, p)
+            want = wants[(r + s) % p]
+            if prod != want:
+                return cases, _witness(
+                    {"r": r, "s": s},
+                    grid_to_xpoly(prod, p),
+                    grid_to_xpoly(want, p),
+                ), None
     for r in range(1, p):
         cases += 1
         f = FpPoly([-1, r], p)
@@ -671,6 +675,8 @@ def _check_c_coefficients(p, pair_budget=None, seed=0):
     field = ext_quadratic(p)
     if pair_budget is None:
         pair_budget = "exhaustive" if p <= 5 else 200
+    elif pair_budget != "exhaustive" and pair_budget < 1:
+        raise ValueError(f"pair budget must be >= 1 or 'exhaustive', got {pair_budget}")
     zero = (0, 0)
     cases = 0
     unique_count = 0

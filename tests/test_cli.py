@@ -115,6 +115,14 @@ class TestCliConfig:
         with pytest.raises(ValueError):
             CliConfig.from_args(ns)
 
+    def test_rejects_pair_budget_below_one(self):
+        for pairs in ("0", "-2"):
+            ns = argparse.Namespace(
+                command="verify", prime="5", theorem="CCoefficients", pairs=pairs
+            )
+            with pytest.raises(ValueError):
+                CliConfig.from_args(ns)
+
     def test_range_expansion(self):
         ns = argparse.Namespace(command="verify", prime="3..13", theorem="all")
         config = CliConfig.from_args(ns)
@@ -158,6 +166,16 @@ class TestUsageErrors:
     def test_malformed_flags(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
+
+    def test_pair_budget_below_one(self, capsys):
+        for pairs in ("0", "-2"):
+            code, out, err = run(
+                capsys, "verify", "--prime", "5", "--theorem", "CCoefficients",
+                "--pairs", pairs,
+            )
+            assert code == 2
+            assert out == ""
+            assert "usage:" in err
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "--prime", "2..3")

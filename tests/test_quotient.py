@@ -5,7 +5,7 @@ import random
 import pytest
 
 from trunclog.polys import FpPoly, RatFn
-from trunclog.quotient import XPoly, compose_mod, mulmod, powmod, reduce_mod
+from trunclog.quotient import XPoly, compose_mod, grid_mulmod, xpoly_to_grid
 from trunclog.quotient import _compose_horner
 from trunclog.special import alpha_p_minus_alpha, laguerre_pm1, laguerre_scaled
 from trunclog.bpoly import b_rs
@@ -15,57 +15,79 @@ def modulus(p):
     return RatFn.from_poly(alpha_p_minus_alpha(p))
 
 
+def x_power(p, e, scale=None):
+    """The grid of scale * X^e, 0 <= e < p."""
+    grid = [FpPoly.zero(p)] * p
+    grid[e] = FpPoly.one(p) if scale is None else scale
+    return grid
+
+
+def reduce_reference(coeffs, cpoly, p):
+    """Schoolbook reduction of a grid of any length: X^(p+t) -> cpoly * X^t."""
+    work = list(coeffs)
+    for e in range(len(work) - 1, p - 1, -1):
+        work[e - p] = work[e - p] + cpoly * work[e]
+    return work[:p] + [FpPoly.zero(p)] * (p - len(work))
+
+
+def random_grid(rng, p, length):
+    return [FpPoly([rng.randrange(p) for _ in range(3)], p) for _ in range(length)]
+
+
 class TestReduceMod:
+    """The reduction X^p -> c that grid_mulmod applies to every product."""
+
     def test_x_to_p_becomes_constant(self):
         p = 5
-        c = modulus(p)
-        got = reduce_mod([0] * p + [1], c, p)
-        assert got == XPoly.constant(c, p, modulus=c)
+        c = alpha_p_minus_alpha(p)
+        got = grid_mulmod(x_power(p, p - 1), x_power(p, 1), c, p)
+        assert got == x_power(p, 0, scale=c)
 
     def test_x_to_p_plus_one(self):
         p = 5
-        c = modulus(p)
-        got = reduce_mod([0] * (p + 1) + [1], c, p)
-        assert got == XPoly.x_power(p, 1, modulus=c, scale=c)
+        c = alpha_p_minus_alpha(p)
+        got = grid_mulmod(x_power(p, p - 1), x_power(p, 2), c, p)
+        assert got == x_power(p, 1, scale=c)
 
     def test_the_modulus_reduces_to_zero(self):
+        # X^(p-1) * X - c, i.e. X^p - c, is zero in the quotient
         p = 5
-        c = modulus(p)
-        coeffs = [-c] + [0] * (p - 1) + [1]  # X^p - c
-        assert reduce_mod(coeffs, c, p) == XPoly.zero(p, modulus=c)
+        c = alpha_p_minus_alpha(p)
+        got = grid_mulmod(x_power(p, p - 1), x_power(p, 1), c, p)
+        got[0] = got[0] - c
+        assert got == [FpPoly.zero(p)] * p
 
     def test_idempotent(self):
-        rng = random.Random(0)
+        # products of degree below p need no reduction, whatever c is
         p = 5
-        c = modulus(p)
-        for _ in range(10):
-            coeffs = [rng.randrange(p) for _ in range(2 * p)]
-            once = reduce_mod(coeffs, c, p)
-            again = reduce_mod(once.coeffs, c, p)
-            assert once == again
+        for c in (alpha_p_minus_alpha(p), FpPoly.zero(p), FpPoly.one(p)):
+            for i in range(p):
+                for j in range(p - i):
+                    got = grid_mulmod(x_power(p, i), x_power(p, j), c, p)
+                    assert got == x_power(p, i + j)
 
     def test_cascading_reduction(self):
-        # X^(2p) -> c * X^p -> c^2
+        # X^(2p) = X^(p-1) * X^(p-1) * X^2 -> c * X^p -> c^2
         p = 3
-        c = modulus(p)
-        got = reduce_mod([0] * (2 * p) + [1], c, p)
-        assert got.coeffs[0] == c * c
+        c = alpha_p_minus_alpha(p)
+        sq = grid_mulmod(x_power(p, p - 1), x_power(p, p - 1), c, p)
+        got = grid_mulmod(sq, x_power(p, 2), c, p)
+        assert got == x_power(p, 0, scale=c * c)
 
 
 class TestMulmodPowmod:
     def test_x_pm1_times_x(self):
+        # a zero constant truncates: X^(p-1) * X vanishes below X^p
         p = 5
-        c = modulus(p)
-        a = XPoly.x_power(p, p - 1, modulus=c)
-        b = XPoly.x_power(p, 1, modulus=c)
-        assert mulmod(a, b) == XPoly.constant(c, p, modulus=c)
+        got = grid_mulmod(x_power(p, p - 1), x_power(p, 1), FpPoly.zero(p), p)
+        assert got == [FpPoly.zero(p)] * p
 
     def test_mismatched_tags_rejected(self):
         p = 5
         a = XPoly.x_power(p, 1, modulus=modulus(p))
         b = XPoly.x_power(p, 1, modulus=RatFn.one(p))
         with pytest.raises(ValueError):
-            mulmod(a, b)
+            a * b
 
     def test_mul_requires_tag(self):
         p = 5
@@ -74,48 +96,69 @@ class TestMulmodPowmod:
             a * a
 
     def test_powmod_zero_is_one(self):
+        # the grid of 1 is the unit on both sides
+        rng = random.Random(0)
         p = 5
-        a = XPoly.x_power(p, 2, modulus=modulus(p))
-        assert powmod(a, 0) == XPoly.constant(1, p, modulus=modulus(p))
+        c = alpha_p_minus_alpha(p)
+        one = x_power(p, 0)
+        for _ in range(5):
+            a = random_grid(rng, p, p)
+            assert grid_mulmod(a, one, c, p) == a
+            assert grid_mulmod(one, a, c, p) == a
 
     def test_square_of_exponential_analogue(self):
         # L^2 = b[1,1] * L_scaled(2) in the quotient ring
         for p in (5, 7):
-            c = modulus(p)
-            lag = laguerre_pm1(p).with_modulus(c)
-            want = laguerre_scaled(p, 2).with_modulus(c).scalar_mul(b_rs(p, 1, 1))
-            assert powmod(lag, 2) == want
+            c = alpha_p_minus_alpha(p)
+            lag = xpoly_to_grid(laguerre_pm1(p))
+            want = [b_rs(p, 1, 1) * g for g in xpoly_to_grid(laguerre_scaled(p, 2))]
+            assert grid_mulmod(lag, lag, c, p) == want
 
     def test_reduction_is_ring_homomorphism(self):
         rng = random.Random(1)
         p = 5
-        c = modulus(p)
+        c = alpha_p_minus_alpha(p)
+        zero = FpPoly.zero(p)
         for _ in range(15):
-            fc = [rng.randrange(p) for _ in range(2 * p - 1)]
-            gc = [rng.randrange(p) for _ in range(2 * p - 1)]
-            full = [0] * (len(fc) + len(gc) - 1)
+            fc = random_grid(rng, p, 2 * p - 1)
+            gc = random_grid(rng, p, 2 * p - 1)
+            full = [zero] * (len(fc) + len(gc) - 1)
             for i, a in enumerate(fc):
                 for j, b in enumerate(gc):
-                    full[i + j] = (full[i + j] + a * b) % p
-            lhs = reduce_mod(full, c, p)
-            rhs = mulmod(reduce_mod(fc, c, p), reduce_mod(gc, c, p))
+                    full[i + j] = full[i + j] + a * b
+            lhs = reduce_reference(full, c, p)
+            rhs = grid_mulmod(
+                reduce_reference(fc, c, p), reduce_reference(gc, c, p), c, p
+            )
             assert lhs == rhs
 
+    def test_matches_rational_coefficient_product(self):
+        # the grid product and the XPoly product behind _compose_horner agree
+        rng = random.Random(6)
+        p = 5
+        c = alpha_p_minus_alpha(p)
+        for _ in range(5):
+            a = random_grid(rng, p, p)
+            b = random_grid(rng, p, p)
+            xa = XPoly(a, p, modulus=c)
+            xb = XPoly(b, p, modulus=c)
+            assert xpoly_to_grid(xa * xb) == grid_mulmod(a, b, c, p)
+
     def test_specialization_commutes_with_reduction(self):
-        # with c = a^p - a every specialization of the modulus is X^p
+        # with c = a^p - a every specialization of the modulus is X^p, whose
+        # reduction at a fixed a is truncation
         rng = random.Random(2)
         p = 5
-        c = modulus(p)
-        zero_c = RatFn.zero(p)
+        c = alpha_p_minus_alpha(p)
+        zero = FpPoly.zero(p)
         for _ in range(10):
-            coeffs = [
-                RatFn(FpPoly([rng.randrange(p) for _ in range(3)], p))
-                for _ in range(2 * p)
-            ]
+            f = random_grid(rng, p, p)
+            g = random_grid(rng, p, p)
             a = rng.randrange(p)
-            reduced_then_special = reduce_mod(coeffs, c, p).specialize(a)
-            specialized = [f.eval(a).value for f in coeffs]
-            special_then_reduced = reduce_mod(specialized, zero_c, p).specialize(a)
+            reduced_then_special = XPoly(grid_mulmod(f, g, c, p), p).specialize(a)
+            fa = [FpPoly.const(h.eval_int(a), p) for h in f]
+            ga = [FpPoly.const(h.eval_int(a), p) for h in g]
+            special_then_reduced = XPoly(grid_mulmod(fa, ga, zero, p), p).specialize(a)
             assert reduced_then_special == special_then_reduced
 
 

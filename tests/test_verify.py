@@ -116,6 +116,19 @@ class TestVerifyAll:
             assert all(r.status == "pass" for r in reports)
             assert all(r.witness is None for r in reports)
 
+    def test_no_rational_coefficient_products(self, monkeypatch):
+        # every product in the battery runs on FpPoly grids
+        calls = []
+        mul = XPoly.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(XPoly, "__mul__", counted)
+        assert all(r.status == "pass" for r in verify_all(5))
+        assert calls == []
+
     def test_deterministic_apart_from_elapsed(self):
         def strip(rs):
             return [dataclasses.replace(r, elapsed_ms=0) for r in rs]
@@ -196,6 +209,27 @@ class TestMutationTraps:
         # already involves the mutated scaled-by-2 object
         assert r.witness["case"] == {"r": 1, "s": 1}
 
+    def test_trunc_binomial_mutation_trips_product_rule(self, monkeypatch):
+        import trunclog.verify as v
+        from trunclog.special import trunc_binomial
+
+        p = 5
+
+        def bad_trunc_binomial(f, b=1, pp=None):
+            x = trunc_binomial(f, b, pp)
+            if f != FpPoly([-1, 2], p):
+                return x
+            coeffs = list(x.coeffs)
+            coeffs[1] = coeffs[1] + 1
+            return XPoly(coeffs, p)
+
+        monkeypatch.setattr(v, "trunc_binomial", bad_trunc_binomial)
+        r = verify_theorem(p, TheoremId.TruncBinomialRules)
+        assert r.status == "fail"
+        # (1,1) never reads the mutated series for 2a - 1; (1,2) does
+        assert r.cases_checked == 2
+        assert r.witness["case"] == {"r": 1, "s": 2}
+
     def test_b_mutation_trips_roots_theorem(self):
         p = 5
 
@@ -237,6 +271,13 @@ class TestCCoefficients:
             ),
             field.inv_raw((1, 0)),
         )
+
+    def test_budget_below_one_rejected(self):
+        for budget in (0, -2):
+            with pytest.raises(ValueError):
+                verify_theorem(5, "CCoefficients", pair_budget=budget)
+            with pytest.raises(ValueError):
+                verify_c_coefficients(5, pair_budget=budget)
 
     def test_default_budget_small_prime_is_exhaustive(self):
         r = verify_theorem(3, TheoremId.CCoefficients)
