@@ -27,3 +27,11 @@ class NonSplitError(ValueError):
 
 class TheoremViolationError(RuntimeError):
     """Two independent routes that must agree disagree.  Never expected."""
+
+
+class NotApplicable(Exception):
+    """A checker's statement does not apply at this prime; the run is a skip.
+
+    Deliberately not a ValueError: a bad argument or an internal error must
+    propagate, never read as a skip.
+    """

@@ -42,7 +42,7 @@ from .bpoly import (
     b_rs_coeff,
     product_all_b,
 )
-from .errors import NonSplitError, TheoremViolationError
+from .errors import NonSplitError, NotApplicable, TheoremViolationError
 from .fields import check_odd_prime, ext_quadratic, inv_mod
 from .glog import glog, reciprocal_rhs
 from .jacobi import jacobi_for_pair, jacobi_pm1, p_times_jacobi_p, jacobi_reflection_check
@@ -552,6 +552,14 @@ def _check_jacobi_reflection(p):
 
 
 # -- specialized product coefficients over F_{p^2} -------------------------------------
+#
+# For each sampled pair (alpha, beta) the product coefficients solve a system
+# of p^2 equations in p unknowns over F_{p^2}, on raw (c0, c1) pairs.  The
+# elimination stops once the rank reaches p, and a substitution pass then
+# checks every equation against the solution.  An inconsistent system fails
+# with one of two witnesses: "no solution" when a row reduces to 0 = nonzero
+# before the rank reaches p, "solution fails an equation" when the bad row
+# comes after.
 
 
 def _lag_coeffs_at(field, at):
@@ -581,47 +589,72 @@ def _c_pair_rows(field, at, bt):
             s = math.comb(j + m, j) % p
             if s:
                 g2[j][m] = field.mul_raw(cg[j + m], (s, 0))
+    # entry (j, m, i) is g2[j - i][m + i] (indices mod p), times u when the
+    # first index wraps (j < i) and times v when the second does not
+    # (m + i <= p - 1); tables[2 * (j < i) + (m + i < p)] holds that product
+    uv = field.mul_raw(u, v)
+    tables = [g2] + [
+        [[field.mul_raw(x, s) for x in row] for row in g2] for s in (v, u, uv)
+    ]
     rows = []
     for j in range(p):
         for m in range(p):
             row = [g2[j][m]]
-            for i in range(1, p):
-                val = g2[(j - i) % p][(m + i) % p]
-                if val != zero:
-                    if j < i:
-                        val = field.mul_raw(val, u)
-                    if val != zero and m + i <= p - 1:
-                        val = field.mul_raw(val, v)
-                row.append(val)
+            row += [
+                tables[2 * (j < i) + (m + i < p)][(j - i) % p][(m + i) % p]
+                for i in range(1, p)
+            ]
             row.append(g1[j][m])
             rows.append(row)
     return rows
 
 
+def _sub_multiple(p, n, xs, f, ys):
+    """xs - f*ys entrywise over F_p[t]/(t^2 - n), one reduction per component."""
+    f0, f1 = f
+    nf1 = n * f1
+    return [
+        ((x0 - f0 * y0 - nf1 * y1) % p, (x1 - f0 * y1 - f1 * y0) % p)
+        for (x0, x1), (y0, y1) in zip(xs, ys)
+    ]
+
+
 def _solve_pair(field, rows, ncols):
-    """Solve the pair system; returns (solution | None, unique)."""
+    """Solve the pair system; returns (solution | None, unique).
+
+    Gauss-Jordan elimination, one row at a time, keeping the rows seen so
+    far in reduced echelon form.  It stops as soon as the rank reaches
+    ncols: the solution is then unique if one exists at all, and the rows
+    not yet read cannot change it.  Those rows are not checked here, so an
+    inconsistency among them goes unnoticed by this function; the caller's
+    substitution pass, which checks every row against the solution, is what
+    makes the result sound.  A system of rank below ncols reads every row
+    and returns the solution with each free unknown set to 0, with unique
+    False; None means a row reduced to 0 = nonzero before the rank reached
+    ncols.
+    """
+    p, n = field.p, field.nonres
     zero = (0, 0)
     pivots: list[int] = []
     basis: list[list] = []
     for row in rows:
-        r = row[:]
+        if len(pivots) == ncols:
+            break
+        r = row
         for pc, brow in zip(pivots, basis):
-            f = r[pc]
-            if f != zero:
-                r = [field.sub_raw(x, field.mul_raw(f, y)) for x, y in zip(r, brow)]
+            if r[pc] != zero:
+                r = _sub_multiple(p, n, r, r[pc], brow)
         lead = next((c for c in range(ncols) if r[c] != zero), None)
         if lead is None:
             if r[ncols] != zero:
                 return None, False
             continue
-        inv = field.inv_raw(r[lead])
-        r = [field.mul_raw(x, inv) for x in r]
+        i0, i1 = field.inv_raw(r[lead])
+        ni1 = n * i1
+        r = [((x0 * i0 + x1 * ni1) % p, (x0 * i1 + x1 * i0) % p) for x0, x1 in r]
         for idx, brow in enumerate(basis):
-            f = brow[lead]
-            if f != zero:
-                basis[idx] = [
-                    field.sub_raw(x, field.mul_raw(f, y)) for x, y in zip(brow, r)
-                ]
+            if brow[lead] != zero:
+                basis[idx] = _sub_multiple(p, n, brow, brow[lead], r)
         pivots.append(lead)
         basis.append(r)
     sol = [zero] * ncols
@@ -671,13 +704,19 @@ def _c_pairs(field, pair_budget, seed):
         yield at, bt
 
 
+def _pair_budget(p, pair_budget):
+    """The budget to use: the default for p when None; below 1 is rejected."""
+    if pair_budget is None:
+        return "exhaustive" if p <= 5 else 200
+    if pair_budget != "exhaustive" and pair_budget < 1:
+        raise ValueError(f"pair budget must be >= 1 or 'exhaustive', got {pair_budget}")
+    return pair_budget
+
+
 def _check_c_coefficients(p, pair_budget=None, seed=0):
     field = ext_quadratic(p)
-    if pair_budget is None:
-        pair_budget = "exhaustive" if p <= 5 else 200
-    elif pair_budget != "exhaustive" and pair_budget < 1:
-        raise ValueError(f"pair budget must be >= 1 or 'exhaustive', got {pair_budget}")
-    zero = (0, 0)
+    pair_budget = _pair_budget(p, pair_budget)
+    n = field.nonres
     cases = 0
     unique_count = 0
     for at, bt in _c_pairs(field, pair_budget, seed):
@@ -688,13 +727,18 @@ def _check_c_coefficients(p, pair_budget=None, seed=0):
             return cases, _witness(
                 {"alpha": at, "beta": bt}, "no solution", "solvable system"
             ), None
-        # substitution re-verification of every equation with the solved values
+        # substitution re-verification of every equation with the solved
+        # values: each dot product sums plain ints and reduces once
+        s0 = [s[0] for s in sol]
+        s1 = [s[1] for s in sol]
+        ns1 = [n * s for s in s1]
         for row in rows:
-            acc = zero
-            for i in range(p):
-                if row[i] != zero and sol[i] != zero:
-                    acc = field.add_raw(acc, field.mul_raw(row[i], sol[i]))
-            if acc != row[p]:
+            acc0 = acc1 = 0
+            for (x0, x1), y0, y1, ny1 in zip(row, s0, s1, ns1):
+                acc0 += x0 * y0 + x1 * ny1
+                acc1 += x0 * y1 + x1 * y0
+            rhs0, rhs1 = row[p]
+            if (acc0 - rhs0) % p or (acc1 - rhs1) % p:
                 return cases, _witness(
                     {"alpha": at, "beta": bt}, "solution fails an equation", "all satisfied"
                 ), None
@@ -750,19 +794,30 @@ def coerce_theorem(theorem) -> TheoremId:
 
 
 def verify_theorem(p: int, theorem, **overrides) -> VerifyReport:
-    """Run one checker and wrap the outcome in a report."""
+    """Run one checker and wrap the outcome in a report.
+
+    A checker that checked no case and found no witness would read as a
+    vacuous pass; that raises RuntimeError instead.
+    """
     check_odd_prime(p)
     tid = coerce_theorem(theorem)
     t0 = time.perf_counter()
     cases, witness, notes = _CHECKERS[tid](p, **overrides)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    if cases == 0 and witness is None:
+        raise RuntimeError(f"{tid.value} checked no case at p={p}")
     status = "fail" if witness is not None else "pass"
     return VerifyReport(tid, p, cases, status, witness, elapsed_ms, notes)
 
 
 def verify_all(p: int, *, c_pairs=None, seed: int = 0):
-    """Run every checker in declaration order; rejections become skips."""
+    """Run every checker in declaration order.
+
+    A checker that raises NotApplicable is reported as skipped; any other
+    exception propagates.  Arguments are checked before any checker runs.
+    """
     check_odd_prime(p)
+    _pair_budget(p, c_pairs)
     reports = []
     for tid in TheoremId:
         overrides = {}
@@ -770,7 +825,7 @@ def verify_all(p: int, *, c_pairs=None, seed: int = 0):
             overrides = {"pair_budget": c_pairs, "seed": seed}
         try:
             reports.append(verify_theorem(p, tid, **overrides))
-        except ValueError as exc:
+        except NotApplicable as exc:
             reports.append(
                 VerifyReport(tid, p, 0, "skipped", None, 0, notes=str(exc))
             )

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from trunclog.bpoly import b_rs
+from trunclog.errors import NotApplicable
 from trunclog.fields import ext_quadratic
 from trunclog.glog import glog
 from trunclog.polys import FpPoly, RatFn
@@ -12,7 +13,10 @@ from trunclog.quotient import XPoly
 from trunclog.special import laguerre_pm1
 from trunclog.verify import (
     TheoremId,
+    _c_pair_rows,
+    _c_pairs,
     _closed_forms_p3,
+    _solve_pair,
     coerce_theorem,
     verify_all,
     verify_c_coefficients,
@@ -139,7 +143,7 @@ class TestVerifyAll:
         import trunclog.verify as v
 
         def boom(p, **kw):
-            raise ValueError("not applicable here")
+            raise NotApplicable("not applicable here")
 
         monkeypatch.setitem(v._CHECKERS, TheoremId.FourTerm, boom)
         reports = verify_all(3)
@@ -148,6 +152,41 @@ class TestVerifyAll:
         assert skipped[0].theorem is TheoremId.FourTerm
         assert skipped[0].witness is None
         assert "not applicable" in skipped[0].notes
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        import trunclog.verify as v
+
+        def broken(p, **kw):
+            raise ValueError("internal error")
+
+        monkeypatch.setitem(v._CHECKERS, TheoremId.FourTerm, broken)
+        with pytest.raises(ValueError, match="internal error"):
+            verify_all(3)
+
+    def test_bad_pair_budget_raises_before_any_checker(self, monkeypatch):
+        import trunclog.verify as v
+
+        ran = []
+        first = v._CHECKERS[TheoremId.LeftInverse]
+
+        def recorded(p, **kw):
+            ran.append(p)
+            return first(p, **kw)
+
+        monkeypatch.setitem(v._CHECKERS, TheoremId.LeftInverse, recorded)
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="pair budget"):
+                verify_all(3, c_pairs=budget)
+        assert ran == []
+
+    def test_zero_cases_is_not_a_pass(self, monkeypatch):
+        import trunclog.verify as v
+
+        monkeypatch.setitem(
+            v._CHECKERS, TheoremId.FourTerm, lambda p, **kw: (0, None, None)
+        )
+        with pytest.raises(RuntimeError, match="FourTerm"):
+            verify_theorem(3, TheoremId.FourTerm)
 
 
 class TestReportShape:
@@ -282,3 +321,103 @@ class TestCCoefficients:
     def test_default_budget_small_prime_is_exhaustive(self):
         r = verify_theorem(3, TheoremId.CCoefficients)
         assert r.cases_checked == 63
+
+
+def _reference_solve(field, rows, ncols):
+    """Gauss-Jordan elimination over every row, on the field's *_raw methods."""
+    zero = (0, 0)
+    pivots, basis = [], []
+    for row in rows:
+        r = row[:]
+        for pc, brow in zip(pivots, basis):
+            f = r[pc]
+            if f != zero:
+                r = [field.sub_raw(x, field.mul_raw(f, y)) for x, y in zip(r, brow)]
+        lead = next((c for c in range(ncols) if r[c] != zero), None)
+        if lead is None:
+            if r[ncols] != zero:
+                return None, False
+            continue
+        inv = field.inv_raw(r[lead])
+        r = [field.mul_raw(x, inv) for x in r]
+        for idx, brow in enumerate(basis):
+            f = brow[lead]
+            if f != zero:
+                basis[idx] = [
+                    field.sub_raw(x, field.mul_raw(f, y)) for x, y in zip(brow, r)
+                ]
+        pivots.append(lead)
+        basis.append(r)
+    sol = [zero] * ncols
+    for pc, brow in zip(pivots, basis):
+        sol[pc] = brow[ncols]
+    return sol, len(pivots) == ncols
+
+
+def _satisfies(field, rows, sol):
+    ncols = len(sol)
+    for row in rows:
+        acc = (0, 0)
+        for x, y in zip(row, sol):
+            acc = field.add_raw(acc, field.mul_raw(x, y))
+        if acc != row[ncols]:
+            return False
+    return True
+
+
+class TestSolvePair:
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_matches_full_elimination(self, p):
+        field = ext_quadratic(p)
+        for at, bt in _c_pairs(field, 20, seed=p):
+            rows = _c_pair_rows(field, at, bt)
+            assert _solve_pair(field, rows, p) == _reference_solve(field, rows, p)
+
+    def test_rank_deficient_system_is_not_unique(self):
+        # rank 2 in 3 unknowns: row 1 is 2 * row 0, row 3 is a combination
+        field = ext_quadratic(7)
+        rows = [
+            [(1, 0), (2, 0), (0, 0), (3, 0)],
+            [(2, 0), (4, 0), (0, 0), (6, 0)],
+            [(0, 0), (0, 0), (1, 1), (2, 5)],
+        ]
+        rows.append(
+            [
+                field.add_raw(field.mul_raw((3, 1), x), field.mul_raw((2, 2), y))
+                for x, y in zip(rows[0], rows[2])
+            ]
+        )
+        sol, unique = _solve_pair(field, rows, 3)
+        assert unique is False
+        assert _satisfies(field, rows, sol)
+        assert (sol, unique) == _reference_solve(field, rows, 3)
+
+    def test_inconsistent_before_full_rank_has_no_solution(self):
+        field = ext_quadratic(7)
+        rows = [
+            [(1, 0), (2, 0), (0, 0), (3, 0)],
+            [(2, 0), (4, 0), (0, 0), (5, 0)],
+            [(0, 0), (0, 0), (1, 1), (2, 5)],
+        ]
+        assert _solve_pair(field, rows, 3) == (None, False)
+
+
+class TestCCoefficientsMutationTraps:
+    @pytest.mark.parametrize("index", [-1, 0])
+    def test_bumped_right_side_fails(self, monkeypatch, index):
+        # the last row comes after the rank reaches p, so the elimination
+        # never reads it; row 0 is read and yields a wrong solution
+        import trunclog.verify as v
+
+        rows_of = v._c_pair_rows
+
+        def bad_rows(field, at, bt):
+            rows = rows_of(field, at, bt)
+            rows[index][-1] = field.add_raw(rows[index][-1], (1, 0))
+            return rows
+
+        monkeypatch.setattr(v, "_c_pair_rows", bad_rows)
+        r = verify_c_coefficients(7, pair_budget=5, seed=0)
+        assert r.status == "fail"
+        assert r.cases_checked == 1
+        assert r.witness["lhs"] == "solution fails an equation"
