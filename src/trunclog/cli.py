@@ -39,7 +39,7 @@ def _parse_primes(spec: str):
 
 @dataclass(frozen=True)
 class CliConfig:
-    """Validated invocation: primes are odd primes before any computation."""
+    """Validated invocation: every argument is checked before any computation."""
 
     command: str                      # show | table | verify
     primes: tuple[int, ...]
@@ -57,14 +57,20 @@ class CliConfig:
             pairs = int(pairs)
             if pairs < 1:
                 raise ValueError(f"--pairs must be >= 1 or 'exhaustive', got {pairs}")
+        target = getattr(args, "target", None) or getattr(args, "theorem", "all")
+        if args.command == "verify" and target != "all":
+            coerce_theorem(target)
+        dlog = getattr(args, "dlog", 1)
+        if dlog < 0:
+            raise ValueError("polylog order must be >= 0")
         return cls(
             command=args.command,
             primes=primes,
-            target=getattr(args, "target", None) or getattr(args, "theorem", "all"),
+            target=target,
             format=getattr(args, "format", "text"),
             seed=getattr(args, "seed", 0),
             pairs=pairs,
-            dlog=getattr(args, "dlog", 1),
+            dlog=dlog,
         )
 
 
@@ -183,16 +189,16 @@ def main(argv=None) -> int:
 
     try:
         config = CliConfig.from_args(args)
-        if config.command == "show":
-            return _run_show(config)
-        if config.command == "table":
-            return _run_table(config)
-        if config.command == "verify":
-            return _run_verify(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
+    if config.command == "show":
+        return _run_show(config)
+    if config.command == "table":
+        return _run_table(config)
+    if config.command == "verify":
+        return _run_verify(config)
     return 2
 
 

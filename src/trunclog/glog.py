@@ -9,9 +9,10 @@ coefficient of X^k is -(1/k) / prod_{s<k} b[1,s](a); there is no constant
 term, the coefficient of X is -1, and at a = 0 the whole thing collapses to
 minus the truncated logarithm.
 
-``glog`` verifies the defining inverse identity at construction and caches
-the result per prime.  The raw ``GLog`` constructor performs no check, which
-is what the mutation tests use to build deliberately broken twins.
+``glog`` verifies the defining inverse identity at construction, on the
+composite ``left_inverse_lhs`` that the LeftInverse checker reads as well, and
+caches the result per prime.  The raw ``GLog`` constructor performs no check,
+which is what the mutation tests use to build deliberately broken twins.
 
 In normal form the k-th coefficient is N_k(a) / (1 - a^(p-1))^(k-1) with
 N_k = -(1/k) * prod_{s<k} b[1,s](-a); ``glog_coeff_normal`` returns that pair
@@ -118,11 +119,16 @@ def glog(p: int) -> GLog:
         RatFn(FpPoly.const(-inv_mod(k, p), p), pre[k - 1]) for k in range(1, p)
     ]
     g = GLog(p, coeffs)
-    c = RatFn.from_poly(alpha_p_minus_alpha(p))
-    got = compose_mod(g.as_xpoly(), laguerre_pm1(p), c)
-    if got != XPoly.x_power(p, 1, modulus=c):
+    got = left_inverse_lhs(g, laguerre_pm1(p))
+    if got != XPoly.x_power(p, 1, modulus=got.modulus):
         raise TheoremViolationError(f"left-inverse construction fails at p={p}")
     return g
+
+
+@functools.lru_cache(maxsize=None)
+def left_inverse_lhs(g: GLog, lag: XPoly) -> XPoly:
+    """G(L(X)) mod X^p - (a^p - a); glog's guard and LeftInverse share it."""
+    return compose_mod(g.as_xpoly(), lag, RatFn.from_poly(alpha_p_minus_alpha(g.p)))
 
 
 def glog_coeff_normal(p: int, k: int):

@@ -308,12 +308,6 @@ class FpPoly:
             out[p * i] = c
         return FpPoly._raw(_trim(out), p, self.var)
 
-    def shift(self, e: int) -> "FpPoly":
-        """Multiply by var^e."""
-        if self.is_zero or e == 0:
-            return self
-        return FpPoly._raw((0,) * e + self.coeffs, self.p, self.var)
-
     # -- comparison and rendering ----------------------------------------------
 
     def __eq__(self, other):
@@ -468,10 +462,6 @@ class RatFn:
     @property
     def is_zero(self):
         return self.num.is_zero
-
-    @property
-    def is_polynomial(self):
-        return self.den.is_one
 
     def as_poly(self) -> FpPoly:
         if not self.den.is_one:

@@ -212,17 +212,19 @@ def _is_plain(s: str) -> bool:
 def grid_mulmod(a, b, cpoly: FpPoly, p: int):
     """Product of two length-p FpPoly grids, reduced by X^p -> cpoly.
 
-    With cpoly zero this is the product truncated below X^p.
+    With cpoly zero this is the product truncated below X^p, and only the
+    terms with i + j < p are formed.
     """
     zero = FpPoly.zero(p)
-    full = [zero] * (2 * p - 1)
+    n = p if cpoly.is_zero else 2 * p - 1
+    full = [zero] * n
     for i, ai in enumerate(a):
         if ai.is_zero:
             continue
-        for j, bj in enumerate(b):
+        for j, bj in enumerate(b[:n - i]):
             if not bj.is_zero:
                 full[i + j] = full[i + j] + ai * bj
-    for e in range(2 * p - 2, p - 1, -1):
+    for e in range(n - 1, p - 1, -1):
         if not full[e].is_zero:
             full[e - p] = full[e - p] + cpoly * full[e]
     return full[:p]

@@ -10,11 +10,11 @@ E(X) = sum_{k<p} X^k / k!.  Its scaled companions substitute a -> r*a and
 X -> r*X.  The truncated logarithm and its higher relatives are the finite
 polylogarithms sum_{k=1}^{p-1} X^k / k^d.
 
-``laguerre_const`` builds the constant obtained by substituting a -> a^p in
-the coefficients and X -> a^p - a.  It is computed both by that substitution
-and by the product formula prod_{k=1}^{p-1} (1 + a/k)^k, and equality of the
-two routes is asserted on every construction, turning the factorization
-identity into a permanent self-check.
+``laguerre_const`` is the constant obtained by substituting a -> a^p in the
+coefficients and X -> a^p - a.  ``laguerre_const_routes`` computes it by that
+substitution and by the product formula prod_{k=1}^{p-1} (1 + a/k)^k, once
+per prime; ``laguerre_const`` asserts the two equal and LFactorization
+compares the same pair, so the factorization identity is a permanent check.
 """
 
 from __future__ import annotations
@@ -46,18 +46,13 @@ def binomials_of(f, p: int):
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def laguerre_pm1(p: int) -> XPoly:
-    """The degree-(p-1) exponential analogue with parameter a.
+    """The degree-(p-1) exponential analogue with parameter a: laguerre_scaled(p, 1).
 
     Coefficient of X^k is -(a - 1)_(p-1-k); the constant term is 1 - a^(p-1)
     and the top coefficient is -1.
     """
-    check_odd_prime(p)
-    a_minus_1 = FpPoly([-1, 1], p, "a")
-    ff = _falling_factorials(a_minus_1, p - 1)
-    coeffs = [RatFn.from_poly(-ff[p - 1 - k]) for k in range(p)]
-    return XPoly(coeffs, p)
+    return laguerre_scaled(p, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,6 +124,7 @@ def w_poly(p: int) -> FpPoly:
     return FpPoly.one(p) - FpPoly.monomial(1, p - 1, p)
 
 
+@functools.lru_cache(maxsize=None)
 def laguerre_const_routes(p: int):
     """Both routes to the modulus constant: (substitution, product formula)."""
     check_odd_prime(p)
@@ -147,13 +143,13 @@ def laguerre_const_routes(p: int):
     return total, prod
 
 
-@functools.lru_cache(maxsize=None)
 def laguerre_const(p: int) -> FpPoly:
     """The modulus constant: the exponential analogue at (a^p; a^p - a).
 
-    Computed two ways, coefficient substitution a -> a^p with argument
-    a^p - a versus the product prod_{k=1}^{p-1} (1 + a/k)^k, and asserted
-    equal before returning.  Degree p(p-1)/2; value 1 at a = 0.
+    Reads the cached pair of ``laguerre_const_routes``, coefficient
+    substitution a -> a^p with argument a^p - a versus the product
+    prod_{k=1}^{p-1} (1 + a/k)^k, and asserts the two equal before
+    returning.  Degree p(p-1)/2; value 1 at a = 0.
     """
     total, prod = laguerre_const_routes(p)
     if total != prod:

@@ -123,6 +123,11 @@ class TestCliConfig:
             with pytest.raises(ValueError):
                 CliConfig.from_args(ns)
 
+    def test_rejects_unknown_theorem(self):
+        ns = argparse.Namespace(command="verify", prime="5", theorem="Bogus")
+        with pytest.raises(ValueError, match="unknown theorem id"):
+            CliConfig.from_args(ns)
+
     def test_range_expansion(self):
         ns = argparse.Namespace(command="verify", prime="3..13", theorem="all")
         config = CliConfig.from_args(ns)
@@ -160,8 +165,28 @@ class TestUsageErrors:
         assert code == 2
 
     def test_unknown_theorem_rejected(self, capsys):
-        code, _, err = run(capsys, "verify", "--prime", "5", "--theorem", "Bogus")
+        code, out, err = run(capsys, "verify", "--prime", "5", "--theorem", "Bogus")
         assert code == 2
+        assert out == ""
+        assert "unknown theorem id" in err and "usage:" in err
+
+    def test_negative_polylog_order_rejected(self, capsys):
+        code, out, err = run(capsys, "show", "polylog", "--prime", "5", "--dlog", "-1")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        # only argument validation maps ValueError to exit 2; a checker's own
+        # ValueError is an internal error and propagates
+        import trunclog.verify as verify_mod
+
+        def broken(p):
+            raise ValueError("internal")
+
+        monkeypatch.setitem(verify_mod._CHECKERS, TheoremId.FourTerm, broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["verify", "--prime", "3"])
 
     def test_malformed_flags(self, capsys):
         code, _, err = run(capsys, "verify")

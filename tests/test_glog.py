@@ -1,8 +1,10 @@
 """The generalized truncated logarithm: construction, normal form, equations."""
 
+import importlib
+
 import pytest
 
-from trunclog.errors import PoleError
+from trunclog.errors import PoleError, TheoremViolationError
 from trunclog.glog import (
     GLog,
     glog,
@@ -51,6 +53,37 @@ class TestConstruction:
 
     def test_cached(self):
         assert glog(5) is glog(5)
+
+
+class TestConstructionGuard:
+    """glog's left-inverse guard still composes, and fails, on tampered input.
+
+    ``glog.__wrapped__`` skips the per-prime cache; the composite cache is
+    keyed by the tampered (G, L) pair, so nothing is read from the good one.
+    """
+
+    glog_mod = importlib.import_module("trunclog.glog")
+
+    def test_tampered_exponential_raises(self, monkeypatch):
+        p = 5
+        good = laguerre_pm1(p)
+        bumped = XPoly([good.coeffs[0], good.coeffs[1] + 1] + list(good.coeffs[2:]), p)
+        monkeypatch.setattr(self.glog_mod, "laguerre_pm1", lambda q: bumped)
+        with pytest.raises(TheoremViolationError, match="left-inverse"):
+            glog.__wrapped__(p)
+
+    def test_tampered_prefix_products_raise(self, monkeypatch):
+        p = 5
+        good = self.glog_mod.b_prefix_products(p)
+        bumped = good[:2] + (good[2] + 1,) + good[3:]
+        monkeypatch.setattr(
+            self.glog_mod, "b_prefix_products", lambda q, negate=False: bumped
+        )
+        with pytest.raises(TheoremViolationError, match="left-inverse"):
+            glog.__wrapped__(p)
+
+    def test_untampered_rebuild_passes(self):
+        assert glog.__wrapped__(5) == glog(5)
 
 
 class TestInverseIdentities:

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from trunclog import special
+from trunclog.errors import TheoremViolationError
 from trunclog.fields import inv_mod
 from trunclog.polys import FpPoly, RatFn
 from trunclog.quotient import XPoly
@@ -189,6 +191,16 @@ class TestLaguerreConst:
         for p in (3, 5, 7, 11, 13):
             sub_route, prod_route = laguerre_const_routes(p)
             assert sub_route == prod_route
+
+    def test_guard_raises_on_tampered_routes(self, monkeypatch):
+        # laguerre_const keeps no cache of its own: every call compares the
+        # cached pair of routes, so a tampered pair trips the guard
+        sub_route, prod_route = laguerre_const_routes(5)
+        monkeypatch.setattr(
+            special, "laguerre_const_routes", lambda p: (sub_route, prod_route + 1)
+        )
+        with pytest.raises(TheoremViolationError, match="factorization"):
+            laguerre_const(5)
 
     def test_alpha_p_minus_alpha(self):
         f = alpha_p_minus_alpha(5)

@@ -1,6 +1,11 @@
 """The checker battery: reports, witnesses, determinism, mutation traps."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -421,3 +426,49 @@ class TestCCoefficientsMutationTraps:
         assert r.status == "fail"
         assert r.cases_checked == 1
         assert r.witness["lhs"] == "solution fails an equation"
+
+
+# A fresh interpreter, so that no earlier test has filled the caches; every
+# module that imported compose_mod gets the counting wrapper.
+_COUNT_SHARED_WORK = """
+import json, sys
+import trunclog
+from trunclog import quotient, special
+
+orig = quotient.compose_mod
+calls = []
+
+def counted(*args):
+    calls.append(1)
+    return orig(*args)
+
+for name, mod in list(sys.modules.items()):
+    if name.startswith("trunclog") and vars(mod).get("compose_mod") is orig:
+        setattr(mod, "compose_mod", counted)
+reports = trunclog.verify_all(7)
+print(json.dumps({
+    "compose_mod": len(calls),
+    "routes_built": special.laguerre_const_routes.cache_info().misses,
+    "statuses": sorted({r.status for r in reports}),
+}))
+"""
+
+
+class TestSharedResults:
+    def test_each_identity_computed_once(self):
+        # glog's guard and LeftInverse share one G(L(X)); RightInverse makes
+        # the other composition; laguerre_const and LFactorization share the
+        # routes to the modulus constant
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _COUNT_SHARED_WORK],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {
+            "compose_mod": 2, "routes_built": 1, "statuses": ["pass"],
+        }
