@@ -7,8 +7,11 @@ arithmetic never inspects it and mixing tags is permitted; binary operations
 keep the left operand's tag.
 
 Multiplication switches to Kronecker substitution (coefficients packed into a
-single Python int) once the schoolbook cost would exceed a small threshold;
-with desk-scale primes the packed products never overflow their slots.
+single Python int) once the schoolbook cost would exceed a small threshold.
+Packing and unpacking are one bulk ``array`` conversion each.  The slot width
+comes from a proven bound on the largest slot value, min(la, lb)·(p−1)² for
+one product: 4-byte slots below 2^32, 8-byte slots below 2^64, and
+OverflowError beyond that, so a packed product never overflows its slots.
 
 ``RatFn`` keeps fractions in canonical form at all times: the denominator is
 monic and coprime to the numerator, and the zero fraction is 0/1.  Equality of
@@ -18,6 +21,9 @@ Everything is immutable and pure, hence freely shareable across threads.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 from .errors import NonSplitError, PoleError
 from .fields import FpElem, check_odd_prime, inv_mod
@@ -32,6 +38,27 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
+def _slot_typecode(bound):
+    """The ``array`` typecode of the narrowest slot holding every int in
+    [0, bound]; OverflowError when no slot of 8 bytes or less does."""
+    for tc in "IQ":
+        if bound < 1 << 8 * array(tc).itemsize:
+            return tc
+    raise OverflowError(f"packed slot bound {bound} needs more than 8 bytes")
+
+
+def _pack(coeffs, typecode):
+    """Kronecker packing: coeffs[k] in slot k of one int, lowest slot first."""
+    return int.from_bytes(array(typecode, coeffs).tobytes(), sys.byteorder)
+
+
+def _unpack(n, length, p, typecode):
+    """The trimmed residues mod p of the first length slots of n."""
+    slots = array(typecode)
+    slots.frombytes(n.to_bytes(length * slots.itemsize, sys.byteorder))
+    return _trim([c % p for c in slots])
+
+
 def _mul_tuples(a, b, p):
     la, lb = len(a), len(b)
     if not la or not lb:
@@ -43,22 +70,10 @@ def _mul_tuples(a, b, p):
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return _trim([c % p for c in out])
-    # Kronecker substitution: pack coefficients into fixed-width slots of one
-    # big int, multiply once, unpack.  Slot width must dominate the largest
-    # possible convolution entry, min(la, lb) * (p-1)^2.
-    width = 4
-    if min(la, lb) * (p - 1) * (p - 1) >= 1 << 32:
-        width = 8
-    na = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-    nb = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
-    nc = na * nb
-    n = la + lb - 1
-    buf = nc.to_bytes(width * (n + 1), "little")
-    out = [
-        int.from_bytes(buf[width * i : width * i + width], "little") % p
-        for i in range(n)
-    ]
-    return _trim(out)
+    # Kronecker substitution: one big-int product of the packed operands.  A
+    # slot of the product holds a convolution entry, at most min(la, lb)·(p-1)².
+    tc = _slot_typecode(min(la, lb) * (p - 1) * (p - 1))
+    return _unpack(_pack(a, tc) * _pack(b, tc), la + lb - 1, p, tc)
 
 
 def _divmod_tuples(a, b, p):

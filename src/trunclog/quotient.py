@@ -2,8 +2,10 @@
 
 The arithmetic runs on grids: lists of p ``FpPoly`` coefficients indexed by
 the X-power.  ``grid_mulmod`` multiplies two grids and reduces by X^p -> c for
-a polynomial constant c; c = 0 gives the product truncated below X^p.
-``compose_mod`` clears denominators and composes on grids.
+a polynomial constant c; c = 0 gives the product truncated below X^p.  It
+Kronecker-packs each row once per product and multiplies packed integers, so
+a grid product packs 2p rows rather than two operands for each of p² row
+products.  ``compose_mod`` clears denominators and composes on grids.
 
 ``XPoly`` is the type for values: p ``RatFn`` coefficients (X^0 .. X^(p-1))
 with an optional modulus tag c, for rendering, equality, ``derivative`` and
@@ -19,7 +21,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import PoleError
-from .polys import FpPoly, RatFn
+from .polys import FpPoly, RatFn, _pack, _slot_typecode, _unpack
 
 
 def _coerce_ratfn(v, p, var="a"):
@@ -212,18 +214,38 @@ def _is_plain(s: str) -> bool:
 def grid_mulmod(a, b, cpoly: FpPoly, p: int):
     """Product of two length-p FpPoly grids, reduced by X^p -> cpoly.
 
-    With cpoly zero this is the product truncated below X^p, and only the
-    terms with i + j < p are formed.
+    Each nonzero row of a and of b is packed once into one int, and
+    full[e] = sum of A_i * B_j over i + j = e is a sum of plain big-int
+    products, unpacked once per e.  A slot of full[e] sums one convolution
+    entry, at most min(row lengths)·(p-1)², for each of at most
+    min(nonzero rows of a, of b) terms; that bounds the slot width.  With cpoly zero this is the product truncated below
+    X^p, and only the terms with i + j < p are formed.
     """
     zero = FpPoly.zero(p)
     n = p if cpoly.is_zero else 2 * p - 1
-    full = [zero] * n
-    for i, ai in enumerate(a):
-        if ai.is_zero:
-            continue
-        for j, bj in enumerate(b[:n - i]):
-            if not bj.is_zero:
-                full[i + j] = full[i + j] + ai * bj
+    rows_a = [(i, r.coeffs) for i, r in enumerate(a) if r.coeffs]
+    rows_b = [(j, r.coeffs) for j, r in enumerate(b[:n]) if r.coeffs]
+    if not rows_a or not rows_b:
+        return [zero] * p
+    terms = min(len(rows_a), len(rows_b))
+    short = min(max(len(c) for _, c in rows_a), max(len(c) for _, c in rows_b))
+    tc = _slot_typecode(terms * short * (p - 1) * (p - 1))
+    packed_b = [(j, len(c), _pack(c, tc)) for j, c in rows_b]
+    sums = [0] * n
+    lens = [0] * n  # slots of sums[e]; its top slot is nonzero before mod p
+    for i, ca in rows_a:
+        la, pa = len(ca), _pack(ca, tc)
+        for j, lb, pb in packed_b:
+            e = i + j
+            if e >= n:
+                break
+            sums[e] += pa * pb
+            if la + lb - 1 > lens[e]:
+                lens[e] = la + lb - 1
+    full = [
+        FpPoly._raw(_unpack(s, k, p, tc), p, "a") if k else zero
+        for s, k in zip(sums, lens)
+    ]
     for e in range(n - 1, p - 1, -1):
         if not full[e].is_zero:
             full[e - p] = full[e - p] + cpoly * full[e]

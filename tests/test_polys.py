@@ -7,6 +7,7 @@ import pytest
 from trunclog.errors import NonSplitError, PoleError
 from trunclog.fields import FpElem
 from trunclog.polys import FpPoly, RatFn, roots_and_split
+from trunclog.polys import _SCHOOLBOOK_LIMIT, _pack, _slot_typecode, _unpack
 
 
 def rand_poly(rng, p, max_deg):
@@ -41,17 +42,50 @@ class TestFpPolyBasics:
         assert str(FpPoly([2, 1], 3)) == "a + 2"
         assert str(FpPoly([], 5)) == "0"
 
-    def test_kronecker_path_matches_schoolbook(self):
-        # push beyond the schoolbook threshold and compare against a naive product
+    @pytest.mark.parametrize("p", [3, 13, 31])
+    @pytest.mark.parametrize(
+        "la, lb",
+        [
+            (45, 45),  # la * lb just below the schoolbook threshold
+            (46, 46),  # just above it
+            (80, 70),
+            (_SCHOOLBOOK_LIMIT + 1, 2),  # lopsided
+        ],
+    )
+    def test_kronecker_path_matches_schoolbook(self, p, la, lb):
+        # both sides of the schoolbook threshold against a naive product; the
+        # top coefficients are p - 1 so the largest slot values occur
         rng = random.Random(3)
-        p = 13
-        a = [rng.randrange(p) for _ in range(80)]
-        b = [rng.randrange(p) for _ in range(70)]
-        naive = [0] * (len(a) + len(b) - 1)
+        a = [rng.randrange(p) for _ in range(la - 1)] + [p - 1]
+        b = [rng.randrange(p) for _ in range(lb - 1)] + [p - 1]
+        naive = [0] * (la + lb - 1)
         for i, ai in enumerate(a):
             for j, bj in enumerate(b):
                 naive[i + j] = (naive[i + j] + ai * bj) % p
         assert FpPoly(a, p) * FpPoly(b, p) == FpPoly(naive, p)
+
+
+class TestPackedSlots:
+    @pytest.mark.parametrize(
+        "bound, typecode",
+        [(2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q")],
+    )
+    def test_slot_chooser(self, bound, typecode):
+        assert _slot_typecode(bound) == typecode
+
+    def test_slot_chooser_refuses_wider_than_8_bytes(self):
+        with pytest.raises(OverflowError):
+            _slot_typecode(2**64)
+
+    @pytest.mark.parametrize("typecode, bits", [("I", 32), ("Q", 64)])
+    def test_round_trip_with_full_top_slot(self, typecode, bits):
+        # a modulus above every slot value leaves the residues unchanged, and
+        # a to_bytes length one slot short would overflow on the top slot
+        top = 2**bits - 1
+        coeffs = [5, 0, top - 1, 1, top]
+        n = _pack(coeffs, typecode)
+        assert n >> (bits * (len(coeffs) - 1)) == top
+        assert _unpack(n, len(coeffs), 1 << bits, typecode) == tuple(coeffs)
 
 
 class TestDivisionAndGcd:

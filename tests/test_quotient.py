@@ -4,10 +4,15 @@ import random
 
 import pytest
 
-from trunclog.polys import FpPoly, RatFn
+from trunclog.polys import FpPoly, RatFn, _SCHOOLBOOK_LIMIT
 from trunclog.quotient import XPoly, compose_mod, grid_mulmod, xpoly_to_grid
 from trunclog.quotient import _compose_horner
-from trunclog.special import alpha_p_minus_alpha, laguerre_pm1, laguerre_scaled
+from trunclog.special import (
+    alpha_p_minus_alpha,
+    laguerre_const,
+    laguerre_pm1,
+    laguerre_scaled,
+)
 from trunclog.bpoly import b_rs
 
 
@@ -32,6 +37,20 @@ def reduce_reference(coeffs, cpoly, p):
 
 def random_grid(rng, p, length):
     return [FpPoly([rng.randrange(p) for _ in range(3)], p) for _ in range(length)]
+
+
+def uneven_grid(rng, p, length, long_row=None):
+    """Rows of 0 to 2p random coefficients, so some rows are zero and the
+    rest differ in length; row long_row, if given, is longer than the
+    Kronecker threshold of a single polynomial product."""
+    rows = [
+        FpPoly([rng.randrange(p) for _ in range(rng.randrange(2 * p + 1))], p)
+        for _ in range(length)
+    ]
+    if long_row is not None:
+        coeffs = [rng.randrange(p) for _ in range(_SCHOOLBOOK_LIMIT)]
+        rows[long_row] = FpPoly(coeffs + [1], p)
+    return rows
 
 
 class TestReduceMod:
@@ -116,14 +135,24 @@ class TestMulmodPowmod:
 
     def test_reduction_is_ring_homomorphism(self):
         # constant 0 is truncation below X^p, for which grid_mulmod skips
-        # the upper half of the product
+        # the upper half of the product; laguerre_const(7) has degree 21
         rng = random.Random(1)
-        p = 5
-        zero = FpPoly.zero(p)
-        for c in (alpha_p_minus_alpha(p), zero):
-            for _ in range(15):
-                fc = random_grid(rng, p, 2 * p - 1)
-                gc = random_grid(rng, p, 2 * p - 1)
+        cases = [
+            (5, alpha_p_minus_alpha(5)),
+            (5, FpPoly.zero(5)),
+            (7, laguerre_const(7)),
+        ]
+        for p, c in cases:
+            zero = FpPoly.zero(p)
+            n = 2 * p - 1
+            pairs = [(random_grid(rng, p, n), random_grid(rng, p, n)) for _ in range(15)]
+            pairs += [(uneven_grid(rng, p, n), uneven_grid(rng, p, n)) for _ in range(5)]
+            pairs += [
+                (uneven_grid(rng, p, n, long_row=1), uneven_grid(rng, p, n)),
+                (uneven_grid(rng, p, n), uneven_grid(rng, p, n, long_row=p - 2)),
+                ([zero] * n, uneven_grid(rng, p, n)),
+            ]
+            for fc, gc in pairs:
                 full = [zero] * (len(fc) + len(gc) - 1)
                 for i, a in enumerate(fc):
                     for j, b in enumerate(gc):
@@ -133,6 +162,16 @@ class TestMulmodPowmod:
                     reduce_reference(fc, c, p), reduce_reference(gc, c, p), c, p
                 )
                 assert lhs == rhs
+
+    def test_slot_width_covers_sums_of_row_products(self):
+        # at p = 65521 one row product's entries fit 4-byte slots, but
+        # full[1] = A0*B1 + A1*B0 sums two of them, 2(p-1)^2 > 2^32
+        p = 65521
+        zero, minus_one = FpPoly.zero(p), FpPoly.const(-1, p)
+        grid = [minus_one, minus_one] + [zero] * (p - 2)
+        got = grid_mulmod(grid, grid, zero, p)
+        assert got[:3] == [FpPoly.one(p), FpPoly.const(2, p), FpPoly.one(p)]
+        assert got[3:] == [zero] * (p - 3)
 
     def test_matches_rational_coefficient_product(self):
         # the grid product and the XPoly product behind _compose_horner agree
