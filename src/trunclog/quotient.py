@@ -5,7 +5,9 @@ the X-power.  ``grid_mulmod`` multiplies two grids and reduces by X^p -> c for
 a polynomial constant c; c = 0 gives the product truncated below X^p.  It
 Kronecker-packs each row once per product and multiplies packed integers, so
 a grid product packs 2p rows rather than two operands for each of p² row
-products.  ``compose_mod`` clears denominators and composes on grids.
+products.  ``compose_mod`` clears denominators (``common_denominator``) and
+composes on grids; in the library it serves only the LeftInverse composite
+G(L(X)) that ``glog()``'s guard and the LeftInverse checker share.
 
 ``XPoly`` is the type for values: p ``RatFn`` coefficients (X^0 .. X^(p-1))
 with an optional modulus tag c, for rendering, equality, ``derivative`` and
@@ -272,6 +274,13 @@ def _lcm(a: FpPoly, b: FpPoly) -> FpPoly:
     return (a * (b // g)).monic()
 
 
+def common_denominator(coeffs):
+    """(numerators, D) for a nonempty sequence of RatFn: D is the monic lcm
+    of their denominators and numerators[k] = coeffs[k] * D, all FpPoly."""
+    den = reduce(_lcm, (c.den for c in coeffs))
+    return [c.num * (den // c.den) for c in coeffs], den
+
+
 def compose_mod(outer: XPoly, inner: XPoly, c) -> XPoly:
     """Horner evaluation of outer at inner, reduced modulo X^p - c.
 
@@ -292,10 +301,8 @@ def compose_mod(outer: XPoly, inner: XPoly, c) -> XPoly:
     var = cpoly.var if not cpoly.is_zero else "a"
     one = FpPoly.one(p, var)
 
-    d_out = reduce(_lcm, (g.den for g in outer.coeffs), one)
-    pnum = [g.num * (d_out // g.den) for g in outer.coeffs]
-    d_in = reduce(_lcm, (h.den for h in inner.coeffs), one)
-    hgrid = [h.num * (d_in // h.den) for h in inner.coeffs]
+    pnum, d_out = common_denominator(outer.coeffs)
+    hgrid, d_in = common_denominator(inner.coeffs)
 
     din_pows = [one]
     for _ in range(p - 1):

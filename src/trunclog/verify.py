@@ -18,6 +18,10 @@ sides rendered.  Case counts per checker:
     JacobiLink, JacobiShift                   (p-1)(p-2)
     CCoefficients                             number of sampled pairs
 
+RightInverse forms no composition L(G(X)): it is proved from LeftInverse
+plus two Frobenius conditions (one for L, one for G) by the inverse-map
+lemma in ``_check_right_inverse``.
+
 A few checkers accept keyword overrides (g=, lag=, lag_fn=, b_fn=) so the
 test suite can inject single-site mutations and watch the battery trip.
 
@@ -47,7 +51,13 @@ from .fields import check_odd_prime, ext_quadratic, inv_mod
 from .glog import glog, left_inverse_lhs, reciprocal_rhs
 from .jacobi import jacobi_for_pair, jacobi_pm1, p_times_jacobi_p, jacobi_reflection_check
 from .polys import FpPoly, RatFn, roots_and_split
-from .quotient import XPoly, compose_mod, grid_mulmod, grid_to_xpoly, xpoly_to_grid
+from .quotient import (
+    XPoly,
+    common_denominator,
+    grid_mulmod,
+    grid_to_xpoly,
+    xpoly_to_grid,
+)
 from .special import (
     alpha_p_minus_alpha,
     finite_polylog,
@@ -134,12 +144,15 @@ def _first_diff(a: XPoly, b: XPoly) -> int:
 # -- inverse pair --------------------------------------------------------------
 
 
-def _is_x(got: XPoly):
-    """One case: a composite must be X in its quotient ring."""
+def _is_x(got: XPoly, **case):
+    """One case: a composite must be X in its quotient ring.  A witness case
+    holds the given keys, then the first coefficient that differs."""
     want = XPoly.x_power(got.p, 1, modulus=got.modulus)
     if got != want:
         k = _first_diff(got, want)
-        return 1, _witness({"coefficient": k}, got.coeffs[k], want.coeffs[k]), None
+        return 1, _witness(
+            {**case, "coefficient": k}, got.coeffs[k], want.coeffs[k]
+        ), None
     return 1, None, None
 
 
@@ -149,11 +162,57 @@ def _check_left_inverse(p, g=None, lag=None):
     return _is_x(left_inverse_lhs(g, lag))
 
 
+def _frobenius_image(coeffs, arg: FpPoly):
+    """(N, M) with sum_k c_k(a^p) * arg^k = N / M for RatFn coefficients c_k.
+
+    M = D(a^p) for the common denominator D of the c_k, and N is the Horner
+    sum in arg of the cleared numerators (c_k * D)(a^p).  Over F_p,
+    f(a^p) = f(a)^p, so M is nonzero and N == want * M decides the equation.
+    """
+    nums, den = common_denominator(coeffs)
+    acc = FpPoly.zero(arg.p)
+    for num in reversed(nums):
+        acc = acc * arg + num.frobenius_p()
+    return acc, den.frobenius_p()
+
+
 def _check_right_inverse(p, g=None, lag=None):
+    """L(G(X)) = X mod X^p - Lc, proved from LeftInverse by the inverse-map
+    lemma; no composition L(G(X)) is formed.
+
+    Write alpha = a^p - a, Lc = laguerre_const(p), K1 = F_p(a)[X]/(X^p - alpha)
+    and K2 = F_p(a)[Y]/(Y^p - Lc).  In characteristic p,
+    (sum_k f_k X^k)^p = sum_k f_k(a^p) X^(pk) for f_k in F_p(a), so:
+
+    - "L-frobenius": Y -> L(X) is a ring map K2 -> K1 iff L(X)^p = Lc in K1,
+      i.e. sum_k L_k(a^p) * alpha^k = Lc;
+    - "G-frobenius": X -> G(Y) is a ring map K1 -> K2 iff G(Y)^p = alpha in
+      K2, i.e. sum_k G_k(a^p) * Lc^k = alpha, compared over G's common
+      denominator D as sum_k (G_k D)(a^p) * Lc^k = alpha * D(a^p);
+    - "left inverse": G(L(X)) = X in K1 says K1 -> K2 -> K1 is the identity.
+
+    Both maps are F_p(a)-linear and both rings have dimension p over F_p(a).
+    The composite being the identity makes K2 -> K1 onto, hence bijective,
+    so X -> G(Y) is its inverse and K2 -> K1 -> K2 is the identity too:
+    L(G(Y)) = Y in K2, which is the statement.
+
+    All three parts run on the (g, lag) given, so a twin reaches each; the
+    left-inverse composite is the cached one glog()'s guard and LeftInverse
+    read.  One case; a witness names the part that failed, and a Frobenius
+    witness shows both sides cross-multiplied by M as in ``_frobenius_image``.
+    """
     g = glog(p) if g is None else g
     lag = laguerre_pm1(p) if lag is None else lag
-    c = RatFn.from_poly(laguerre_const(p))
-    return _is_x(compose_mod(lag, g.as_xpoly(), c))
+    lc = laguerre_const(p)
+    alpha = alpha_p_minus_alpha(p)
+    for part, series, arg, want in (
+        ("L-frobenius", lag, alpha, lc),
+        ("G-frobenius", g.as_xpoly(), lc, alpha),
+    ):
+        num, den = _frobenius_image(series.coeffs, arg)
+        if num != want * den:
+            return 1, _witness({"part": part}, num, want * den), None
+    return _is_x(left_inverse_lhs(g, lag), part="left inverse")
 
 
 # -- products of scaled exponentials --------------------------------------------
@@ -237,15 +296,21 @@ def _check_roots_theorem(p, b_fn=None):
             _, roots = roots_and_split(f)
         except NonSplitError as exc:
             return cases + 1, _witness({"s": s}, exc.remainder, "split"), None
-        structure_ok = (
+        if not (
             f.degree == (p - 1) // 2
             and all(m == 1 for m in roots.values())
             and frozenset(roots) == predicted
-        )
+        ):
+            return cases + 1, _witness(
+                {"s": s},
+                f"degree {f.degree}, roots with multiplicity "
+                f"{dict(sorted(roots.items()))}",
+                f"degree {(p - 1) // 2}, simple roots {sorted(predicted)}",
+            ), None
         for a in range(1, p):
             cases += 1
             is_root = f.eval_int(a) == 0
-            if is_root != (a in predicted) or not structure_ok:
+            if is_root != (a in predicted):
                 return cases, _witness(
                     {"s": s, "a": a},
                     f"b[1,{s}]({a}) = {f.eval_int(a)}",
@@ -561,7 +626,13 @@ def _check_jacobi_reflection(p):
 
 
 def _lag_coeffs_at(field, at):
-    """Coefficients of the exponential analogue with the parameter specialized."""
+    """Coefficients of the exponential analogue with the parameter specialized.
+
+    An intended independent route to L's coefficients over F_{p^2}: it forms
+    the falling factorials -(at - 1)_(p-1-k) on raw pairs and never reads
+    ``special``, so a defect in ``laguerre_pm1`` cannot carry over into this
+    system.
+    """
     p = field.p
     base = field.sub_raw(at, (1, 0))
     ff = [(1, 0)]

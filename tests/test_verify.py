@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from trunclog.bpoly import b_rs
+from trunclog.bpoly import b_roots_predicted, b_rs
 from trunclog.errors import NotApplicable
 from trunclog.fields import ext_quadratic
 from trunclog.glog import glog
 from trunclog.polys import FpPoly, RatFn
-from trunclog.quotient import XPoly
-from trunclog.special import laguerre_pm1
+from trunclog.quotient import XPoly, compose_mod
+from trunclog.special import alpha_p_minus_alpha, laguerre_const, laguerre_pm1
 from trunclog.verify import (
     TheoremId,
     _c_pair_rows,
@@ -284,6 +284,120 @@ class TestMutationTraps:
         r = verify_theorem(p, TheoremId.RootsTheorem, b_fn=bad_b)
         assert r.status == "fail"
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_squared_b_fails_with_structural_witness(self, p):
+        # b[1,s]^2 has the predicted roots, each twice: an evaluation at one
+        # point agrees on both sides, so the witness must name the structure
+        def squared_b(pp, r, s):
+            return b_rs(pp, r, s) ** 2
+
+        r = verify_theorem(p, TheoremId.RootsTheorem, b_fn=squared_b)
+        assert r.status == "fail" and r.cases_checked == 1
+        predicted = sorted(b_roots_predicted(p, 1))
+        doubled = {a: 2 for a in predicted}
+        assert r.witness == {
+            "case": {"s": 1},
+            "lhs": f"degree {p - 1}, roots with multiplicity {doubled}",
+            "rhs": f"degree {(p - 1) // 2}, simple roots {predicted}",
+        }
+
+
+# Traps for RightInverse.  The input traps change what the identity is about:
+# a broken G or L passed as a twin, or a tampered constant Lc.  The internal
+# traps leave the inputs alone and tamper one part of the proof instead.
+
+
+def _g_twin(p):
+    g = glog(p)
+    c2 = g.coeff(2)
+    return g.with_coeff(2, RatFn(c2.num + 1, c2.den))
+
+
+def _lag_twin(p):
+    coeffs = list(laguerre_pm1(p).coeffs)
+    coeffs[1] = coeffs[1] + 1
+    return XPoly(coeffs, p)
+
+
+def _rational_lag_twin(p):
+    coeffs = list(laguerre_pm1(p).coeffs)
+    coeffs[1] = coeffs[1] / RatFn(FpPoly([1, 1], p))
+    return XPoly(coeffs, p)
+
+
+# name: (twin builders by keyword, added to Lc, part the witness names)
+_INPUT_TRAPS = {
+    "G twin": ({"g": _g_twin}, 0, "G-frobenius"),
+    "L twin": ({"lag": _lag_twin}, 0, "L-frobenius"),
+    "rational L twin": ({"lag": _rational_lag_twin}, 0, "L-frobenius"),
+    "Lc + 1": ({}, 1, "L-frobenius"),
+}
+
+
+def _run_input_trap(monkeypatch, p, name):
+    """(the trap's g, lag and Lc, and the RightInverse report under it)."""
+    import trunclog.verify as v
+
+    builders, shift, _ = _INPUT_TRAPS[name]
+    twins = {key: build(p) for key, build in builders.items()}
+    lc = laguerre_const(p) + shift
+    monkeypatch.setattr(v, "laguerre_const", lambda pp: lc)
+    report = verify_theorem(p, TheoremId.RightInverse, **twins)
+    return twins.get("g", glog(p)), twins.get("lag", laguerre_pm1(p)), lc, report
+
+
+class TestRightInverseTraps:
+    @pytest.mark.parametrize("name", sorted(_INPUT_TRAPS))
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_input_trap_fails_naming_its_part(self, monkeypatch, p, name):
+        *_, r = _run_input_trap(monkeypatch, p, name)
+        assert r.status == "fail" and r.cases_checked == 1
+        assert r.witness["case"] == {"part": _INPUT_TRAPS[name][2]}
+
+    @pytest.mark.parametrize("name", sorted(_INPUT_TRAPS))
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_direct_composition_rejects_every_input_trap(self, monkeypatch, p, name):
+        # the literal L(G(X)) mod X^p - Lc, the composition the lemma replaces,
+        # rejects each input trap, and so does the checker: the lemma route
+        # is never the weaker one
+        g, lag, lc, r = _run_input_trap(monkeypatch, p, name)
+        c = RatFn.from_poly(lc)
+        assert compose_mod(lag, g.as_xpoly(), c) != XPoly.x_power(p, 1, modulus=c)
+        assert r.status == "fail"
+
+    @pytest.mark.parametrize("part", ["L-frobenius", "G-frobenius"])
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_each_frobenius_condition_tampered_alone(self, monkeypatch, p, part):
+        import trunclog.verify as v
+
+        # the L condition is summed in a^p - a, the G condition in Lc; one
+        # sum is pushed off by 1 and the other is left intact
+        target = alpha_p_minus_alpha(p) if part == "L-frobenius" else laguerre_const(p)
+        orig = v._frobenius_image
+
+        def tampered(coeffs, arg):
+            num, den = orig(coeffs, arg)
+            return (num + den, den) if arg == target else (num, den)
+
+        monkeypatch.setattr(v, "_frobenius_image", tampered)
+        r = verify_theorem(p, TheoremId.RightInverse)
+        assert r.status == "fail" and r.cases_checked == 1
+        assert r.witness["case"] == {"part": part}
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_shared_composite_tampered(self, monkeypatch, p):
+        import trunclog.verify as v
+        from trunclog.glog import left_inverse_lhs
+
+        def tampered(g, lag):
+            return left_inverse_lhs(g, lag) + 1
+
+        monkeypatch.setattr(v, "left_inverse_lhs", tampered)
+        r = verify_theorem(p, TheoremId.RightInverse)
+        assert r.status == "fail" and r.cases_checked == 1
+        assert r.witness["case"] == {"part": "left inverse", "coefficient": 0}
+        assert r.witness["lhs"] == "1" and r.witness["rhs"] == "0"
+
 
 class TestCCoefficients:
     def test_p3_exhaustive_matches_closed_forms(self):
@@ -456,9 +570,9 @@ print(json.dumps({
 
 class TestSharedResults:
     def test_each_identity_computed_once(self):
-        # glog's guard and LeftInverse share one G(L(X)); RightInverse makes
-        # the other composition; laguerre_const and LFactorization share the
-        # routes to the modulus constant
+        # glog's guard, LeftInverse and RightInverse share one G(L(X)), and
+        # RightInverse composes nothing else; laguerre_const and
+        # LFactorization share the routes to the modulus constant
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -470,5 +584,5 @@ class TestSharedResults:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
-            "compose_mod": 2, "routes_built": 1, "statuses": ["pass"],
+            "compose_mod": 1, "routes_built": 1, "statuses": ["pass"],
         }
