@@ -10,6 +10,13 @@ and at x = (s - r)/(s + r) with A = r*a, B = s*a it reproduces b[r,s](a).
 ``p_times_jacobi_p`` is the p-fold multiple of the degree-p polynomial, which
 collapses mod p to (A - A^p)(x+1)^p / 2 + (B - B^p)(x-1)^p / 2 and feeds the
 parameter-shift recurrence used by the verifier.
+
+At the linked arguments that term vanishes identically: with A = r*a,
+B = s*a and x = (s - r)/(s + r), r^p = r and (x+1)^p = x+1 in F_p turn it
+into (a - a^p)(r(x+1) + s(x-1)) / 2, and r(x+1) + s(x-1) = 0.  There also
+(A+B)(x+1)/2 = B, so the recurrence reduces to B * P(A, B+1; x) =
+B * P(A, B; x): it says no more than the shift B -> B+1 leaving the value
+unchanged.
 """
 
 from __future__ import annotations

@@ -13,6 +13,10 @@ comes from a proven bound on the largest slot value, min(la, lb)·(p−1)² for
 one product: 4-byte slots below 2^32, 8-byte slots below 2^64, and
 OverflowError beyond that, so a packed product never overflows its slots.
 
+``values`` and ``interpolate`` pass between a polynomial and its value
+vector on F_p; they are inverse to each other on degrees at most p-1, where
+a polynomial is determined by its p values.
+
 ``RatFn`` keeps fractions in canonical form at all times: the denominator is
 monic and coprime to the numerator, and the zero fraction is 0/1.  Equality of
 canonical forms is therefore plain coordinate equality.
@@ -22,6 +26,8 @@ Everything is immutable and pure, hence freely shareable across threads.
 
 from __future__ import annotations
 
+import functools
+import operator
 import sys
 from array import array
 
@@ -387,6 +393,49 @@ def roots_and_split(f: FpPoly):
     if g.degree > 0:
         raise NonSplitError(g)
     return lead, roots
+
+
+@functools.lru_cache(maxsize=None)
+def _power_rows(p):
+    """Row t holds t^0, ..., t^(p-1) mod p, for each t in F_p."""
+    return tuple(tuple(pow(t, k, p) for k in range(p)) for t in range(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _lagrange_columns(p):
+    """Entry [k][t]: coefficient of var^k in the Lagrange basis polynomial of t.
+
+    Over F_p that polynomial is 1 - (var - t)^(p-1), since (u)^(p-1) is 1 for
+    u != 0 and 0 for u = 0; with C(p-1, k) = (-1)^k mod p its coefficient of
+    var^k is [k == 0] - t^(p-1-k).
+    """
+    return tuple(
+        tuple(((k == 0) - pow(t, p - 1 - k, p)) % p for t in range(p))
+        for k in range(p)
+    )
+
+
+def values(f: FpPoly):
+    """[f(0), ..., f(p-1)], the value vector of f on F_p.
+
+    As functions on F_p, var^k = var^(k - (p-1)) for k >= p, so higher
+    coefficients fold down first; values never tell f from f + (var^p - var).
+    """
+    p = f.p
+    coeffs = list(f.coeffs[:p])
+    for k in range(p, len(f.coeffs)):
+        coeffs[(k - 1) % (p - 1) + 1] += f.coeffs[k]
+    return [sum(map(operator.mul, coeffs, row)) % p for row in _power_rows(p)]
+
+
+def interpolate(vals, p, var="a") -> FpPoly:
+    """The unique polynomial of degree at most p-1 with the given value vector
+    [f(0), ..., f(p-1)], by the Lagrange basis of ``_lagrange_columns``."""
+    vals = list(vals)
+    if len(vals) != p:
+        raise ValueError(f"need {p} values, got {len(vals)}")
+    coeffs = [sum(map(operator.mul, vals, col)) % p for col in _lagrange_columns(p)]
+    return FpPoly._raw(_trim(coeffs), p, var)
 
 
 class RatFn:

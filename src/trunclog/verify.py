@@ -22,6 +22,18 @@ RightInverse forms no composition L(G(X)): it is proved from LeftInverse
 plus two Frobenius conditions (one for L, one for G) by the inverse-map
 lemma in ``_check_right_inverse``.
 
+BAltAgreement, JacobiLink and JacobiShift compare value vectors
+[f(0), ..., f(p-1)] on F_p.  Every b[r,s] route and every Jacobi sum at the
+linked argument is a sum of C(f, p-1-k) * C(g, k) times scalars, with f, g
+linear in a, so it has degree at most p-1; two such polynomials are equal
+iff they agree at all p points, since their difference has degree at most
+p-1 and p roots.  The comparison is exact, not sampling.  The other routes
+are evaluated from one integer table C(x, m) mod p per prime, without
+``special.binomials_of`` or FpPoly arithmetic; ``b_rs``, the polynomial of
+record, is the one route through both, and its degree is checked to be at
+most p-1 before its values are compared.  A failing route is interpolated
+back to a polynomial for the witness.
+
 A few checkers accept keyword overrides (g=, lag=, lag_fn=, b_fn=) so the
 test suite can inject single-site mutations and watch the battery trip.
 
@@ -32,7 +44,9 @@ in the declaration order of ``TheoremId`` regardless of execution schedule.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -42,15 +56,13 @@ from .bpoly import (
     b_roots_predicted,
     b_root_lucas,
     b_rs,
-    b_rs_alt,
-    b_rs_coeff,
     product_all_b,
 )
 from .errors import NonSplitError, NotApplicable, TheoremViolationError
 from .fields import check_odd_prime, ext_quadratic, inv_mod
 from .glog import glog, left_inverse_lhs, reciprocal_rhs
-from .jacobi import jacobi_for_pair, jacobi_pm1, p_times_jacobi_p, jacobi_reflection_check
-from .polys import FpPoly, RatFn, roots_and_split
+from .jacobi import p_times_jacobi_p, jacobi_reflection_check
+from .polys import FpPoly, RatFn, interpolate, roots_and_split, values
 from .quotient import (
     XPoly,
     common_denominator,
@@ -534,27 +546,115 @@ def _check_trunc_binomial_rules(p):
     return cases, None, None
 
 
+# -- value vectors for the degree-(p-1) family in a ------------------------------
+#
+# Why comparing values on F_p is exact here is in the module docstring.  The
+# routes below evaluate each sum at a = t from ``_binomial_table`` alone,
+# with neither ``special.binomials_of`` nor FpPoly arithmetic; ``b_rs`` stays
+# the one route through both, and ``_b_record`` checks its degree before its
+# values are compared, since values cannot tell f from f + (a^p - a).
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_table(p):
+    """Row x holds C(x, 0), ..., C(x, p-1) mod p, for 0 <= x < p.
+
+    For x in F_p, C(x, m) with m < p is the falling factorial x(x-1)...(x-m+1)
+    divided by the unit m!, which is the integer binomial mod p: the
+    polynomial C(f, m) takes the value table[f(t)][m] at a = t.
+    """
+    return tuple(tuple(math.comb(x, m) % p for m in range(p)) for x in range(p))
+
+
+def _sum_values(p, f, g, alpha, beta):
+    """Values on F_p of sum_k C(f, p-1-k) C(g, k) alpha^(p-1-k) beta^k.
+
+    f and g are linear in a, given as (slope, offset); alpha and beta are
+    scalars.  Each point costs O(p) integer operations.
+    """
+    table = _binomial_table(p)
+    weights = [pow(alpha, p - 1 - k, p) * pow(beta, k, p) % p for k in range(p)]
+    out = []
+    for t in range(p):
+        left = reversed(table[(f[0] * t + f[1]) % p])
+        right = table[(g[0] * t + g[1]) % p]
+        out.append(sum(map(operator.mul, map(operator.mul, left, right), weights)) % p)
+    return out
+
+
+def _b_alt_values(p, r, s):
+    """Values of ``b_rs_alt``: C(r*a - 1, p-1-k) C(s*a, k) (-r/s)^k."""
+    return _sum_values(p, (r, -1), (s, 0), 1, -r * inv_mod(s, p))
+
+
+def _b_coeff_values(p, r, s):
+    """Values of ``b_rs_coeff``: the X^(p-1) coefficient of the product of
+    the truncated series sum_j C(r*a - 1, j) (X/r)^j and
+    sum_j C(s*a - 1, j) (-X/s)^j, taken pointwise."""
+    return _sum_values(p, (r, -1), (s, -1), inv_mod(r, p), -inv_mod(s, p))
+
+
+def _jacobi_values(p, r, s, shift=0):
+    """Values of ``jacobi_pm1(p, r*a, s*a + shift, x)`` at the linked argument
+    x = (s - r)/(s + r): C(r*a - 1, p-1-k) C(s*a + shift - 1, k) weighted by
+    (x+1)^(p-1-k) (x-1)^k."""
+    x = (s - r) * inv_mod(r + s, p) % p
+    return _sum_values(p, (r, -1), (s, shift - 1), x + 1, x - 1)
+
+
+def _b_record(p, r, s):
+    """(b[r,s] of record, its value vector, a witness or None).
+
+    The witness replaces the values when the degree exceeds p-1, where the
+    values no longer determine the polynomial and a comparison of values
+    could pass vacuously.
+    """
+    base = b_rs(p, r, s)
+    if base.degree > p - 1:
+        return base, None, _witness(
+            {"r": r, "s": s, "guard": "degree"},
+            f"degree {base.degree}",
+            f"degree at most {p - 1}",
+        )
+    return base, values(base), None
+
+
 def _check_b_alt(p):
+    """b_rs equals the coefficient route for every (r, s), is zero on the
+    diagonal r + s = p, and equals the alternate route off it.
+
+    Compares value vectors on F_p: b_rs of record against
+    ``_b_coeff_values`` and ``_b_alt_values``.  Both routes are sums of
+    C(r*a - 1, p-1-k) * C(g, k) times scalars with g linear in a, so they
+    have degree at most p-1; b_rs is checked to have degree at most p-1
+    first, and two such polynomials that agree at all p points are equal.
+    A failing route's values are interpolated back to the polynomial the
+    witness shows.
+    """
     cases = 0
     for r in range(1, p):
         for s in range(1, p):
             cases += 1
-            base = b_rs(p, r, s)
-            coeff_route = b_rs_coeff(p, r, s)
-            if base != coeff_route:
+            base, vals, bad = _b_record(p, r, s)
+            if bad:
+                return cases, bad, None
+            coeff_vals = _b_coeff_values(p, r, s)
+            if vals != coeff_vals:
                 return cases, _witness(
                     {"r": r, "s": s, "routes": "sum vs coefficient"},
                     base,
-                    coeff_route,
+                    interpolate(coeff_vals, p),
                 ), None
             if (r + s) % p == 0:
                 if not base.is_zero:
                     return cases, _witness({"r": r, "s": s}, base, 0), None
                 continue
-            alt = b_rs_alt(p, r, s)
-            if base != alt:
+            alt_vals = _b_alt_values(p, r, s)
+            if vals != alt_vals:
                 return cases, _witness(
-                    {"r": r, "s": s, "routes": "sum vs alternate"}, base, alt
+                    {"r": r, "s": s, "routes": "sum vs alternate"},
+                    base,
+                    interpolate(alt_vals, p),
                 ), None
     return cases, None, None
 
@@ -563,20 +663,46 @@ def _check_b_alt(p):
 
 
 def _check_jacobi_link(p):
+    """The Jacobi sum at A = r*a, B = s*a, x = (s-r)/(s+r) is b[r,s].
+
+    Compares value vectors on F_p: ``_jacobi_values`` against b_rs of record.
+    The Jacobi sum C(r*a - 1, p-1-k) * C(s*a - 1, k) times scalars has degree
+    at most p-1, b_rs is checked to have degree at most p-1 first, and two
+    such polynomials that agree at all p points are equal.
+    """
     cases = 0
     for r in range(1, p):
         for s in range(1, p):
             if (r + s) % p == 0:
                 continue
             cases += 1
-            lhs = jacobi_for_pair(p, r, s)
-            rhs = b_rs(p, r, s)
-            if lhs != rhs:
-                return cases, _witness({"r": r, "s": s}, lhs, rhs), None
+            base, vals, bad = _b_record(p, r, s)
+            if bad:
+                return cases, bad, None
+            jac_vals = _jacobi_values(p, r, s)
+            if jac_vals != vals:
+                return cases, _witness(
+                    {"r": r, "s": s}, interpolate(jac_vals, p), base
+                ), None
     return cases, None, None
 
 
 def _check_jacobi_shift(p):
+    """Shifting B = s*a to B + 1 leaves the linked Jacobi value unchanged, and
+    the parameter-shift recurrence
+    (A+B)(x+1)/2 * P(A, B+1; x) = B * P(A, B; x) + p*P_p(A, B; x) holds.
+
+    The shift compares value vectors: both sums have degree at most p-1 in a
+    (C(s*a, k) has degree k as C(s*a - 1, k) does), so equal values on F_p
+    mean equal polynomials.  The recurrence has degree p in a, which values
+    cannot decide, so it runs as FpPoly arithmetic on the plain sum,
+    interpolated from its value vector.
+
+    At every linked argument x = (s-r)/(s+r), p*P_p(r*a, s*a; x) is
+    identically zero: r^p = r and (x+1)^p = x+1 in F_p give
+    (a - a^p)(r(x+1) + s(x-1))/2, and r(x+1) + s(x-1) = 0.  Also
+    (A+B)(x+1)/2 = B, so the recurrence reduces to B * shifted = B * plain.
+    """
     half = inv_mod(2, p)
     cases = 0
     for r in range(1, p):
@@ -584,15 +710,20 @@ def _check_jacobi_shift(p):
             if (r + s) % p == 0:
                 continue
             cases += 1
+            plain_vals = _jacobi_values(p, r, s)
+            shifted_vals = _jacobi_values(p, r, s, 1)
+            if shifted_vals != plain_vals:
+                return cases, _witness(
+                    {"r": r, "s": s},
+                    interpolate(shifted_vals, p),
+                    interpolate(plain_vals, p),
+                ), None
+            plain = interpolate(plain_vals, p)
             x = (s - r) * inv_mod(r + s, p) % p
             a_poly = FpPoly([0, r], p)
             b_poly = FpPoly([0, s], p)
-            plain = jacobi_pm1(p, a_poly, b_poly, x)
-            shifted = jacobi_pm1(p, a_poly, b_poly + 1, x)
-            if shifted != plain:
-                return cases, _witness({"r": r, "s": s}, shifted, plain), None
-            # parameter-shift recurrence specialization
-            lhs = (a_poly + b_poly) * ((x + 1) * half % p) * shifted
+            # parameter-shift recurrence specialization; shifted == plain
+            lhs = (a_poly + b_poly) * ((x + 1) * half % p) * plain
             rhs = b_poly * plain + p_times_jacobi_p(p, a_poly, b_poly, x)
             if lhs != rhs:
                 return cases, _witness(

@@ -16,6 +16,7 @@ from trunclog.bpoly import (
 )
 from trunclog.polys import FpPoly, roots_and_split
 from trunclog.special import laguerre_const
+from trunclog.verify import _b_alt_values, _b_coeff_values, _binomial_table
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -106,6 +107,36 @@ class TestAlternateRoutes:
                     assert base == b_rs_coeff(p, r, s)
                     if r + s != p:
                         assert base == b_rs_alt(p, r, s)
+
+
+class TestValueRoutes:
+    # the integer-table routes the verifier compares, against pointwise
+    # evaluation of the polynomial routes they stand in for
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_coeff_values_match_coeff_route(self, p):
+        for r in range(1, p):
+            for s in range(1, p):
+                want = b_rs_coeff(p, r, s)
+                assert _b_coeff_values(p, r, s) == [want.eval_int(t) for t in range(p)]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_alt_values_match_alt_route(self, p):
+        for r in range(1, p):
+            for s in range(1, p):
+                if r + s == p:
+                    continue
+                want = b_rs_alt(p, r, s)
+                assert _b_alt_values(p, r, s) == [want.eval_int(t) for t in range(p)]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_binomial_table_is_the_polynomial_binomial(self, p):
+        # C(a, m) as a polynomial in a takes the integer binomial mod p on F_p
+        from trunclog.fields import binom_of_poly
+
+        table = _binomial_table(p)
+        for m in range(p):
+            col = binom_of_poly(FpPoly.x(p), m)
+            assert [row[m] for row in table] == [col.eval_int(t) for t in range(p)]
 
 
 class TestPredictedRoots:

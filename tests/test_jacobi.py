@@ -12,6 +12,17 @@ from trunclog.jacobi import (
     p_times_jacobi_p,
 )
 from trunclog.polys import FpPoly
+from trunclog.verify import _jacobi_values
+
+PRIMES = (3, 5, 7, 11, 13)
+
+
+def linked_pairs(p):
+    """(r, s, x) for every pair off the diagonal, x = (s - r)/(s + r)."""
+    for r in range(1, p):
+        for s in range(1, p):
+            if (r + s) % p:
+                yield r, s, (s - r) * inv_mod(r + s, p) % p
 
 
 class TestLink:
@@ -72,6 +83,42 @@ class TestParameterShift:
                         p, a_poly, b_poly, x
                     )
                     assert lhs == rhs
+
+
+class TestValueRoutes:
+    # the integer-table routes the verifier compares, against pointwise
+    # evaluation of jacobi_for_pair and of jacobi_pm1 with B shifted by 1
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_plain_values_match_jacobi_for_pair(self, p):
+        for r, s, _ in linked_pairs(p):
+            want = jacobi_for_pair(p, r, s)
+            assert _jacobi_values(p, r, s) == [want.eval_int(t) for t in range(p)]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_shifted_values_match_jacobi_pm1(self, p):
+        for r, s, x in linked_pairs(p):
+            want = jacobi_pm1(p, FpPoly([0, r], p), FpPoly([1, s], p), x)
+            assert _jacobi_values(p, r, s, 1) == [want.eval_int(t) for t in range(p)]
+
+
+class TestLinkedArgumentCollapse:
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_recurrence_reduces_to_b_times_shift(self, p):
+        # at x = (s-r)/(s+r): p*P_p(r*a, s*a; x) = 0 and (A+B)(x+1)/2 = B, so
+        # the parameter-shift recurrence says B*P(A, B+1; x) = B*P(A, B; x)
+        half = inv_mod(2, p)
+        for r, s, x in linked_pairs(p):
+            a_poly = FpPoly([0, r], p)
+            b_poly = FpPoly([0, s], p)
+            assert p_times_jacobi_p(p, a_poly, b_poly, x).is_zero
+            assert (a_poly + b_poly) * ((x + 1) * half % p) == b_poly
+
+    def test_off_the_linked_argument_the_term_survives(self):
+        p = 7
+        a_poly, b_poly = FpPoly([0, 1], p), FpPoly([0, 2], p)
+        linked = (2 - 1) * inv_mod(3, p) % p
+        other = (linked + 1) % p
+        assert not p_times_jacobi_p(p, a_poly, b_poly, other).is_zero
 
 
 class TestPTimesDegreeP:

@@ -6,7 +6,7 @@ import pytest
 
 from trunclog.errors import NonSplitError, PoleError
 from trunclog.fields import FpElem
-from trunclog.polys import FpPoly, RatFn, roots_and_split
+from trunclog.polys import FpPoly, RatFn, interpolate, roots_and_split, values
 from trunclog.polys import _SCHOOLBOOK_LIMIT, _pack, _slot_typecode, _unpack
 
 
@@ -198,6 +198,43 @@ class TestRootsAndSplit:
             for a, m in roots.items():
                 rebuilt = rebuilt * (FpPoly([-a, 1], p) ** m)
             assert rebuilt == f
+
+
+class TestValueVectors:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_interpolation_round_trip(self, p):
+        # degree at most p-1: the p values determine the polynomial
+        rng = random.Random(p)
+        for _ in range(30):
+            f = rand_poly(rng, p, p - 1)
+            assert interpolate(values(f), p) == f
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_values_are_pointwise_evaluations(self, p):
+        rng = random.Random(100 + p)
+        for max_deg in (p - 1, 3 * p):
+            for _ in range(20):
+                f = rand_poly(rng, p, max_deg)
+                assert values(f) == [f.eval_int(t) for t in range(p)]
+
+    def test_values_cannot_see_a_p_minus_a(self):
+        # why checkers bound the degree before comparing values
+        p = 7
+        f = FpPoly([3, 1, 4], p)
+        twin = f + FpPoly.monomial(1, p, p) - FpPoly.x(p)
+        assert twin != f and values(twin) == values(f)
+        assert interpolate(values(twin), p) == f
+
+    def test_lagrange_basis_is_an_indicator(self):
+        p = 5
+        for t in range(p):
+            basis = [0] * p
+            basis[t] = 1
+            assert values(interpolate(basis, p)) == basis
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            interpolate([1, 2], 5)
 
 
 class TestRatFn:

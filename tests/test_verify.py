@@ -399,6 +399,148 @@ class TestRightInverseTraps:
         assert r.witness["lhs"] == "1" and r.witness["rhs"] == "0"
 
 
+# Traps for the value-vector checkers.  b_rs is the one route through
+# special.binomials_of and FpPoly arithmetic; the value routes read only the
+# integer binomial table.  A fault on either side must fail the comparison.
+
+class TestValueVectorTraps:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_binomials_of_bump(self, monkeypatch, p):
+        import trunclog.special as special
+
+        honest = b_rs(p, 1, 1)
+        orig = special.binomials_of
+
+        def bumped(f, pp):
+            out = orig(f, pp)
+            out[1] = out[1] + 1
+            return out
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("trunclog") and vars(mod).get("binomials_of") is orig:
+                monkeypatch.setattr(mod, "binomials_of", bumped)
+        # b_rs rebuilds through the bumped binomials; the trap's entries are
+        # dropped with the patch
+        monkeypatch.setattr(sys.modules["trunclog.bpoly"], "_B_CACHE", {})
+        broken = b_rs(p, 1, 1)
+        assert broken != honest
+        r = verify_theorem(p, TheoremId.BAltAgreement)
+        assert r.status == "fail" and r.cases_checked == 1
+        # the failing value route is interpolated back to today's witness text
+        assert r.witness == {
+            "case": {"r": 1, "s": 1, "routes": "sum vs coefficient"},
+            "lhs": str(broken),
+            "rhs": str(honest),
+        }
+        r = verify_theorem(p, TheoremId.JacobiLink)
+        assert r.status == "fail" and r.cases_checked == 1
+        assert r.witness == {"case": {"r": 1, "s": 1}, "lhs": str(honest), "rhs": str(broken)}
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_value_table_bump(self, monkeypatch, p):
+        import trunclog.verify as v
+
+        orig = v._binomial_table
+
+        def bumped(pp):
+            rows = [list(row) for row in orig(pp)]
+            rows[2][1] = (rows[2][1] + 1) % pp
+            return tuple(tuple(row) for row in rows)
+
+        monkeypatch.setattr(v, "_binomial_table", bumped)
+        for tid in (TheoremId.BAltAgreement, TheoremId.JacobiLink, TheoremId.JacobiShift):
+            r = verify_theorem(p, tid)
+            assert r.status == "fail" and r.witness is not None, tid
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_p_times_jacobi_p_bump(self, monkeypatch, p):
+        import trunclog.verify as v
+        from trunclog.jacobi import p_times_jacobi_p
+
+        monkeypatch.setattr(
+            v, "p_times_jacobi_p", lambda *args: p_times_jacobi_p(*args) + 1
+        )
+        r = verify_theorem(p, TheoremId.JacobiShift)
+        assert r.status == "fail" and r.cases_checked == 1
+        assert r.witness["case"] == {
+            "r": 1, "s": 1, "identity": "parameter-shift recurrence",
+        }
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_same_values_higher_degree_fails_the_guard(self, monkeypatch, p):
+        # b + (a^p - a) has b's value vector; only the degree bound rejects it
+        import trunclog.verify as v
+
+        shift = FpPoly.monomial(1, p, p) - FpPoly.x(p)
+        monkeypatch.setattr(v, "b_rs", lambda pp, r, s: b_rs(pp, r, s) + shift)
+        for tid in (TheoremId.BAltAgreement, TheoremId.JacobiLink):
+            r = verify_theorem(p, tid)
+            assert r.status == "fail" and r.cases_checked == 1, tid
+            assert r.witness == {
+                "case": {"r": 1, "s": 1, "guard": "degree"},
+                "lhs": f"degree {p}",
+                "rhs": f"degree at most {p - 1}",
+            }
+
+
+def _profiled_calls(fn):
+    """(module, qualified name) of every Python function entered while fn runs."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_globals.get("__name__"), frame.f_code.co_qualname))
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def _polynomial_layer(seen):
+    return sorted(
+        (mod, name) for mod, name in seen
+        if (mod == "trunclog.polys" and name.startswith("FpPoly."))
+        or (mod, name) == ("trunclog.special", "binomials_of")
+    )
+
+
+class TestValueRouteAudit:
+    def test_value_routes_call_no_polynomial_code(self):
+        import trunclog.verify as v
+
+        p = 5
+        # an empty table cache, so the table's construction is audited too
+        v._binomial_table.cache_clear()
+
+        def routes():
+            for r in range(1, p):
+                for s in range(1, p):
+                    v._b_coeff_values(p, r, s)
+                    if (r + s) % p:
+                        v._b_alt_values(p, r, s)
+                        v._jacobi_values(p, r, s)
+                        v._jacobi_values(p, r, s, 1)
+
+        seen = _profiled_calls(routes)
+        assert ("trunclog.verify", "_binomial_table") in seen
+        assert ("trunclog.verify", "_sum_values") in seen
+        assert _polynomial_layer(seen) == []
+
+    def test_audit_sees_the_polynomial_routes(self):
+        # the same audit on the polynomial routes finds both layers
+        from trunclog.bpoly import b_rs_alt
+        from trunclog.jacobi import jacobi_for_pair
+
+        found = _polynomial_layer(
+            _profiled_calls(lambda: (b_rs_alt(5, 1, 2), jacobi_for_pair(5, 1, 2)))
+        )
+        assert ("trunclog.special", "binomials_of") in found
+        assert any(name.startswith("FpPoly.") for _, name in found)
+
+
 class TestCCoefficients:
     def test_p3_exhaustive_matches_closed_forms(self):
         r = verify_c_coefficients(3, pair_budget="exhaustive")
