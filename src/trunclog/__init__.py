@@ -10,6 +10,7 @@ The package builds, over any odd prime p chosen at runtime:
   * the two-index b-family with predicted root sets        (``bpoly``);
   * the generalized truncated logarithm G(X)               (``glog``);
   * specialized Jacobi polynomials mod p                   (``jacobi``);
+  * the CCoefficients linear systems over F_{p^2}, packed  (``pairsystem``);
   * an exact checker per identity plus a batch runner      (``verify``).
 
 All arithmetic is exact; every check is an identity of canonical forms.

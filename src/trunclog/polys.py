@@ -58,11 +58,16 @@ def _pack(coeffs, typecode):
     return int.from_bytes(array(typecode, coeffs).tobytes(), sys.byteorder)
 
 
-def _unpack(n, length, p, typecode):
-    """The trimmed residues mod p of the first length slots of n."""
+def _slots(n, length, typecode):
+    """The first length slots of n as an ``array``, unreduced."""
     slots = array(typecode)
     slots.frombytes(n.to_bytes(length * slots.itemsize, sys.byteorder))
-    return _trim([c % p for c in slots])
+    return slots
+
+
+def _unpack(n, length, p, typecode):
+    """The trimmed residues mod p of the first length slots of n."""
+    return _trim([c % p for c in _slots(n, length, typecode)])
 
 
 def _mul_tuples(a, b, p):

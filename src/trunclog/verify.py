@@ -62,6 +62,7 @@ from .errors import NonSplitError, NotApplicable, TheoremViolationError
 from .fields import check_odd_prime, ext_quadratic, inv_mod
 from .glog import glog, left_inverse_lhs, reciprocal_rhs
 from .jacobi import p_times_jacobi_p, jacobi_reflection_check
+from .pairsystem import Layout, pair_columns, pair_rows, solve_pair, substitutes
 from .polys import FpPoly, RatFn, interpolate, roots_and_split, values
 from .quotient import (
     XPoly,
@@ -747,120 +748,10 @@ def _check_jacobi_reflection(p):
 
 # -- specialized product coefficients over F_{p^2} -------------------------------------
 #
-# For each sampled pair (alpha, beta) the product coefficients solve a system
-# of p^2 equations in p unknowns over F_{p^2}, on raw (c0, c1) pairs.  The
-# elimination stops once the rank reaches p, and a substitution pass then
-# checks every equation against the solution.  An inconsistent system fails
-# with one of two witnesses: "no solution" when a row reduces to 0 = nonzero
-# before the rank reaches p, "solution fails an equation" when the bad row
-# comes after.
-
-
-def _lag_coeffs_at(field, at):
-    """Coefficients of the exponential analogue with the parameter specialized.
-
-    An intended independent route to L's coefficients over F_{p^2}: it forms
-    the falling factorials -(at - 1)_(p-1-k) on raw pairs and never reads
-    ``special``, so a defect in ``laguerre_pm1`` cannot carry over into this
-    system.
-    """
-    p = field.p
-    base = field.sub_raw(at, (1, 0))
-    ff = [(1, 0)]
-    for m in range(p - 1):
-        ff.append(field.mul_raw(ff[-1], field.sub_raw(base, (m % p, 0))))
-    return [field.sub_raw((0, 0), ff[p - 1 - k]) for k in range(p)]
-
-
-def _c_pair_rows(field, at, bt):
-    """(rows, columns) of the linear system for the product coefficients."""
-    p = field.p
-    zero = (0, 0)
-    u = field.sub_raw(field.frobenius_raw(at), at)
-    v = field.sub_raw(field.frobenius_raw(bt), bt)
-    ca = _lag_coeffs_at(field, at)
-    cb = _lag_coeffs_at(field, bt)
-    gamma = field.add_raw(at, bt)
-    cg = _lag_coeffs_at(field, gamma)
-    g1 = [[field.mul_raw(ca[j], cb[m]) for m in range(p)] for j in range(p)]
-    g2 = [[zero] * p for _ in range(p)]
-    for j in range(p):
-        for m in range(p - j):
-            s = math.comb(j + m, j) % p
-            if s:
-                g2[j][m] = field.mul_raw(cg[j + m], (s, 0))
-    # entry (j, m, i) is g2[j - i][m + i] (indices mod p), times u when the
-    # first index wraps (j < i) and times v when the second does not
-    # (m + i <= p - 1); tables[2 * (j < i) + (m + i < p)] holds that product
-    uv = field.mul_raw(u, v)
-    tables = [g2] + [
-        [[field.mul_raw(x, s) for x in row] for row in g2] for s in (v, u, uv)
-    ]
-    rows = []
-    for j in range(p):
-        for m in range(p):
-            row = [g2[j][m]]
-            row += [
-                tables[2 * (j < i) + (m + i < p)][(j - i) % p][(m + i) % p]
-                for i in range(1, p)
-            ]
-            row.append(g1[j][m])
-            rows.append(row)
-    return rows
-
-
-def _sub_multiple(p, n, xs, f, ys):
-    """xs - f*ys entrywise over F_p[t]/(t^2 - n), one reduction per component."""
-    f0, f1 = f
-    nf1 = n * f1
-    return [
-        ((x0 - f0 * y0 - nf1 * y1) % p, (x1 - f0 * y1 - f1 * y0) % p)
-        for (x0, x1), (y0, y1) in zip(xs, ys)
-    ]
-
-
-def _solve_pair(field, rows, ncols):
-    """Solve the pair system; returns (solution | None, unique).
-
-    Gauss-Jordan elimination, one row at a time, keeping the rows seen so
-    far in reduced echelon form.  It stops as soon as the rank reaches
-    ncols: the solution is then unique if one exists at all, and the rows
-    not yet read cannot change it.  Those rows are not checked here, so an
-    inconsistency among them goes unnoticed by this function; the caller's
-    substitution pass, which checks every row against the solution, is what
-    makes the result sound.  A system of rank below ncols reads every row
-    and returns the solution with each free unknown set to 0, with unique
-    False; None means a row reduced to 0 = nonzero before the rank reached
-    ncols.
-    """
-    p, n = field.p, field.nonres
-    zero = (0, 0)
-    pivots: list[int] = []
-    basis: list[list] = []
-    for row in rows:
-        if len(pivots) == ncols:
-            break
-        r = row
-        for pc, brow in zip(pivots, basis):
-            if r[pc] != zero:
-                r = _sub_multiple(p, n, r, r[pc], brow)
-        lead = next((c for c in range(ncols) if r[c] != zero), None)
-        if lead is None:
-            if r[ncols] != zero:
-                return None, False
-            continue
-        i0, i1 = field.inv_raw(r[lead])
-        ni1 = n * i1
-        r = [((x0 * i0 + x1 * ni1) % p, (x0 * i1 + x1 * i0) % p) for x0, x1 in r]
-        for idx, brow in enumerate(basis):
-            if brow[lead] != zero:
-                basis[idx] = _sub_multiple(p, n, brow, brow[lead], r)
-        pivots.append(lead)
-        basis.append(r)
-    sol = [zero] * ncols
-    for pc, brow in zip(pivots, basis):
-        sol[pc] = brow[ncols]
-    return sol, len(pivots) == ncols
+# Each sampled pair's system is built, solved and substituted in
+# ``pairsystem``.  An inconsistent system fails with one of two witnesses:
+# "no solution" when a row reduces to 0 = nonzero before the rank reaches p,
+# "solution fails an equation" when the bad row comes after.
 
 
 def _closed_forms_p3(field, at, bt):
@@ -916,32 +807,22 @@ def _pair_budget(p, pair_budget):
 def _check_c_coefficients(p, pair_budget=None, seed=0):
     field = ext_quadratic(p)
     pair_budget = _pair_budget(p, pair_budget)
-    n = field.nonres
+    layout = Layout.build(field)
+    tc = layout.typecode
     cases = 0
     unique_count = 0
     for at, bt in _c_pairs(field, pair_budget, seed):
         cases += 1
-        rows = _c_pair_rows(field, at, bt)
-        sol, unique = _solve_pair(field, rows, p)
+        cols, rhs = pair_columns(field, at, bt, layout)
+        sol, unique = solve_pair(field, pair_rows(p, cols, rhs, tc), p, tc)
         if sol is None:
             return cases, _witness(
                 {"alpha": at, "beta": bt}, "no solution", "solvable system"
             ), None
-        # substitution re-verification of every equation with the solved
-        # values: each dot product sums plain ints and reduces once
-        s0 = [s[0] for s in sol]
-        s1 = [s[1] for s in sol]
-        ns1 = [n * s for s in s1]
-        for row in rows:
-            acc0 = acc1 = 0
-            for (x0, x1), y0, y1, ny1 in zip(row, s0, s1, ns1):
-                acc0 += x0 * y0 + x1 * ny1
-                acc1 += x0 * y1 + x1 * y0
-            rhs0, rhs1 = row[p]
-            if (acc0 - rhs0) % p or (acc1 - rhs1) % p:
-                return cases, _witness(
-                    {"alpha": at, "beta": bt}, "solution fails an equation", "all satisfied"
-                ), None
+        if not substitutes(field, cols, rhs, sol, layout):
+            return cases, _witness(
+                {"alpha": at, "beta": bt}, "solution fails an equation", "all satisfied"
+            ), None
         if unique:
             unique_count += 1
         if p == 3:

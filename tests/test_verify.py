@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -13,15 +15,21 @@ from trunclog.bpoly import b_roots_predicted, b_rs
 from trunclog.errors import NotApplicable
 from trunclog.fields import ext_quadratic
 from trunclog.glog import glog
-from trunclog.polys import FpPoly, RatFn
+from trunclog.polys import FpPoly, RatFn, _slot_typecode, _slots
 from trunclog.quotient import XPoly, compose_mod
 from trunclog.special import alpha_p_minus_alpha, laguerre_const, laguerre_pm1
+from trunclog.pairsystem import (
+    Layout,
+    lag_coeffs_at,
+    pair_columns,
+    pair_rows,
+    slot_bound,
+    solve_pair,
+)
 from trunclog.verify import (
     TheoremId,
-    _c_pair_rows,
     _c_pairs,
     _closed_forms_p3,
-    _solve_pair,
     coerce_theorem,
     verify_all,
     verify_c_coefficients,
@@ -541,6 +549,36 @@ class TestValueRouteAudit:
         assert any(name.startswith("FpPoly.") for _, name in found)
 
 
+def _library_routes(seen):
+    """Calls into special, bpoly or glog, and FpPoly or RatFn methods."""
+    return sorted(
+        (mod, name) for mod, name in seen
+        if mod in ("trunclog.special", "trunclog.bpoly", "trunclog.glog")
+        or (mod == "trunclog.polys" and name.startswith(("FpPoly.", "RatFn.")))
+    )
+
+
+class TestCCoefficientsRouteAudit:
+    def test_pair_system_calls_no_library_route(self):
+        # lag_coeffs_at must stay an independent route to L's coefficients
+        seen = _profiled_calls(lambda: verify_c_coefficients(5, pair_budget=40))
+        assert ("trunclog.pairsystem", "lag_coeffs_at") in seen
+        assert ("trunclog.pairsystem", "solve_pair") in seen
+        assert _library_routes(seen) == []
+
+    def test_audit_sees_a_shared_route(self, monkeypatch):
+        # the same audit flags a coefficient route that reads special
+        import trunclog.pairsystem as ps
+
+        def via_special(field, at):
+            laguerre_pm1(field.p)
+            return lag_coeffs_at(field, at)
+
+        monkeypatch.setattr(ps, "lag_coeffs_at", via_special)
+        seen = _profiled_calls(lambda: verify_c_coefficients(5, pair_budget=1))
+        assert ("trunclog.special", "laguerre_pm1") in _library_routes(seen)
+
+
 class TestCCoefficients:
     def test_p3_exhaustive_matches_closed_forms(self):
         r = verify_c_coefficients(3, pair_budget="exhaustive")
@@ -582,6 +620,74 @@ class TestCCoefficients:
     def test_default_budget_small_prime_is_exhaustive(self):
         r = verify_theorem(3, TheoremId.CCoefficients)
         assert r.cases_checked == 63
+
+
+def _c_pair_rows(field, at, bt):
+    """Oracle: the rows of the pair system, entry by entry on *_raw.
+
+    Row j*p + m holds the p coefficients of equation (j, m) and then its
+    right side ca[j] cb[m].
+    """
+    p = field.p
+    zero = (0, 0)
+    u = field.sub_raw(field.frobenius_raw(at), at)
+    v = field.sub_raw(field.frobenius_raw(bt), bt)
+    ca = lag_coeffs_at(field, at)
+    cb = lag_coeffs_at(field, bt)
+    gamma = field.add_raw(at, bt)
+    cg = lag_coeffs_at(field, gamma)
+    g1 = [[field.mul_raw(ca[j], cb[m]) for m in range(p)] for j in range(p)]
+    g2 = [[zero] * p for _ in range(p)]
+    for j in range(p):
+        for m in range(p - j):
+            s = math.comb(j + m, j) % p
+            if s:
+                g2[j][m] = field.mul_raw(cg[j + m], (s, 0))
+    # entry (j, m, i) is g2[j - i][m + i] (indices mod p), times u when the
+    # first index wraps (j < i) and times v when the second does not
+    # (m + i <= p - 1); tables[2 * (j < i) + (m + i < p)] holds that product
+    uv = field.mul_raw(u, v)
+    tables = [g2] + [
+        [[field.mul_raw(x, s) for x in row] for row in g2] for s in (v, u, uv)
+    ]
+    rows = []
+    for j in range(p):
+        for m in range(p):
+            row = [g2[j][m]]
+            row += [
+                tables[2 * (j < i) + (m + i < p)][(j - i) % p][(m + i) % p]
+                for i in range(1, p)
+            ]
+            row.append(g1[j][m])
+            rows.append(row)
+    return rows
+
+
+class TestPackedColumns:
+    @pytest.mark.parametrize("p, budget", [
+        (3, "exhaustive"), (5, "exhaustive"), (7, 30), (11, 15), (13, 10),
+    ])
+    def test_columns_match_the_row_oracle(self, p, budget):
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        tc = layout.typecode
+        for at, bt in _c_pairs(field, budget, seed=p):
+            cols, rhs = pair_columns(field, at, bt, layout)
+            rows = _c_pair_rows(field, at, bt)
+            assert len(cols) == p and len(rhs) == p * p
+            for i, (c0, c1) in enumerate(cols):
+                entries = zip(_slots(c0, p * p, tc), _slots(c1, p * p, tc))
+                assert [(x0 % p, x1 % p) for x0, x1 in entries] == [
+                    row[i] for row in rows
+                ], (at, bt, i)
+            assert rhs == [row[p] for row in rows]
+            assert list(pair_rows(p, cols, rhs, tc)) == rows
+
+    def test_layout_is_per_call(self):
+        # two calls build equal tables, but not the same objects
+        field = ext_quadratic(7)
+        first, second = Layout.build(field), Layout.build(field)
+        assert first == second and first.pieces is not second.pieces
 
 
 def _reference_solve(field, rows, ncols):
@@ -626,13 +732,60 @@ def _satisfies(field, rows, sol):
     return True
 
 
+def _solve(field, rows, ncols):
+    tc = _slot_typecode(slot_bound(field.p, field.nonres))
+    return solve_pair(field, rows, ncols, tc)
+
+
 class TestSolvePair:
     @pytest.mark.parametrize("p", [7, 11])
     def test_matches_full_elimination(self, p):
         field = ext_quadratic(p)
         for at, bt in _c_pairs(field, 20, seed=p):
             rows = _c_pair_rows(field, at, bt)
-            assert _solve_pair(field, rows, p) == _reference_solve(field, rows, p)
+            assert _solve(field, rows, p) == _reference_solve(field, rows, p)
+
+    @pytest.mark.parametrize("p", [3, 7, 31])
+    def test_random_systems_match_full_elimination(self, p):
+        # dense rows couple later pivot columns, so back substitution counts;
+        # rank-deficient and inconsistent systems come up among them too.
+        # Rows after full rank are not read, so the reference gets only the
+        # rows up to the first inconsistency or the one that completes the rank
+        import random
+
+        field = ext_quadratic(p)
+        rng = random.Random(p)
+        kinds = set()
+        for _ in range(60):
+            ncols = rng.randrange(1, 6)
+            nrows = rng.randrange(1, 9)
+            rank = rng.randrange(1, ncols + 1)
+            gens = [
+                [(rng.randrange(p), rng.randrange(p)) for _ in range(ncols)]
+                for _ in range(rank)
+            ]
+            x = [(rng.randrange(p), rng.randrange(p)) for _ in range(ncols)]
+            rows = []
+            for _ in range(nrows):
+                f = [(rng.randrange(p), rng.randrange(p)) for _ in range(rank)]
+                row = [(0, 0)] * ncols
+                for fk, g in zip(f, gens):
+                    row = [field.add_raw(a, field.mul_raw(fk, b)) for a, b in zip(row, g)]
+                rhs = (0, 0)
+                for a, b in zip(row, x):
+                    rhs = field.add_raw(rhs, field.mul_raw(a, b))
+                if rng.random() < 0.2:
+                    rhs = field.add_raw(rhs, (1, 0))
+                rows.append(row + [rhs])
+            # the rows the solver reads: up to an inconsistency or full rank
+            for k in range(1, nrows + 1):
+                want = _reference_solve(field, rows[:k], ncols)
+                if want[0] is None or want[1]:
+                    break
+            got = _solve(field, rows, ncols)
+            assert got == want
+            kinds.add("none" if got[0] is None else got[1])
+        assert kinds == {"none", True, False}
 
     def test_rank_deficient_system_is_not_unique(self):
         # rank 2 in 3 unknowns: row 1 is 2 * row 0, row 3 is a combination
@@ -648,7 +801,7 @@ class TestSolvePair:
                 for x, y in zip(rows[0], rows[2])
             ]
         )
-        sol, unique = _solve_pair(field, rows, 3)
+        sol, unique = _solve(field, rows, 3)
         assert unique is False
         assert _satisfies(field, rows, sol)
         assert (sol, unique) == _reference_solve(field, rows, 3)
@@ -660,7 +813,58 @@ class TestSolvePair:
             [(2, 0), (4, 0), (0, 0), (5, 0)],
             [(0, 0), (0, 0), (1, 1), (2, 5)],
         ]
-        assert _solve_pair(field, rows, 3) == (None, False)
+        assert _solve(field, rows, 3) == (None, False)
+
+    def test_reads_rows_only_up_to_full_rank(self):
+        field = ext_quadratic(7)
+        read = []
+
+        def rows():
+            for k, row in enumerate(_c_pair_rows(field, (2, 3), (4, 1))):
+                read.append(k)
+                yield row
+
+        sol, unique = _solve(field, rows(), 7)
+        assert unique and len(read) < 49
+        assert _satisfies(field, _c_pair_rows(field, (2, 3), (4, 1)), sol)
+
+
+class TestSlotBound:
+    @pytest.mark.parametrize("p, budget", [(3, "exhaustive"), (19, 20), (31, 8)])
+    def test_largest_raw_slot_within_bound(self, monkeypatch, p, budget):
+        # 8-byte slots hold far more than the bound at these primes, so a
+        # wrong bound would show as a larger slot instead of wrapping
+        import trunclog.pairsystem as ps
+
+        seen = [0]
+        orig_slots = ps._slots
+
+        def recording(n, length, tc):
+            slots = orig_slots(n, length, tc)
+            seen[0] = max(seen[0], max(slots))
+            return slots
+
+        monkeypatch.setattr(ps, "_slot_typecode", lambda bound: "Q")
+        monkeypatch.setattr(ps, "_slots", recording)
+        r = verify_c_coefficients(p, pair_budget=budget, seed=1)
+        assert r.status == "pass"
+        bound = slot_bound(p, ext_quadratic(p).nonres)
+        assert 0 < seen[0] <= bound
+        assert _slot_typecode(bound) == "I"
+
+    def test_bound_too_wide_raises(self, monkeypatch):
+        import trunclog.pairsystem as ps
+
+        with pytest.raises(OverflowError):
+            _slot_typecode(slot_bound(65537, 3))
+        monkeypatch.setattr(ps, "slot_bound", lambda p, n: 1 << 64)
+        with pytest.raises(OverflowError):
+            verify_c_coefficients(5, pair_budget=1)
+
+    def test_large_prime_raises_before_building(self):
+        # the guard runs before any table of p^2 slots exists
+        with pytest.raises(OverflowError):
+            verify_c_coefficients(65537, pair_budget=1)
 
 
 class TestCCoefficientsMutationTraps:
@@ -670,18 +874,72 @@ class TestCCoefficientsMutationTraps:
         # never reads it; row 0 is read and yields a wrong solution
         import trunclog.verify as v
 
-        rows_of = v._c_pair_rows
+        build = v.pair_columns
 
-        def bad_rows(field, at, bt):
-            rows = rows_of(field, at, bt)
-            rows[index][-1] = field.add_raw(rows[index][-1], (1, 0))
-            return rows
+        def bad_columns(field, at, bt, layout):
+            cols, rhs = build(field, at, bt, layout)
+            rhs[index] = field.add_raw(rhs[index], (1, 0))
+            return cols, rhs
 
-        monkeypatch.setattr(v, "_c_pair_rows", bad_rows)
+        monkeypatch.setattr(v, "pair_columns", bad_columns)
         r = verify_c_coefficients(7, pair_budget=5, seed=0)
         assert r.status == "fail"
         assert r.cases_checked == 1
         assert r.witness["lhs"] == "solution fails an equation"
+
+    def test_inconsistent_first_row_has_no_solution(self, monkeypatch):
+        # row 0 becomes 0 = 1, read before the rank can reach p
+        import trunclog.verify as v
+
+        build = v.pair_columns
+
+        def bad_columns(field, at, bt, layout):
+            cols, rhs = build(field, at, bt, layout)
+            w = 8 * array(layout.typecode).itemsize
+            cols = [(c0 >> w << w, c1 >> w << w) for c0, c1 in cols]
+            rhs[0] = (1, 0)
+            return cols, rhs
+
+        monkeypatch.setattr(v, "pair_columns", bad_columns)
+        r = verify_c_coefficients(7, pair_budget=5, seed=0)
+        assert r.status == "fail" and r.cases_checked == 1
+        assert r.witness["lhs"] == "no solution"
+        assert r.witness["rhs"] == "solvable system"
+
+    def test_consistent_wrong_system_fails_closed_forms(self, monkeypatch):
+        # the right side is replaced by the columns applied to the closed
+        # forms with c_0 bumped: the system is consistent, so substitution
+        # passes, and only the closed forms at p = 3 see the wrong solution
+        import trunclog.verify as v
+
+        build = v.pair_columns
+        bumped = []
+
+        def wrong_system(field, at, bt, layout):
+            cols, _ = build(field, at, bt, layout)
+            p, tc = field.p, layout.typecode
+            target = _closed_forms_p3(field, at, bt)
+            target[0] = field.add_raw(target[0], (1, 0))
+            bumped.append(target)
+            parts = [
+                list(zip(_slots(c0, p * p, tc), _slots(c1, p * p, tc)))
+                for c0, c1 in cols
+            ]
+            rhs = []
+            for k in range(p * p):
+                acc = (0, 0)
+                for part, s in zip(parts, target):
+                    x = (part[k][0] % p, part[k][1] % p)
+                    acc = field.add_raw(acc, field.mul_raw(x, s))
+                rhs.append(acc)
+            return cols, rhs
+
+        monkeypatch.setattr(v, "pair_columns", wrong_system)
+        r = verify_c_coefficients(3, pair_budget=5, seed=0)
+        assert r.status == "fail" and r.cases_checked == 1
+        at, bt = r.witness["case"]["alpha"], r.witness["case"]["beta"]
+        assert r.witness["lhs"] == str(bumped[0])
+        assert r.witness["rhs"] == str(_closed_forms_p3(ext_quadratic(3), at, bt))
 
 
 # A fresh interpreter, so that no earlier test has filled the caches; every
