@@ -2,7 +2,7 @@
 
 The package builds, over any odd prime p chosen at runtime:
 
-  * prime-field scalars and the quadratic extension F_{p^2}  (``fields``);
+  * F_p arithmetic on plain ints, and F_{p^2} on int pairs   (``fields``);
   * dense polynomials over F_p and reduced rational functions (``polys``);
   * the quotient arena F_p(a)[X] mod X^p - c              (``quotient``);
   * the parametric exponential analogue, truncated exponential, finite
@@ -19,7 +19,6 @@ All arithmetic is exact; every check is an identity of canonical forms.
 from .errors import NonSplitError, PoleError, TheoremViolationError
 from .fields import (
     Ext2Field,
-    FpElem,
     binom_lucas,
     binom_of_poly,
     check_odd_prime,
@@ -38,7 +37,6 @@ from .special import (
     trunc_binomial,
 )
 from .bpoly import (
-    BPolyKey,
     b_root_lucas,
     b_roots_csv_rows,
     b_roots_predicted,
@@ -55,7 +53,7 @@ from .glog import (
     glog_specialize,
     reciprocal_rhs,
 )
-from .jacobi import JacobiSpec, jacobi_pm1, jacobi_reflection_check, p_times_jacobi_p
+from .jacobi import jacobi_pm1, jacobi_reflection_check, p_times_jacobi_p
 from .verify import (
     TheoremId,
     VerifyReport,
@@ -67,12 +65,9 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BPolyKey",
     "Ext2Field",
-    "FpElem",
     "FpPoly",
     "GLog",
-    "JacobiSpec",
     "NonSplitError",
     "PoleError",
     "RatFn",

@@ -25,7 +25,6 @@ and entries are immutable, so concurrent duplicate inserts are harmless.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import TheoremViolationError
 from .fields import binom_lucas, check_odd_prime, inv_mod
@@ -33,49 +32,30 @@ from .polys import FpPoly, roots_and_split
 from .special import binomials_of, laguerre_const, trunc_binomial, w_poly
 
 
-@dataclass(frozen=True)
-class BPolyKey:
-    """Validated index triple for the family; 1 <= r, s <= p-1."""
-
-    p: int
-    r: int
-    s: int
-
-    def __post_init__(self):
-        check_odd_prime(self.p)
-        if not (1 <= self.r <= self.p - 1 and 1 <= self.s <= self.p - 1):
-            raise ValueError(f"indices must lie in [1, p-1], got r={self.r}, s={self.s}")
-
-    @property
-    def is_degenerate(self) -> bool:
-        """On the diagonal r + s = p the polynomial is identically zero."""
-        return (self.r + self.s) % self.p == 0
-
-
-def _key(key, r, s) -> BPolyKey:
-    if isinstance(key, BPolyKey):
-        return key
-    return BPolyKey(key, r, s)
+def _check_indices(p: int, r: int, s: int) -> None:
+    """p an odd prime and 1 <= r, s <= p-1, else ValueError."""
+    check_odd_prime(p)
+    if not (1 <= r <= p - 1 and 1 <= s <= p - 1):
+        raise ValueError(f"indices must lie in [1, p-1], got r={r}, s={s}")
 
 
 _B_CACHE: dict[tuple[int, int, int], FpPoly] = {}
 
 
-def b_rs(key, r=None, s=None) -> FpPoly:
-    """The defining sum; accepts b_rs(BPolyKey(p, r, s)) or b_rs(p, r, s)."""
-    k = _key(key, r, s)
-    cached = _B_CACHE.get((k.p, k.r, k.s))
+def b_rs(p: int, r: int, s: int) -> FpPoly:
+    """The defining sum b[r,s] over F_p."""
+    _check_indices(p, r, s)
+    cached = _B_CACHE.get((p, r, s))
     if cached is None:
-        cached = _b_rs_build(k)
-        _B_CACHE[(k.p, k.r, k.s)] = cached
+        cached = _b_rs_build(p, r, s)
+        _B_CACHE[(p, r, s)] = cached
     return cached
 
 
-def _b_rs_build(k: BPolyKey) -> FpPoly:
-    p = k.p
-    binr = binomials_of(FpPoly([-1, k.r], p), p)
-    bins = binomials_of(FpPoly([-1, k.s], p), p)
-    t = (-k.r * inv_mod(k.s, p)) % p
+def _b_rs_build(p: int, r: int, s: int) -> FpPoly:
+    binr = binomials_of(FpPoly([-1, r], p), p)
+    bins = binomials_of(FpPoly([-1, s], p), p)
+    t = (-r * inv_mod(s, p)) % p
     acc = FpPoly.zero(p)
     tk = 1
     for j in range(p):
@@ -84,15 +64,14 @@ def _b_rs_build(k: BPolyKey) -> FpPoly:
     return acc
 
 
-def b_rs_alt(key, r=None, s=None) -> FpPoly:
+def b_rs_alt(p: int, r: int, s: int) -> FpPoly:
     """Alternate sum with C(s*a, k); requires r + s != p."""
-    k = _key(key, r, s)
-    if k.is_degenerate:
-        raise ValueError(f"alternate form requires r + s != p, got r={k.r}, s={k.s}")
-    p = k.p
-    binr = binomials_of(FpPoly([-1, k.r], p), p)
-    bins = binomials_of(FpPoly([0, k.s], p), p)
-    t = (-k.r * inv_mod(k.s, p)) % p
+    _check_indices(p, r, s)
+    if r + s == p:
+        raise ValueError(f"alternate form requires r + s != p, got r={r}, s={s}")
+    binr = binomials_of(FpPoly([-1, r], p), p)
+    bins = binomials_of(FpPoly([0, s], p), p)
+    t = (-r * inv_mod(s, p)) % p
     acc = FpPoly.zero(p)
     tk = 1
     for j in range(p):
@@ -101,12 +80,11 @@ def b_rs_alt(key, r=None, s=None) -> FpPoly:
     return acc
 
 
-def b_rs_coeff(key, r=None, s=None) -> FpPoly:
+def b_rs_coeff(p: int, r: int, s: int) -> FpPoly:
     """X^(p-1) coefficient of (1 + X/r)^(r*a-1) * (1 - X/s)^(s*a-1)."""
-    k = _key(key, r, s)
-    p = k.p
-    left = trunc_binomial(FpPoly([-1, k.r], p), inv_mod(k.r, p), p)
-    right = trunc_binomial(FpPoly([-1, k.s], p), -inv_mod(k.s, p) % p, p)
+    _check_indices(p, r, s)
+    left = trunc_binomial(FpPoly([-1, r], p), inv_mod(r, p), p)
+    right = trunc_binomial(FpPoly([-1, s], p), -inv_mod(s, p) % p, p)
     acc = FpPoly.zero(p)
     for j in range(p):
         term = left.coeffs[j] * right.coeffs[p - 1 - j]
@@ -135,7 +113,7 @@ def b_root_lucas(p: int, s: int, a: int) -> bool:
         raise ValueError(f"Lucas criterion requires 1 <= s <= p-2, got s={s}")
     if not 1 <= a <= p - 1:
         raise ValueError(f"Lucas criterion requires 1 <= a <= p-1, got a={a}")
-    return binom_lucas(a + s * a, a, p).value != 0
+    return binom_lucas(a + s * a, a, p) != 0
 
 
 @functools.lru_cache(maxsize=None)

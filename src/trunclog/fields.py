@@ -1,7 +1,7 @@
 """Prime-field scalars, a quadratic extension field, and binomial combinatorics.
 
-``FpElem`` is the runtime-modulus scalar everything else is built from: one
-build serves every odd prime, with primality checked once per modulus by
+An element of F_p is a plain int in [0, p), the modulus a runtime argument:
+one build serves every odd prime, with primality checked once per modulus by
 trial division (desk-scale p).  ``ext_quadratic(p)`` constructs F_{p^2} as
 F_p[t]/(t^2 - n) with n the smallest quadratic non-residue mod p; any
 irreducible quadratic would do, this choice makes outputs reproducible.
@@ -59,107 +59,7 @@ def _factorials(p: int):
     return tuple(fact), tuple(inv_fact)
 
 
-class FpElem:
-    """An element of F_p; the residue and the modulus travel together.
-
-    Arithmetic between elements with different moduli is rejected.  Plain
-    ints mix freely (they are reduced mod p first).
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        check_odd_prime(p)
-        object.__setattr__(self, "value", int(value) % p)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpElem is immutable")
-
-    def _other_value(self, other):
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli: {self.p} and {other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return None
-
-    def __add__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FpElem(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FpElem(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FpElem(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FpElem(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FpElem(self.value * inv_mod(v, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FpElem(v * inv_mod(self.value, self.p), self.p)
-
-    def __neg__(self):
-        return FpElem(-self.value, self.p)
-
-    def __pow__(self, e):
-        if e < 0:
-            return FpElem(pow(inv_mod(self.value, self.p), -e, self.p), self.p)
-        return FpElem(pow(self.value, e, self.p), self.p)
-
-    def inv(self):
-        return FpElem(inv_mod(self.value, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElem):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"FpElem({self.value}, p={self.p})"
-
-
-def binom_lucas(n: int, k: int, p: int) -> FpElem:
+def binom_lucas(n: int, k: int, p: int) -> int:
     """C(n, k) mod p computed digit-wise in base p.
 
     Equals the factorial formula for n < p; for larger n each base-p digit
@@ -173,18 +73,18 @@ def binom_lucas(n: int, k: int, p: int) -> FpElem:
     while n or k:
         nd, kd = n % p, k % p
         if kd > nd:
-            return FpElem(0, p)
+            return 0
         out = out * fact[nd] * inv_fact[kd] * inv_fact[nd - kd] % p
         n //= p
         k //= p
-    return FpElem(out, p)
+    return out
 
 
 def pochhammer(f, m: int):
     """Falling product f(f-1)...(f-m+1); the empty product (m = 0) is 1.
 
-    Works uniformly for FpElem, FpPoly and RatFn operands, which all support
-    subtraction of an int and multiplication.
+    Works uniformly for int, FpPoly and RatFn operands, which all support
+    subtraction of an int and multiplication; an int product is not reduced.
     """
     if m < 0:
         raise ValueError("pochhammer requires m >= 0")
@@ -195,7 +95,7 @@ def pochhammer(f, m: int):
 
 
 def binom_of_poly(f, k: int):
-    """Binomial C(f, k) = (f)_k / k! with f an FpElem, FpPoly or RatFn.
+    """Binomial C(f, k) = (f)_k / k! with f an FpPoly or RatFn.
 
     Requires 0 <= k < p so that k! is invertible mod p.
     """

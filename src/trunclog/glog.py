@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import PoleError, TheoremViolationError
+from .errors import TheoremViolationError
 from .bpoly import b_prefix_products
 from .fields import check_odd_prime, inv_mod
 from .polys import FpPoly, RatFn
@@ -154,13 +154,7 @@ def glog_coeff_normal(p: int, k: int):
 
 def glog_specialize(g: GLog, a) -> FpPoly:
     """Substitute the parameter value a; PoleError names the offending k."""
-    vals = [0]
-    for k in range(1, g.p):
-        try:
-            vals.append(g.coeff(k).eval(a).value)
-        except PoleError as exc:
-            raise PoleError(exc.point, index=k) from None
-    return FpPoly(vals, g.p, var="X")
+    return g.as_xpoly().specialize(a)
 
 
 def glog_pole_table(p: int):

@@ -21,42 +21,25 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bpoly import b_rs
 from .fields import check_odd_prime, inv_mod
 from .polys import FpPoly
 from .special import binomials_of
 
 
-@dataclass(frozen=True)
-class JacobiSpec:
-    """Specialized parameter set: polynomials A, B in a and a point x in F_p."""
-
-    p: int
-    A: FpPoly
-    B: FpPoly
-    x: int
-
-    def __post_init__(self):
-        check_odd_prime(self.p)
-        if self.A.p != self.p or self.B.p != self.p:
-            raise ValueError("parameter polynomials must share the prime")
-        object.__setattr__(self, "x", int(self.x) % self.p)
-
-
-def jacobi_pm1(spec, A=None, B=None, x=None) -> FpPoly:
+def jacobi_pm1(p: int, A: FpPoly, B: FpPoly, x) -> FpPoly:
     """The reduced degree-(p-1) Jacobi polynomial as a polynomial in a.
 
-    Accepts a JacobiSpec or the four (p, A, B, x) arguments spelled out.
+    A and B are polynomials in a over F_p; x is read mod p.
     """
-    if not isinstance(spec, JacobiSpec):
-        spec = JacobiSpec(spec, A, B, x)
-    p = spec.p
-    bin_a = binomials_of(spec.A - 1, p)
-    bin_b = binomials_of(spec.B - 1, p)
-    xp1 = (spec.x + 1) % p
-    xm1 = (spec.x - 1) % p
+    check_odd_prime(p)
+    if A.p != p or B.p != p:
+        raise ValueError("parameter polynomials must share the prime")
+    x = int(x) % p
+    bin_a = binomials_of(A - 1, p)
+    bin_b = binomials_of(B - 1, p)
+    xp1 = (x + 1) % p
+    xm1 = (x - 1) % p
     acc = FpPoly.zero(p)
     for k in range(p):
         s = pow(xp1, p - 1 - k, p) * pow(xm1, k, p) % p

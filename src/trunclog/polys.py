@@ -32,7 +32,7 @@ import sys
 from array import array
 
 from .errors import NonSplitError, PoleError
-from .fields import FpElem, check_odd_prime, inv_mod
+from .fields import check_odd_prime, inv_mod
 
 _SCHOOLBOOK_LIMIT = 2048  # product size (len_a * len_b) below which naive wins
 
@@ -202,10 +202,6 @@ class FpPoly:
         if isinstance(other, int):
             v = other % self.p
             return (v,) if v else ()
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli: {self.p} and {other.p}")
-            return (other.value,) if other.value else ()
         return None
 
     def __add__(self, other):
@@ -297,9 +293,6 @@ class FpPoly:
             out = (out * a + c) % p
         return out
 
-    def __call__(self, a) -> FpElem:
-        return FpElem(self.eval_int(int(a)), self.p)
-
     def derivative(self):
         p = self.p
         out = [i * c % p for i, c in enumerate(self.coeffs)][1:]
@@ -380,7 +373,6 @@ def roots_and_split(f: FpPoly):
     """
     if f.is_zero:
         raise ValueError("cannot split the zero polynomial")
-    lead = FpElem(f.lead, f.p)
     g = f.monic()
     p = f.p
     roots: dict[int, int] = {}
@@ -397,7 +389,7 @@ def roots_and_split(f: FpPoly):
             roots[a] = roots.get(a, 0) + 1
     if g.degree > 0:
         raise NonSplitError(g)
-    return lead, roots
+    return f.lead, roots
 
 
 @functools.lru_cache(maxsize=None)
@@ -455,7 +447,7 @@ class RatFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, FpElem)):
+        if isinstance(num, int):
             raise TypeError("RatFn numerator must be an FpPoly; use RatFn.const")
         p = num.p
         if den is None:
@@ -510,7 +502,7 @@ class RatFn:
 
     @classmethod
     def const(cls, c, p, var="a"):
-        return cls.from_poly(FpPoly.const(int(c), p, var))
+        return cls.from_poly(FpPoly.const(c, p, var))
 
     @classmethod
     def zero(cls, p, var="a"):
@@ -544,8 +536,8 @@ class RatFn:
             return other
         if isinstance(other, FpPoly):
             return RatFn.from_poly(other)
-        if isinstance(other, (int, FpElem)):
-            return RatFn.const(int(other), self.p, self.var)
+        if isinstance(other, int):
+            return RatFn.const(other, self.p, self.var)
         return None
 
     def __add__(self, other):
@@ -607,13 +599,13 @@ class RatFn:
         # num and den stay coprime under powering; den stays monic
         return RatFn._raw(self.num ** e, self.den ** e)
 
-    def eval(self, a) -> FpElem:
+    def eval(self, a) -> int:
         """Evaluate at a point of F_p; raises PoleError at a denominator root."""
         a = int(a)
         dv = self.den.eval_int(a)
         if dv == 0:
             raise PoleError(a % self.p)
-        return FpElem(self.num.eval_int(a) * inv_mod(dv, self.p), self.p)
+        return self.num.eval_int(a) * inv_mod(dv, self.p) % self.p
 
     def subs_scale(self, h: int) -> "RatFn":
         """Substitute var -> h*var for h != 0 mod p; an automorphism, so the
@@ -640,7 +632,7 @@ class RatFn:
                 and self.num == other.num
                 and self.den == other.den
             )
-        if isinstance(other, (FpPoly, int, FpElem)):
+        if isinstance(other, (FpPoly, int)):
             try:
                 o = self._coerce(other)
             except ValueError:

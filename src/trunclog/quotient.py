@@ -12,10 +12,10 @@ G(L(X)) that ``glog()``'s guard and the LeftInverse checker share.
 ``XPoly`` is the type for values: p ``RatFn`` coefficients (X^0 .. X^(p-1))
 with an optional modulus tag c, for rendering, equality, ``derivative`` and
 ``specialize``; ``grid_to_xpoly`` and ``xpoly_to_grid`` convert.  Its own
-product serves only ``_compose_horner``, the fallback of ``compose_mod`` when
-c is a rational function rather than a polynomial, and the reference the
-tests hold the grid composition to.  Only binomial moduli are supported; no
-other shape is needed anywhere in this package.
+product serves only ``_compose_horner``, the plain rational Horner loop that
+the tests hold the grid composition to; the library never calls it.  The
+constant c must be a polynomial (a fraction with denominator 1): only binomial
+moduli X^p - c with polynomial c occur anywhere in this package.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _coerce_ratfn(v, p, var="a"):
         if v.p != p:
             raise ValueError(f"mixed moduli: {p} and {v.p}")
         return RatFn.from_poly(v)
-    return RatFn.const(int(v), p, var)
+    return RatFn.const(v, p, var)
 
 
 class XPoly:
@@ -164,7 +164,7 @@ class XPoly:
         vals = []
         for e, c in enumerate(self.coeffs):
             try:
-                vals.append(c.eval(a).value)
+                vals.append(c.eval(a))
             except PoleError as exc:
                 raise PoleError(exc.point, index=e) from None
         return FpPoly(vals, self.p, var="X")
@@ -284,18 +284,18 @@ def common_denominator(coeffs):
 def compose_mod(outer: XPoly, inner: XPoly, c) -> XPoly:
     """Horner evaluation of outer at inner, reduced modulo X^p - c.
 
-    When c is a polynomial the computation runs on cleared-denominator
-    grids: outer = P/D and inner = H/Din coefficient-wise, and
+    c must be a polynomial; a fraction with a nontrivial denominator raises
+    ValueError.  The computation runs on cleared-denominator grids: outer =
+    P/D and inner = H/Din coefficient-wise, and
 
         outer(inner) = (sum_k P_k H^k Din^(p-1-k)) / (D * Din^(p-1)),
 
-    with the single division performed at the end.  Otherwise a plain
-    rational Horner loop is used.
+    with the single division performed at the end.
     """
     p = outer.p
     c = _coerce_ratfn(c, p)
     if not c.den.is_one:
-        return _compose_horner(outer, inner, c)
+        raise ValueError(f"compose_mod needs a polynomial constant, got {c}")
 
     cpoly = c.num
     var = cpoly.var if not cpoly.is_zero else "a"
@@ -320,6 +320,8 @@ def compose_mod(outer: XPoly, inner: XPoly, c) -> XPoly:
 
 
 def _compose_horner(outer: XPoly, inner: XPoly, c: RatFn) -> XPoly:
+    """outer(inner) mod X^p - c by a rational Horner loop on XPoly products;
+    the reference that the tests hold ``compose_mod`` to."""
     p = outer.p
     inner = inner.with_modulus(c)
     acc = XPoly.constant(outer.coeffs[p - 1], p, c)

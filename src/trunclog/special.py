@@ -22,9 +22,9 @@ from __future__ import annotations
 import functools
 
 from .errors import TheoremViolationError
-from .fields import FpElem, check_odd_prime, inv_mod
+from .fields import check_odd_prime, inv_mod
 from .polys import FpPoly, RatFn
-from .quotient import XPoly
+from .quotient import XPoly, _coerce_ratfn
 
 
 def _falling_factorials(f: FpPoly, upto: int):
@@ -38,7 +38,7 @@ def _falling_factorials(f: FpPoly, upto: int):
 def binomials_of(f, p: int):
     """[C(f, 0), ..., C(f, p-1)] computed incrementally in f's domain.
 
-    Works for FpPoly, RatFn and FpElem alike; only divisions by k < p occur.
+    Works for FpPoly and RatFn alike; only divisions by k < p occur.
     """
     out = [f ** 0]
     for k in range(1, p):
@@ -84,9 +84,9 @@ def finite_polylog(p: int, d: int) -> FpPoly:
 def trunc_binomial(f, b=1, p=None) -> XPoly:
     """The binomial series for (1 + b*X)^f cut before degree p.
 
-    f may be an FpPoly or RatFn in the parameter, or an FpElem/int constant;
-    b is a scalar or rational expression.  For an integer constant 0 <= f < p
-    and b = 1 this is exactly (1 + X)^f.
+    f may be an FpPoly or RatFn in the parameter, or an int constant; b is an
+    int, FpPoly or RatFn.  For an integer constant 0 <= f < p and b = 1 this
+    is exactly (1 + X)^f.
     """
     if p is None:
         p = f.p
@@ -94,23 +94,13 @@ def trunc_binomial(f, b=1, p=None) -> XPoly:
     if isinstance(f, int):
         f = FpPoly.const(f, p)
     bins = binomials_of(f, p)
-    bk = _as_ratfn(b, p) ** 0
-    br = _as_ratfn(b, p)
+    br = _coerce_ratfn(b, p)
+    bk = br ** 0
     out = []
     for k in range(p):
-        out.append(_as_ratfn(bins[k], p) * bk)
+        out.append(_coerce_ratfn(bins[k], p) * bk)
         bk = bk * br
     return XPoly(out, p)
-
-
-def _as_ratfn(v, p) -> RatFn:
-    if isinstance(v, RatFn):
-        return v
-    if isinstance(v, FpPoly):
-        return RatFn.from_poly(v)
-    if isinstance(v, FpElem):
-        return RatFn.const(v.value, p)
-    return RatFn.const(int(v), p)
 
 
 def alpha_p_minus_alpha(p: int) -> FpPoly:

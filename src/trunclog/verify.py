@@ -796,12 +796,19 @@ def _c_pairs(field, pair_budget, seed):
 
 
 def _pair_budget(p, pair_budget):
-    """The budget to use: the default for p when None; below 1 is rejected."""
+    """The budget to use: the default for p when None, else "exhaustive" or an
+    int >= 1; anything else (a bool, a float, another string) is rejected."""
     if pair_budget is None:
         return "exhaustive" if p <= 5 else 200
-    if pair_budget != "exhaustive" and pair_budget < 1:
-        raise ValueError(f"pair budget must be >= 1 or 'exhaustive', got {pair_budget}")
-    return pair_budget
+    if pair_budget == "exhaustive" or (
+        isinstance(pair_budget, int)
+        and not isinstance(pair_budget, bool)
+        and pair_budget >= 1
+    ):
+        return pair_budget
+    raise ValueError(
+        f"pair budget must be an int >= 1 or 'exhaustive', got {pair_budget!r}"
+    )
 
 
 def _check_c_coefficients(p, pair_budget=None, seed=0):

@@ -3,7 +3,6 @@
 import pytest
 
 from trunclog.bpoly import (
-    BPolyKey,
     CSV_HEADER,
     b_prefix_products,
     b_root_lucas,
@@ -22,17 +21,24 @@ PRIMES = (3, 5, 7, 11, 13)
 
 
 class TestBKey:
+    """Every constructor takes (p, r, s) and validates it before building."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BPolyKey(5, 0, 1)
-        with pytest.raises(ValueError):
-            BPolyKey(5, 1, 5)
-        with pytest.raises(ValueError):
-            BPolyKey(9, 1, 1)
+        for build in (b_rs, b_rs_alt, b_rs_coeff):
+            with pytest.raises(ValueError):
+                build(5, 0, 1)
+            with pytest.raises(ValueError):
+                build(5, 1, 5)
+            with pytest.raises(ValueError):
+                build(9, 1, 1)
 
     def test_degenerate_flag(self):
-        assert BPolyKey(5, 2, 3).is_degenerate
-        assert not BPolyKey(5, 2, 2).is_degenerate
+        # the diagonal r + s = p: b is zero, and the alternate form refuses it
+        assert b_rs(5, 2, 3).is_zero
+        with pytest.raises(ValueError):
+            b_rs_alt(5, 2, 3)
+        assert not b_rs(5, 2, 2).is_zero
+        assert b_rs_alt(5, 2, 2) == b_rs(5, 2, 2)
 
 
 class TestDefiningSum:
@@ -41,7 +47,6 @@ class TestDefiningSum:
         prod = FpPoly([1, -1], 5) * FpPoly([1, -3], 5)
         assert prod == FpPoly([1, 1, 3], 5)
         assert b_rs(5, 1, 1) == prod
-        assert b_rs(BPolyKey(5, 1, 1)) == prod
 
     def test_p3_b11(self):
         assert b_rs(3, 1, 1) == FpPoly([1, -1], 3)

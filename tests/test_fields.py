@@ -6,7 +6,6 @@ import random
 import pytest
 
 from trunclog.fields import (
-    FpElem,
     binom_lucas,
     binom_of_poly,
     check_odd_prime,
@@ -18,30 +17,7 @@ from trunclog.polys import FpPoly
 
 
 class TestFpElem:
-    def test_arithmetic_basics(self):
-        a = FpElem(3, 5)
-        b = FpElem(4, 5)
-        assert a + b == FpElem(2, 5)
-        assert a - b == FpElem(4, 5)
-        assert a * b == FpElem(2, 5)
-        assert a / b == a * b.inv()
-        assert -a == FpElem(2, 5)
-        assert a ** 0 == 1 and a ** 4 == 1
-
-    def test_int_mixing(self):
-        a = FpElem(3, 5)
-        assert a + 7 == FpElem(0, 5)
-        assert 2 * a == FpElem(1, 5)
-        assert a == 8
-
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(ValueError):
-            FpElem(1, 5) + FpElem(1, 7)
-
-    def test_modulus_must_be_odd_prime(self):
-        for bad in (2, 4, 9, 1, -3, 15):
-            with pytest.raises(ValueError):
-                FpElem(1, bad)
+    """An element of F_p is a plain int mod p; the modulus is an argument."""
 
     def test_inverse_via_euclid_everywhere(self):
         for p in (3, 5, 13):
@@ -50,15 +26,19 @@ class TestFpElem:
 
     def test_check_odd_prime(self):
         assert check_odd_prime(31) == 31
-        with pytest.raises(ValueError):
-            check_odd_prime(2)
-        with pytest.raises(ValueError):
-            check_odd_prime(True)
+        for bad in (2, 4, 9, 1, -3, 15, True, 5.0):
+            with pytest.raises(ValueError):
+                check_odd_prime(bad)
 
 
 class TestBinomLucas:
     def test_single_digit_case(self):
         assert binom_lucas(3, 1, 5) == 3
+
+    def test_returns_int(self):
+        assert type(binom_lucas(3, 1, 5)) is int
+        assert type(binom_lucas(10, 5, 3)) is int  # the early zero
+        assert type(binom_lucas(0, 0, 3)) is int  # the empty digit loop
 
     def test_cross_digit_cases(self):
         # oracles: direct integer binomials
@@ -82,12 +62,13 @@ class TestBinomLucas:
 
 class TestPochhammer:
     def test_empty_product(self):
-        assert pochhammer(FpElem(2, 5), 0) == 1
+        assert pochhammer(2, 0) == 1
         assert pochhammer(FpPoly([0, 1], 5), 0) == FpPoly([1], 5)
 
     def test_scalar_case(self):
-        # 3 * 2 = 6 = 1 mod 5
-        assert pochhammer(FpElem(3, 5), 2) == 1
+        # 3 * 2 = 6 = 1 mod 5, for an int and for a constant polynomial
+        assert pochhammer(3, 2) % 5 == 1
+        assert pochhammer(FpPoly.const(3, 5), 2) == 1
 
     def test_alpha_minus_one_full_length(self):
         # (a-1)_(p-1) = a^(p-1) - 1
@@ -101,9 +82,7 @@ class TestPochhammer:
         for p in (5, 7, 13):
             for n in range(p):
                 for k in range(n + 1):
-                    via_poch = pochhammer(FpElem(n, p), k) * inv_mod(
-                        math.factorial(k) % p, p
-                    )
+                    via_poch = pochhammer(n, k) * inv_mod(math.factorial(k), p) % p
                     assert binom_lucas(n, k, p) == via_poch
 
 
@@ -113,8 +92,8 @@ class TestBinomOfPoly:
 
     def test_minus_one_choose_k(self):
         # C(-1, k) = (-1)^k
-        assert binom_of_poly(FpElem(-1, 5), 4) == 1
-        assert binom_of_poly(FpElem(-1, 5), 3) == -1 % 5
+        assert binom_of_poly(FpPoly.const(-1, 5), 4) == 1
+        assert binom_of_poly(FpPoly.const(-1, 5), 3) == -1 % 5
 
     def test_alpha_minus_one_choose_two(self):
         # (a-1)(a-2)/2 expanded mod 3 by hand: (a^2 + 2)*2 = 2a^2 + 1
@@ -128,9 +107,9 @@ class TestBinomOfPoly:
                 f = FpPoly([rng.randrange(p) for _ in range(3)], p)
                 k = rng.randrange(p)
                 a = rng.randrange(p)
-                poly_then_eval = binom_of_poly(f, k)(a)
-                eval_then_binom = binom_of_poly(FpElem(f.eval_int(a), p), k)
-                assert poly_then_eval == eval_then_binom
+                poly_then_eval = binom_of_poly(f, k).eval_int(a)
+                eval_then_binom = binom_of_poly(FpPoly.const(f.eval_int(a), p), k)
+                assert eval_then_binom == poly_then_eval
 
     def test_k_at_least_p_rejected(self):
         with pytest.raises(ValueError):

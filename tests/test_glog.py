@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 from trunclog.errors import PoleError, TheoremViolationError
+from trunclog.fields import inv_mod
 from trunclog.glog import (
     GLog,
     glog,
@@ -128,6 +129,25 @@ class TestSpecialization:
     def test_p3_at_two(self):
         # (a+2) at a=2 is 4 = 1, so -X - X^2
         assert glog_specialize(glog(3), 2) == FpPoly([0, -1, -1], 3, "X")
+
+    def test_matches_coefficientwise_evaluation(self):
+        # oracle: evaluate coefficient k of G at a; the first pole names k
+        for p in (3, 5, 7, 11, 13):
+            g = glog(p)
+            for a in range(p):
+                vals, pole = [0], None
+                for k in range(1, p):
+                    den = g.coeff(k).den.eval_int(a)
+                    if den == 0:
+                        pole = k
+                        break
+                    vals.append(g.coeff(k).num.eval_int(a) * inv_mod(den, p) % p)
+                if pole is None:
+                    assert glog_specialize(g, a) == FpPoly(vals, p, "X")
+                else:
+                    with pytest.raises(PoleError) as exc:
+                        glog_specialize(g, a)
+                    assert (exc.value.index, exc.value.point) == (pole, a)
 
     def test_pole_table(self):
         assert glog_pole_table(3) == {2: (1,)}

@@ -5,7 +5,6 @@ import pytest
 from trunclog.bpoly import b_rs
 from trunclog.fields import inv_mod
 from trunclog.jacobi import (
-    JacobiSpec,
     jacobi_for_pair,
     jacobi_pm1,
     jacobi_reflection_check,
@@ -45,10 +44,15 @@ class TestLink:
             jacobi_for_pair(5, 2, 3)
 
     def test_spec_object(self):
-        spec = JacobiSpec(5, FpPoly([0, 1], 5), FpPoly([0, 1], 5), 0)
-        assert jacobi_pm1(spec) == b_rs(5, 1, 1)
+        # the specialized parameters (p, A, B, x) are validated on every call
+        a5 = FpPoly([0, 1], 5)
+        assert jacobi_pm1(5, a5, a5, 5) == b_rs(5, 1, 1)  # x is read mod p
         with pytest.raises(ValueError):
-            JacobiSpec(5, FpPoly([0, 1], 5), FpPoly([0, 1], 7), 0)
+            jacobi_pm1(5, a5, FpPoly([0, 1], 7), 0)
+        with pytest.raises(ValueError):
+            jacobi_pm1(5, FpPoly([0, 1], 7), a5, 0)
+        with pytest.raises(ValueError):
+            jacobi_pm1(9, FpPoly([0, 1], 9), FpPoly([0, 1], 9), 0)
 
 
 class TestParameterShift:

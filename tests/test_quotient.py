@@ -281,11 +281,15 @@ class TestComposeMod:
         )
         assert compose_mod(outer, inner, c) == _compose_horner(outer, inner, c)
 
-    def test_fractional_modulus_constant_falls_back(self):
+    def test_fractional_modulus_constant_rejected(self):
         p = 5
         c = RatFn(FpPoly([1], p), FpPoly([1, 1], p))  # 1/(a+1)
         outer = XPoly([0, 1, 1], p)
         inner = XPoly([0, 2], p)
+        with pytest.raises(ValueError, match="polynomial constant"):
+            compose_mod(outer, inner, c)
+        # a fraction that reduces to a polynomial is one
+        c = RatFn(FpPoly([1, 1], p), FpPoly([1, 1], p))
         assert compose_mod(outer, inner, c) == _compose_horner(outer, inner, c)
 
 

@@ -187,7 +187,7 @@ class TestVerifyAll:
             return first(p, **kw)
 
         monkeypatch.setitem(v._CHECKERS, TheoremId.LeftInverse, recorded)
-        for budget in (0, -1):
+        for budget in (0, -1, 2.5, "many", True, False, 3.0):
             with pytest.raises(ValueError, match="pair budget"):
                 verify_all(3, c_pairs=budget)
         assert ran == []
@@ -616,6 +616,13 @@ class TestCCoefficients:
                 verify_theorem(5, "CCoefficients", pair_budget=budget)
             with pytest.raises(ValueError):
                 verify_c_coefficients(5, pair_budget=budget)
+
+    def test_budget_not_an_int_rejected(self):
+        for budget in (2.5, "many", True, False, 3.0):
+            with pytest.raises(ValueError, match="pair budget"):
+                verify_c_coefficients(7, budget)
+            with pytest.raises(ValueError, match="pair budget"):
+                verify_theorem(7, "CCoefficients", pair_budget=budget)
 
     def test_default_budget_small_prime_is_exhaustive(self):
         r = verify_theorem(3, TheoremId.CCoefficients)
