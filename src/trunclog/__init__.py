@@ -53,7 +53,7 @@ from .glog import (
     glog_specialize,
     reciprocal_rhs,
 )
-from .jacobi import jacobi_pm1, jacobi_reflection_check, p_times_jacobi_p
+from .jacobi import jacobi_pm1, p_times_jacobi_p
 from .verify import (
     TheoremId,
     VerifyReport,
@@ -94,7 +94,6 @@ __all__ = [
     "glog_specialize",
     "inv_mod",
     "jacobi_pm1",
-    "jacobi_reflection_check",
     "laguerre_const",
     "laguerre_pm1",
     "laguerre_scaled",

@@ -1,6 +1,6 @@
 """The two-index family b[r,s](a) of polynomials over F_p.
 
-Three independent construction routes are provided:
+Three construction routes are provided:
 
   * ``b_rs``       is the defining alternating sum over products of binomials
                      C(r*a - 1, p-1-k) * C(s*a - 1, k) weighted by (-r/s)^k;
@@ -8,6 +8,8 @@ Three independent construction routes are provided:
                      valid whenever r + s != p;
   * ``b_rs_coeff`` is the coefficient of X^(p-1) in the product of the two
                      truncated binomials (1 + X/r)^(r*a-1) (1 - X/s)^(s*a-1).
+
+The two sums are one call each to ``special.binomial_sum``.
 
 For r + s = p the family degenerates to the zero polynomial; elsewhere the
 constant term is 1 and the degree of b[1,s] is (p-1)/2 with all roots simple
@@ -29,7 +31,7 @@ import functools
 from .errors import TheoremViolationError
 from .fields import binom_lucas, check_odd_prime, inv_mod
 from .polys import FpPoly, roots_and_split
-from .special import binomials_of, laguerre_const, trunc_binomial, w_poly
+from .special import binomial_sum, laguerre_const, trunc_binomial, w_poly
 
 
 def _check_indices(p: int, r: int, s: int) -> None:
@@ -53,15 +55,9 @@ def b_rs(p: int, r: int, s: int) -> FpPoly:
 
 
 def _b_rs_build(p: int, r: int, s: int) -> FpPoly:
-    binr = binomials_of(FpPoly([-1, r], p), p)
-    bins = binomials_of(FpPoly([-1, s], p), p)
-    t = (-r * inv_mod(s, p)) % p
-    acc = FpPoly.zero(p)
-    tk = 1
-    for j in range(p):
-        acc = acc + binr[p - 1 - j] * bins[j] * tk
-        tk = tk * t % p
-    return acc
+    return binomial_sum(
+        FpPoly([-1, r], p), FpPoly([-1, s], p), 1, -r * inv_mod(s, p) % p
+    )
 
 
 def b_rs_alt(p: int, r: int, s: int) -> FpPoly:
@@ -69,15 +65,9 @@ def b_rs_alt(p: int, r: int, s: int) -> FpPoly:
     _check_indices(p, r, s)
     if r + s == p:
         raise ValueError(f"alternate form requires r + s != p, got r={r}, s={s}")
-    binr = binomials_of(FpPoly([-1, r], p), p)
-    bins = binomials_of(FpPoly([0, s], p), p)
-    t = (-r * inv_mod(s, p)) % p
-    acc = FpPoly.zero(p)
-    tk = 1
-    for j in range(p):
-        acc = acc + binr[p - 1 - j] * bins[j] * tk
-        tk = tk * t % p
-    return acc
+    return binomial_sum(
+        FpPoly([-1, r], p), FpPoly([0, s], p), 1, -r * inv_mod(s, p) % p
+    )
 
 
 def b_rs_coeff(p: int, r: int, s: int) -> FpPoly:

@@ -7,24 +7,27 @@ the degree-(p-1) Jacobi polynomial at (A, B; x) equals
     sum_{k<p} C(A-1, p-1-k) * C(B-1, k) * (x+1)^(p-1-k) * (x-1)^k,
 
 and at x = (s - r)/(s + r) with A = r*a, B = s*a it reproduces b[r,s](a).
+``jacobi_pm1`` is that sum as one call to ``special.binomial_sum``.
 ``p_times_jacobi_p`` is the p-fold multiple of the degree-p polynomial, which
 collapses mod p to (A - A^p)(x+1)^p / 2 + (B - B^p)(x-1)^p / 2 and feeds the
-parameter-shift recurrence used by the verifier.
+parameter-shift recurrence
+
+    (A+B)(x+1)/2 * P(A, B+1; x) = B * P(A, B; x) + p*P_p(A, B; x).
 
 At the linked arguments that term vanishes identically: with A = r*a,
 B = s*a and x = (s - r)/(s + r), r^p = r and (x+1)^p = x+1 in F_p turn it
 into (a - a^p)(r(x+1) + s(x-1)) / 2, and r(x+1) + s(x-1) = 0.  There also
 (A+B)(x+1)/2 = B, so the recurrence reduces to B * P(A, B+1; x) =
 B * P(A, B; x): it says no more than the shift B -> B+1 leaving the value
-unchanged.
+unchanged.  One step off, at x + 1, the same term is (a - a^p)(r + s) / 2,
+which is nonzero, so the verifier checks the recurrence there.
 """
 
 from __future__ import annotations
 
-from .bpoly import b_rs
 from .fields import check_odd_prime, inv_mod
 from .polys import FpPoly
-from .special import binomials_of
+from .special import binomial_sum
 
 
 def jacobi_pm1(p: int, A: FpPoly, B: FpPoly, x) -> FpPoly:
@@ -36,16 +39,7 @@ def jacobi_pm1(p: int, A: FpPoly, B: FpPoly, x) -> FpPoly:
     if A.p != p or B.p != p:
         raise ValueError("parameter polynomials must share the prime")
     x = int(x) % p
-    bin_a = binomials_of(A - 1, p)
-    bin_b = binomials_of(B - 1, p)
-    xp1 = (x + 1) % p
-    xm1 = (x - 1) % p
-    acc = FpPoly.zero(p)
-    for k in range(p):
-        s = pow(xp1, p - 1 - k, p) * pow(xm1, k, p) % p
-        if s:
-            acc = acc + bin_a[p - 1 - k] * bin_b[k] * s
-    return acc
+    return binomial_sum(A - 1, B - 1, x + 1, x - 1)
 
 
 def p_times_jacobi_p(p: int, A: FpPoly, B: FpPoly, x) -> FpPoly:
@@ -60,38 +54,3 @@ def p_times_jacobi_p(p: int, A: FpPoly, B: FpPoly, x) -> FpPoly:
     t1 = (A - A.frobenius_p()) * (pow(x + 1, p, p) * half % p)
     t2 = (B - B.frobenius_p()) * (pow(x - 1, p, p) * half % p)
     return t1 + t2
-
-
-def jacobi_for_pair(p: int, r: int, s: int) -> FpPoly:
-    """Jacobi value at A = r*a, B = s*a, x = (s-r)/(s+r); needs r+s != 0 mod p."""
-    if (r + s) % p == 0:
-        raise ValueError("argument (s-r)/(s+r) undefined when r + s = 0 mod p")
-    x = (s - r) * inv_mod(r + s, p) % p
-    return jacobi_pm1(p, FpPoly([0, r], p), FpPoly([0, s], p), x)
-
-
-def jacobi_reflection_check(p: int, s: int) -> bool:
-    """Argument-reflection chain at r = 1.
-
-    Checks, as identities in F_p[a], that the Jacobi value at (a, s*a) and
-    argument (s-1)/(s+1) equals the two values at ((-s-1)*a + 1) and
-    ((-s-1)*a) with argument (s+2)/s, and cross-checks both against the
-    symmetry b[1,s] = b[1,p-1-s].  Requires s not in {0, -1} mod p, so
-    1 <= s <= p-2.
-    """
-    check_odd_prime(p)
-    if s % p in (0, p - 1):
-        raise ValueError(f"reflection chain undefined for s = {s} mod {p}")
-    s %= p
-    a_poly = FpPoly([0, 1], p)
-    x1 = (s - 1) * inv_mod(s + 1, p) % p
-    x2 = (s + 2) * inv_mod(s, p) % p
-    neg = (-s - 1) % p
-    p1 = jacobi_pm1(p, a_poly, FpPoly([0, s], p), x1)
-    p2 = jacobi_pm1(p, a_poly, FpPoly([1, neg], p), x2)
-    p3 = jacobi_pm1(p, a_poly, FpPoly([0, neg], p), x2)
-    return (
-        p1 == p2 == p3
-        and p1 == b_rs(p, 1, s)
-        and p3 == b_rs(p, 1, p - 1 - s)
-    )

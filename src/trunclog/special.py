@@ -10,6 +10,11 @@ E(X) = sum_{k<p} X^k / k!.  Its scaled companions substitute a -> r*a and
 X -> r*X.  The truncated logarithm and its higher relatives are the finite
 polylogarithms sum_{k=1}^{p-1} X^k / k^d.
 
+``binomial_sum`` is the alternating sum
+sum_k C(f, p-1-k) C(g, k) alpha^(p-1-k) beta^k as a polynomial in a, the one
+FpPoly loop behind b[r,s], its alternate route and the reduced Jacobi
+polynomial.
+
 ``laguerre_const`` is the constant obtained by substituting a -> a^p in the
 coefficients and X -> a^p - a.  ``laguerre_const_routes`` computes it by that
 substitution and by the product formula prod_{k=1}^{p-1} (1 + a/k)^k, once
@@ -44,6 +49,21 @@ def binomials_of(f, p: int):
     for k in range(1, p):
         out.append(out[-1] * (f - (k - 1)) * inv_mod(k, p))
     return out
+
+
+def binomial_sum(f: FpPoly, g: FpPoly, alpha: int, beta: int) -> FpPoly:
+    """sum_{k<p} C(f, p-1-k) * C(g, k) * alpha^(p-1-k) * beta^k over F_p,
+    for f and g polynomials in a; terms whose scalar weight is zero are
+    skipped."""
+    p = f.p
+    bin_f = binomials_of(f, p)
+    bin_g = binomials_of(g, p)
+    acc = FpPoly.zero(p)
+    for k in range(p):
+        w = pow(alpha, p - 1 - k, p) * pow(beta, k, p) % p
+        if w:
+            acc = acc + bin_f[p - 1 - k] * bin_g[k] * w
+    return acc
 
 
 def laguerre_pm1(p: int) -> XPoly:

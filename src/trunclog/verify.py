@@ -22,13 +22,13 @@ RightInverse forms no composition L(G(X)): it is proved from LeftInverse
 plus two Frobenius conditions (one for L, one for G) by the inverse-map
 lemma in ``_check_right_inverse``.
 
-BAltAgreement, JacobiLink and JacobiShift compare value vectors
-[f(0), ..., f(p-1)] on F_p.  Every b[r,s] route and every Jacobi sum at the
-linked argument is a sum of C(f, p-1-k) * C(g, k) times scalars, with f, g
-linear in a, so it has degree at most p-1; two such polynomials are equal
-iff they agree at all p points, since their difference has degree at most
-p-1 and p roots.  The comparison is exact, not sampling.  The other routes
-are evaluated from one integer table C(x, m) mod p per prime, without
+BAltAgreement and the three Jacobi checkers compare value vectors
+[f(0), ..., f(p-1)] on F_p.  Every b[r,s] route and every Jacobi sum with
+parameters linear in a is a sum of C(f, p-1-k) * C(g, k) times scalars, with
+f, g linear in a, so it has degree at most p-1; two such polynomials are
+equal iff they agree at all p points, since their difference has degree at
+most p-1 and p roots.  The comparison is exact, not sampling.  The other
+routes are evaluated from one integer table C(x, m) mod p per prime, without
 ``special.binomials_of`` or FpPoly arithmetic; ``b_rs``, the polynomial of
 record, is the one route through both, and its degree is checked to be at
 most p-1 before its values are compared.  A failing route is interpolated
@@ -58,10 +58,10 @@ from .bpoly import (
     b_rs,
     product_all_b,
 )
-from .errors import NonSplitError, NotApplicable, TheoremViolationError
+from .errors import NonSplitError, TheoremViolationError
 from .fields import check_odd_prime, ext_quadratic, inv_mod
 from .glog import glog, left_inverse_lhs, reciprocal_rhs
-from .jacobi import p_times_jacobi_p, jacobi_reflection_check
+from .jacobi import p_times_jacobi_p
 from .pairsystem import Layout, pair_columns, pair_rows, solve_pair, substitutes
 from .polys import FpPoly, RatFn, interpolate, roots_and_split, values
 from .quotient import (
@@ -114,8 +114,8 @@ class VerifyReport:
     """Structured outcome of one checker run.
 
     witness is present exactly when status == "fail"; notes carry auxiliary
-    deterministic text (skip reasons, uniqueness tallies) and stay out of the
-    JSON object, whose schema is fixed.
+    deterministic text (uniqueness tallies) and stay out of the JSON object,
+    whose schema is fixed.
     """
 
     theorem: TheoremId
@@ -568,7 +568,8 @@ def _binomial_table(p):
 
 
 def _sum_values(p, f, g, alpha, beta):
-    """Values on F_p of sum_k C(f, p-1-k) C(g, k) alpha^(p-1-k) beta^k.
+    """Values on F_p of sum_k C(f, p-1-k) C(g, k) alpha^(p-1-k) beta^k, the
+    sum ``special.binomial_sum`` builds as a polynomial.
 
     f and g are linear in a, given as (slope, offset); alpha and beta are
     scalars.  Each point costs O(p) integer operations.
@@ -595,12 +596,16 @@ def _b_coeff_values(p, r, s):
     return _sum_values(p, (r, -1), (s, -1), inv_mod(r, p), -inv_mod(s, p))
 
 
-def _jacobi_values(p, r, s, shift=0):
-    """Values of ``jacobi_pm1(p, r*a, s*a + shift, x)`` at the linked argument
-    x = (s - r)/(s + r): C(r*a - 1, p-1-k) C(s*a + shift - 1, k) weighted by
+def _linked_x(p, r, s):
+    """The linked argument x = (s - r)/(s + r); needs r + s != 0 mod p."""
+    return (s - r) * inv_mod(r + s, p) % p
+
+
+def _jacobi_values(p, A, B, x):
+    """Values of ``jacobi_pm1(p, A, B, x)`` with A and B linear in a, given as
+    (slope, offset): C(A - 1, p-1-k) C(B - 1, k) weighted by
     (x+1)^(p-1-k) (x-1)^k."""
-    x = (s - r) * inv_mod(r + s, p) % p
-    return _sum_values(p, (r, -1), (s, shift - 1), x + 1, x - 1)
+    return _sum_values(p, (A[0], A[1] - 1), (B[0], B[1] - 1), x + 1, x - 1)
 
 
 def _b_record(p, r, s):
@@ -680,7 +685,7 @@ def _check_jacobi_link(p):
             base, vals, bad = _b_record(p, r, s)
             if bad:
                 return cases, bad, None
-            jac_vals = _jacobi_values(p, r, s)
+            jac_vals = _jacobi_values(p, (r, 0), (s, 0), _linked_x(p, r, s))
             if jac_vals != vals:
                 return cases, _witness(
                     {"r": r, "s": s}, interpolate(jac_vals, p), base
@@ -691,18 +696,19 @@ def _check_jacobi_link(p):
 def _check_jacobi_shift(p):
     """Shifting B = s*a to B + 1 leaves the linked Jacobi value unchanged, and
     the parameter-shift recurrence
-    (A+B)(x+1)/2 * P(A, B+1; x) = B * P(A, B; x) + p*P_p(A, B; x) holds.
+    (A+B)(x+1)/2 * P(A, B+1; x) = B * P(A, B; x) + p*P_p(A, B; x) holds one
+    step off the linked argument.
 
     The shift compares value vectors: both sums have degree at most p-1 in a
     (C(s*a, k) has degree k as C(s*a - 1, k) does), so equal values on F_p
     mean equal polynomials.  The recurrence has degree p in a, which values
-    cannot decide, so it runs as FpPoly arithmetic on the plain sum,
-    interpolated from its value vector.
+    cannot decide, so it runs as FpPoly arithmetic on the plain and shifted
+    sums, interpolated from their value vectors.
 
-    At every linked argument x = (s-r)/(s+r), p*P_p(r*a, s*a; x) is
-    identically zero: r^p = r and (x+1)^p = x+1 in F_p give
-    (a - a^p)(r(x+1) + s(x-1))/2, and r(x+1) + s(x-1) = 0.  Also
-    (A+B)(x+1)/2 = B, so the recurrence reduces to B * shifted = B * plain.
+    At the linked argument x = (s-r)/(s+r), p*P_p(r*a, s*a; x) is identically
+    zero and (A+B)(x+1)/2 = B, so there the recurrence would only restate the
+    shift (see ``jacobi``).  It is checked at x + 1 instead, where
+    p*P_p = (a - a^p)(r + s)/2 is nonzero; the witness case records that x.
     """
     half = inv_mod(2, p)
     cases = 0
@@ -711,38 +717,71 @@ def _check_jacobi_shift(p):
             if (r + s) % p == 0:
                 continue
             cases += 1
-            plain_vals = _jacobi_values(p, r, s)
-            shifted_vals = _jacobi_values(p, r, s, 1)
+            x = _linked_x(p, r, s)
+            plain_vals = _jacobi_values(p, (r, 0), (s, 0), x)
+            shifted_vals = _jacobi_values(p, (r, 0), (s, 1), x)
             if shifted_vals != plain_vals:
                 return cases, _witness(
                     {"r": r, "s": s},
                     interpolate(shifted_vals, p),
                     interpolate(plain_vals, p),
                 ), None
-            plain = interpolate(plain_vals, p)
-            x = (s - r) * inv_mod(r + s, p) % p
+            x = (x + 1) % p
+            plain = interpolate(_jacobi_values(p, (r, 0), (s, 0), x), p)
+            shifted = interpolate(_jacobi_values(p, (r, 0), (s, 1), x), p)
             a_poly = FpPoly([0, r], p)
             b_poly = FpPoly([0, s], p)
-            # parameter-shift recurrence specialization; shifted == plain
-            lhs = (a_poly + b_poly) * ((x + 1) * half % p) * plain
+            lhs = (a_poly + b_poly) * ((x + 1) * half % p) * shifted
             rhs = b_poly * plain + p_times_jacobi_p(p, a_poly, b_poly, x)
             if lhs != rhs:
                 return cases, _witness(
-                    {"r": r, "s": s, "identity": "parameter-shift recurrence"},
+                    {"r": r, "s": s, "x": x, "identity": "parameter-shift recurrence"},
                     lhs,
                     rhs,
                 ), None
     return cases, None, None
 
 
+def _reflection_values(p, s):
+    """(label, value vector) of the three Jacobi values with A = a in the
+    argument reflection at r = 1, in chain order; needs 1 <= s <= p-2."""
+    x1 = _linked_x(p, 1, s)
+    x2 = (s + 2) * inv_mod(s, p) % p
+    return (
+        ("P(a, s*a; (s-1)/(s+1))", _jacobi_values(p, (1, 0), (s, 0), x1)),
+        ("P(a, (-s-1)*a + 1; (s+2)/s)", _jacobi_values(p, (1, 0), (-s - 1, 1), x2)),
+        ("P(a, (-s-1)*a; (s+2)/s)", _jacobi_values(p, (1, 0), (-s - 1, 0), x2)),
+    )
+
+
 def _check_jacobi_reflection(p):
+    """The argument reflection ties b[1,s] to b[1,p-1-s] through the chain
+
+        b[1,s] = P(a, s*a; (s-1)/(s+1)) = P(a, (-s-1)*a + 1; (s+2)/s)
+               = P(a, (-s-1)*a; (s+2)/s) = b[1,p-1-s].
+
+    Compares value vectors link by link: every Jacobi sum here has degree at
+    most p-1 in a, and both b's of record are checked to have degree at most
+    p-1 first.  The witness names the first link whose sides differ, both
+    interpolated back to polynomials.
+    """
     cases = 0
     for s in range(1, p - 1):
         cases += 1
-        if not jacobi_reflection_check(p, s):
-            return cases, _witness(
-                {"s": s}, "reflection chain broken", "three equal values"
-            ), None
+        _, head, bad = _b_record(p, 1, s)
+        if bad:
+            return cases, bad, None
+        _, tail, bad = _b_record(p, 1, p - 1 - s)
+        if bad:
+            return cases, bad, None
+        chain = [("b[1,s]", head), *_reflection_values(p, s), ("b[1,p-1-s]", tail)]
+        for (left, lvals), (right, rvals) in zip(chain, chain[1:]):
+            if lvals != rvals:
+                return cases, _witness(
+                    {"s": s, "link": f"{left} = {right}"},
+                    interpolate(lvals, p),
+                    interpolate(rvals, p),
+                ), None
     return cases, None, None
 
 
@@ -899,10 +938,9 @@ def verify_theorem(p: int, theorem, **overrides) -> VerifyReport:
 
 
 def verify_all(p: int, *, c_pairs=None, seed: int = 0):
-    """Run every checker in declaration order.
+    """Run every checker in declaration order; any exception propagates.
 
-    A checker that raises NotApplicable is reported as skipped; any other
-    exception propagates.  Arguments are checked before any checker runs.
+    Arguments are checked before any checker runs.
     """
     check_odd_prime(p)
     _pair_budget(p, c_pairs)
@@ -911,12 +949,7 @@ def verify_all(p: int, *, c_pairs=None, seed: int = 0):
         overrides = {}
         if tid is TheoremId.CCoefficients:
             overrides = {"pair_budget": c_pairs, "seed": seed}
-        try:
-            reports.append(verify_theorem(p, tid, **overrides))
-        except NotApplicable as exc:
-            reports.append(
-                VerifyReport(tid, p, 0, "skipped", None, 0, notes=str(exc))
-            )
+        reports.append(verify_theorem(p, tid, **overrides))
     return reports
 
 

@@ -4,14 +4,9 @@ import pytest
 
 from trunclog.bpoly import b_rs
 from trunclog.fields import inv_mod
-from trunclog.jacobi import (
-    jacobi_for_pair,
-    jacobi_pm1,
-    jacobi_reflection_check,
-    p_times_jacobi_p,
-)
-from trunclog.polys import FpPoly
-from trunclog.verify import _jacobi_values
+from trunclog.jacobi import jacobi_pm1, p_times_jacobi_p
+from trunclog.polys import FpPoly, values
+from trunclog.verify import _jacobi_values, _linked_x, _reflection_values
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -24,6 +19,24 @@ def linked_pairs(p):
                 yield r, s, (s - r) * inv_mod(r + s, p) % p
 
 
+def linked_jacobi(p, r, s, shift=0):
+    """jacobi_pm1 at A = r*a, B = s*a + shift and the linked argument."""
+    x = (s - r) * inv_mod(r + s, p) % p
+    return jacobi_pm1(p, FpPoly([0, r], p), FpPoly([shift, s], p), x)
+
+
+def reflection_chain(p, s):
+    """The three Jacobi polynomials of the argument reflection at r = 1."""
+    a_poly = FpPoly([0, 1], p)
+    x1 = (s - 1) * inv_mod(s + 1, p) % p
+    x2 = (s + 2) * inv_mod(s, p) % p
+    return (
+        jacobi_pm1(p, a_poly, FpPoly([0, s], p), x1),
+        jacobi_pm1(p, a_poly, FpPoly([1, -s - 1], p), x2),
+        jacobi_pm1(p, a_poly, FpPoly([0, -s - 1], p), x2),
+    )
+
+
 class TestLink:
     def test_equal_parameters_at_zero(self):
         # A = B = a, x = 0: evaluates the defining sum to b[1,1]
@@ -33,15 +46,13 @@ class TestLink:
 
     def test_linked_argument_reproduces_b(self):
         for p in (5, 7, 11):
-            for r in range(1, p):
-                for s in range(1, p):
-                    if (r + s) % p == 0:
-                        continue
-                    assert jacobi_for_pair(p, r, s) == b_rs(p, r, s)
+            for r, s, _ in linked_pairs(p):
+                assert linked_jacobi(p, r, s) == b_rs(p, r, s)
 
     def test_degenerate_argument_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi_for_pair(5, 2, 3)
+        # (s - r)/(s + r) does not exist on the diagonal r + s = p
+        with pytest.raises(ZeroDivisionError):
+            _linked_x(5, 2, 3)
 
     def test_spec_object(self):
         # the specialized parameters (p, A, B, x) are validated on every call
@@ -70,14 +81,12 @@ class TestParameterShift:
                     )
 
     def test_recurrence_specialization(self):
-        # (A+B) (x+1)/2 P(A, B+1; x) == B P(A, B; x) + p-fold degree-p term
+        # (A+B) (x+1)/2 P(A, B+1; x) == B P(A, B; x) + p-fold degree-p term,
+        # at the linked argument and one step off it
         for p in (3, 5, 7):
             half = inv_mod(2, p)
-            for r in range(1, p):
-                for s in range(1, p):
-                    if (r + s) % p == 0:
-                        continue
-                    x = (s - r) * inv_mod(r + s, p) % p
+            for r, s, linked in linked_pairs(p):
+                for x in (linked, (linked + 1) % p):
                     a_poly = FpPoly([0, r], p)
                     b_poly = FpPoly([0, s], p)
                     lhs = (a_poly + b_poly) * ((x + 1) * half % p) * jacobi_pm1(
@@ -91,18 +100,29 @@ class TestParameterShift:
 
 class TestValueRoutes:
     # the integer-table routes the verifier compares, against pointwise
-    # evaluation of jacobi_for_pair and of jacobi_pm1 with B shifted by 1
+    # evaluation of jacobi_pm1 at the linked argument, with B shifted by 0 or 1
     @pytest.mark.parametrize("p", PRIMES)
     def test_plain_values_match_jacobi_for_pair(self, p):
-        for r, s, _ in linked_pairs(p):
-            want = jacobi_for_pair(p, r, s)
-            assert _jacobi_values(p, r, s) == [want.eval_int(t) for t in range(p)]
+        for r, s, x in linked_pairs(p):
+            want = linked_jacobi(p, r, s)
+            assert _jacobi_values(p, (r, 0), (s, 0), x) == values(want)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_shifted_values_match_jacobi_pm1(self, p):
         for r, s, x in linked_pairs(p):
-            want = jacobi_pm1(p, FpPoly([0, r], p), FpPoly([1, s], p), x)
-            assert _jacobi_values(p, r, s, 1) == [want.eval_int(t) for t in range(p)]
+            want = linked_jacobi(p, r, s, shift=1)
+            assert _jacobi_values(p, (r, 0), (s, 1), x) == values(want)
+
+    @pytest.mark.parametrize("p", (5, 7))
+    def test_values_match_jacobi_pm1_at_every_argument(self, p):
+        # JacobiShift's recurrence and JacobiReflection read arguments off
+        # the linked one
+        for r, s, _ in linked_pairs(p):
+            for shift in (0, 1):
+                for x in range(p):
+                    want = jacobi_pm1(p, FpPoly([0, r], p), FpPoly([shift, s], p), x)
+                    got = _jacobi_values(p, (r, 0), (s, shift), x)
+                    assert got == values(want)
 
 
 class TestLinkedArgumentCollapse:
@@ -118,11 +138,15 @@ class TestLinkedArgumentCollapse:
             assert (a_poly + b_poly) * ((x + 1) * half % p) == b_poly
 
     def test_off_the_linked_argument_the_term_survives(self):
-        p = 7
-        a_poly, b_poly = FpPoly([0, 1], p), FpPoly([0, 2], p)
-        linked = (2 - 1) * inv_mod(3, p) % p
-        other = (linked + 1) % p
-        assert not p_times_jacobi_p(p, a_poly, b_poly, other).is_zero
+        # at x + 1 the term is (a - a^p)(r + s)/2, so JacobiShift's recurrence
+        # there checks more than the shift does
+        for p in PRIMES:
+            half = inv_mod(2, p)
+            frob = FpPoly.x(p) - FpPoly.monomial(1, p, p)
+            for r, s, x in linked_pairs(p):
+                got = p_times_jacobi_p(p, FpPoly([0, r], p), FpPoly([0, s], p), x + 1)
+                assert got == frob * ((r + s) * half % p)
+                assert not got.is_zero
 
 
 class TestPTimesDegreeP:
@@ -173,17 +197,25 @@ class TestClassicalSanity:
 
 
 class TestReflection:
+    # the polynomial chain of the argument reflection, and the value vectors
+    # JacobiReflection compares in its place
     def test_examples(self):
-        assert jacobi_reflection_check(5, 2) is True
-        assert jacobi_reflection_check(7, 2) is True
+        for p in (5, 7):
+            chain = reflection_chain(p, 2)
+            assert chain[0] == chain[1] == chain[2]
+            assert chain[0] == b_rs(p, 1, 2) == b_rs(p, 1, p - 3)
 
     def test_all_legal_s(self):
         for p in (5, 7, 11):
             for s in range(1, p - 1):
-                assert jacobi_reflection_check(p, s) is True
+                chain = reflection_chain(p, s)
+                assert chain[0] == chain[1] == chain[2] == b_rs(p, 1, s)
+                assert chain[2] == b_rs(p, 1, p - 1 - s)
+                got = [vals for _, vals in _reflection_values(p, s)]
+                assert got == [values(f) for f in chain]
 
     def test_illegal_s_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi_reflection_check(5, 4)  # s = -1 mod 5
-        with pytest.raises(ValueError):
-            jacobi_reflection_check(5, 5)  # s = 0 mod 5
+        with pytest.raises(ZeroDivisionError):
+            _reflection_values(5, 4)  # s = -1 mod 5
+        with pytest.raises(ZeroDivisionError):
+            _reflection_values(5, 5)  # s = 0 mod 5

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from trunclog.bpoly import b_roots_predicted, b_rs
-from trunclog.errors import NotApplicable
 from trunclog.fields import ext_quadratic
 from trunclog.glog import glog
 from trunclog.polys import FpPoly, RatFn, _slot_typecode, _slots
@@ -151,20 +150,6 @@ class TestVerifyAll:
             return [dataclasses.replace(r, elapsed_ms=0) for r in rs]
 
         assert strip(verify_all(5)) == strip(verify_all(5))
-
-    def test_rejections_become_skips(self, monkeypatch):
-        import trunclog.verify as v
-
-        def boom(p, **kw):
-            raise NotApplicable("not applicable here")
-
-        monkeypatch.setitem(v._CHECKERS, TheoremId.FourTerm, boom)
-        reports = verify_all(3)
-        skipped = [r for r in reports if r.status == "skipped"]
-        assert len(skipped) == 1
-        assert skipped[0].theorem is TheoremId.FourTerm
-        assert skipped[0].witness is None
-        assert "not applicable" in skipped[0].notes
 
     def test_internal_value_error_propagates(self, monkeypatch):
         import trunclog.verify as v
@@ -456,7 +441,12 @@ class TestValueVectorTraps:
             return tuple(tuple(row) for row in rows)
 
         monkeypatch.setattr(v, "_binomial_table", bumped)
-        for tid in (TheoremId.BAltAgreement, TheoremId.JacobiLink, TheoremId.JacobiShift):
+        for tid in (
+            TheoremId.BAltAgreement,
+            TheoremId.JacobiLink,
+            TheoremId.JacobiShift,
+            TheoremId.JacobiReflection,
+        ):
             r = verify_theorem(p, tid)
             assert r.status == "fail" and r.witness is not None, tid
 
@@ -470,8 +460,44 @@ class TestValueVectorTraps:
         )
         r = verify_theorem(p, TheoremId.JacobiShift)
         assert r.status == "fail" and r.cases_checked == 1
+        # (r, s) = (1, 1) links x = 0; the recurrence is checked at x + 1
         assert r.witness["case"] == {
-            "r": 1, "s": 1, "identity": "parameter-shift recurrence",
+            "r": 1, "s": 1, "x": 1, "identity": "parameter-shift recurrence",
+        }
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_p_times_jacobi_p_zero_twin(self, monkeypatch, p):
+        # zero at every linked argument, but not at x + 1 where the
+        # recurrence is checked
+        import trunclog.verify as v
+
+        monkeypatch.setattr(v, "p_times_jacobi_p", lambda pp, *args: FpPoly.zero(pp))
+        r = verify_theorem(p, TheoremId.JacobiShift)
+        assert r.status == "fail" and r.cases_checked == 1
+        assert r.witness["case"] == {
+            "r": 1, "s": 1, "x": 1, "identity": "parameter-shift recurrence",
+        }
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("end, link", [
+        ("head", "b[1,s] = P(a, s*a; (s-1)/(s+1))"),
+        ("tail", "P(a, (-s-1)*a; (s+2)/s) = b[1,p-1-s]"),
+    ])
+    def test_b_bump_trips_reflection_naming_its_link(self, monkeypatch, p, end, link):
+        # bump b[1,1] or b[1,p-2]: the chain at s = 1 breaks at that end
+        import trunclog.verify as v
+
+        bumped_s = 1 if end == "head" else p - 2
+        monkeypatch.setattr(
+            v, "b_rs", lambda pp, r, s: b_rs(pp, r, s) + (1 if s == bumped_s else 0)
+        )
+        r = verify_theorem(p, TheoremId.JacobiReflection)
+        assert r.status == "fail" and r.cases_checked == 1
+        honest, broken = str(b_rs(p, 1, 1)), str(b_rs(p, 1, bumped_s) + 1)
+        assert r.witness == {
+            "case": {"s": 1, "link": link},
+            "lhs": broken if end == "head" else honest,
+            "rhs": honest if end == "head" else broken,
         }
 
     @pytest.mark.parametrize("p", [5, 7])
@@ -481,7 +507,9 @@ class TestValueVectorTraps:
 
         shift = FpPoly.monomial(1, p, p) - FpPoly.x(p)
         monkeypatch.setattr(v, "b_rs", lambda pp, r, s: b_rs(pp, r, s) + shift)
-        for tid in (TheoremId.BAltAgreement, TheoremId.JacobiLink):
+        for tid in (
+            TheoremId.BAltAgreement, TheoremId.JacobiLink, TheoremId.JacobiReflection
+        ):
             r = verify_theorem(p, tid)
             assert r.status == "fail" and r.cases_checked == 1, tid
             assert r.witness == {
@@ -528,22 +556,32 @@ class TestValueRouteAudit:
                 for s in range(1, p):
                     v._b_coeff_values(p, r, s)
                     if (r + s) % p:
+                        x = v._linked_x(p, r, s)
                         v._b_alt_values(p, r, s)
-                        v._jacobi_values(p, r, s)
-                        v._jacobi_values(p, r, s, 1)
+                        v._jacobi_values(p, (r, 0), (s, 0), x)
+                        v._jacobi_values(p, (r, 0), (s, 1), x)
+                        v._jacobi_values(p, (r, 0), (s, 0), x + 1)
+                        v._jacobi_values(p, (r, 0), (s, 1), x + 1)
+            for s in range(1, p - 1):
+                v._reflection_values(p, s)
 
         seen = _profiled_calls(routes)
         assert ("trunclog.verify", "_binomial_table") in seen
         assert ("trunclog.verify", "_sum_values") in seen
+        assert ("trunclog.verify", "_reflection_values") in seen
         assert _polynomial_layer(seen) == []
 
     def test_audit_sees_the_polynomial_routes(self):
         # the same audit on the polynomial routes finds both layers
         from trunclog.bpoly import b_rs_alt
-        from trunclog.jacobi import jacobi_for_pair
+        from trunclog.jacobi import jacobi_pm1
 
+        # x = 2 is the linked argument (2 - 1)/(2 + 1) for (r, s) = (1, 2)
+        a_poly, b_poly = FpPoly([0, 1], 5), FpPoly([0, 2], 5)
         found = _polynomial_layer(
-            _profiled_calls(lambda: (b_rs_alt(5, 1, 2), jacobi_for_pair(5, 1, 2)))
+            _profiled_calls(
+                lambda: (b_rs_alt(5, 1, 2), jacobi_pm1(5, a_poly, b_poly, 2))
+            )
         )
         assert ("trunclog.special", "binomials_of") in found
         assert any(name.startswith("FpPoly.") for _, name in found)
