@@ -9,7 +9,14 @@ Three construction routes are provided:
   * ``b_rs_coeff`` is the coefficient of X^(p-1) in the product of the two
                      truncated binomials (1 + X/r)^(r*a-1) (1 - X/s)^(s*a-1).
 
-The two sums are one call each to ``special.binomial_sum``.
+The two sums are one call each to ``special.binomial_sum``.  ``b_rs`` runs
+that sum only for row r = 1; row r != 1 is b[1, s/r](r*a), read through the
+cache and rescaled by ``subs_scale``.  The map sigma_r: a -> r*a sends
+C(a - 1, .), C(s'*a - 1, .) and the weight -1/s' to C(r*a - 1, .),
+C(r*s'*a - 1, .) and -r/(r*s'), so it sends b[1, s'] to b[r, r*s'].  That
+is p - 1 sums per prime instead of (p-1)^2.  ``b_rs`` stays the polynomial
+of record: the value routes of BAltAgreement and JacobiLink use neither
+``subs_scale`` nor FpPoly arithmetic and compare every (r, s) against it.
 
 For r + s = p the family degenerates to the zero polynomial; elsewhere the
 constant term is 1 and the degree of b[1,s] is (p-1)/2 with all roots simple
@@ -55,9 +62,9 @@ def b_rs(p: int, r: int, s: int) -> FpPoly:
 
 
 def _b_rs_build(p: int, r: int, s: int) -> FpPoly:
-    return binomial_sum(
-        FpPoly([-1, r], p), FpPoly([-1, s], p), 1, -r * inv_mod(s, p) % p
-    )
+    if r != 1:
+        return b_rs(p, 1, s * inv_mod(r, p) % p).subs_scale(r)
+    return binomial_sum(FpPoly([-1, 1], p), FpPoly([-1, s], p), 1, -inv_mod(s, p) % p)
 
 
 def b_rs_alt(p: int, r: int, s: int) -> FpPoly:

@@ -22,6 +22,13 @@ RightInverse forms no composition L(G(X)): it is proved from LeftInverse
 plus two Frobenius conditions (one for L, one for G) by the inverse-map
 lemma in ``_check_right_inverse``.
 
+LemmaProduct makes p - 1 grid products, not (p-1)^2: row r = 1 is computed,
+and a case (r, s) with r != 1 is counted as the image of the passed case
+(1, s/r) under the automorphism sigma_r: a -> r*a, X -> r*X, which keeps the
+ideal of X^p - (a^p - a).  That needs L_t = sigma_t(L_1) at the indices
+involved and b[r,s] = b[1, s/r](r*a); a case for which a condition fails
+is computed directly (``_check_lemma_product``).
+
 BAltAgreement and the three Jacobi checkers compare value vectors
 [f(0), ..., f(p-1)] on F_p.  Every b[r,s] route and every Jacobi sum with
 parameters linear in a is a sum of C(f, p-1-k) * C(g, k) times scalars, with
@@ -238,22 +245,52 @@ def _poly_grid(x: XPoly):
     return grid
 
 
+def _sigma(grid, t, p):
+    """sigma_t of a grid: row k -> t^k * row_k(t*a)."""
+    return [row.subs_scale(t) * pow(t, k, p) for k, row in enumerate(grid)]
+
+
 def _check_lemma_product(p, lag_fn=None):
+    """L_r(X) * L_s(X) = b[r,s](a) * L_{r+s}(X) mod X^p - (a^p - a) for every
+    (r, s), with 1 - a^(p-1) in place of the right side when r + s = p.
+
+    sigma_t (a -> t*a, X -> t*X) is a ring automorphism of F_p(a)[X] that
+    sends X^p - (a^p - a) to t * (X^p - (a^p - a)), since t^p = t, so it
+    keeps the ideal and maps a reduced product to the reduced product of the
+    images; sigma_r o sigma_u = sigma_{r*u}, and sigma_r fixes 1 - a^(p-1).
+    Row r = 1 is computed.  With sym[t] meaning L_t = sigma_t(L_1), a case
+    (r, s) with r != 1 is the sigma_r image of the passed case (1, s1),
+    s1 = s/r: L_r * L_s = sigma_r(L_1 * L_s1) when sym[r], sym[s] and sym[s1]
+    hold, and off the diagonal the right side sigma_r(b[1,s1] * L_{1+s1})
+    is b[r,s] * L_{r+s} when also sym[r+s], sym[1+s1] and
+    b[r,s] = b[1,s1](r*a).  Such a case is counted and not recomputed;
+    every other case is computed, so the first failing case, its witness
+    and the count (p-1)^2 are those of the direct loop over every case.
+    """
     lag_fn = laguerre_scaled if lag_fn is None else lag_fn
     cpoly = alpha_p_minus_alpha(p)
     w = w_poly(p)
     zero = FpPoly.zero(p)
     grids = {r: _poly_grid(lag_fn(p, r)) for r in range(1, p)}
+    sym = {t: grids[t] == _sigma(grids[1], t, p) for t in range(1, p)}
     cases = 0
     for r in range(1, p):
         for s in range(1, p):
             cases += 1
+            t = (r + s) % p
+            s1 = s * inv_mod(r, p) % p
+            if r != 1 and sym[r] and sym[s] and sym[s1] and (
+                t == 0
+                or sym[t] and sym[(1 + s1) % p]
+                and b_rs(p, r, s) == b_rs(p, 1, s1).subs_scale(r)
+            ):
+                continue
             prod = grid_mulmod(grids[r], grids[s], cpoly, p)
-            if (r + s) % p == 0:
+            if t == 0:
                 want = [w] + [zero] * (p - 1)
             else:
                 b = b_rs(p, r, s)
-                want = [b * g for g in grids[(r + s) % p]]
+                want = [b * g for g in grids[t]]
             if prod != want:
                 return cases, _witness(
                     {"r": r, "s": s},
@@ -567,6 +604,13 @@ def _binomial_table(p):
     return tuple(tuple(math.comb(x, m) % p for m in range(p)) for x in range(p))
 
 
+@functools.lru_cache(maxsize=None)
+def _weights(p, alpha, beta):
+    """alpha^(p-1-k) * beta^k mod p for k < p; the checkers repeat each
+    (alpha, beta) across many cases."""
+    return tuple(pow(alpha, p - 1 - k, p) * pow(beta, k, p) % p for k in range(p))
+
+
 def _sum_values(p, f, g, alpha, beta):
     """Values on F_p of sum_k C(f, p-1-k) C(g, k) alpha^(p-1-k) beta^k, the
     sum ``special.binomial_sum`` builds as a polynomial.
@@ -575,7 +619,7 @@ def _sum_values(p, f, g, alpha, beta):
     scalars.  Each point costs O(p) integer operations.
     """
     table = _binomial_table(p)
-    weights = [pow(alpha, p - 1 - k, p) * pow(beta, k, p) % p for k in range(p)]
+    weights = _weights(p, alpha % p, beta % p)
     out = []
     for t in range(p):
         left = reversed(table[(f[0] * t + f[1]) % p])

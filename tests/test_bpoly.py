@@ -13,9 +13,16 @@ from trunclog.bpoly import (
     b_rs_coeff,
     product_all_b,
 )
+from trunclog.fields import inv_mod
 from trunclog.polys import FpPoly, roots_and_split
-from trunclog.special import laguerre_const
-from trunclog.verify import _b_alt_values, _b_coeff_values, _binomial_table
+from trunclog.special import binomial_sum, laguerre_const, laguerre_pm1, laguerre_scaled
+from trunclog.verify import (
+    TheoremId,
+    _b_alt_values,
+    _b_coeff_values,
+    _binomial_table,
+    verify_theorem,
+)
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -75,6 +82,52 @@ class TestDefiningSum:
 
     def test_memoized(self):
         assert b_rs(5, 1, 1) is b_rs(5, 1, 1)
+
+
+class TestSigmaBuild:
+    # rows r != 1 are built as b[1, s/r](r*a); the defining sum is the oracle
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_every_member_equals_the_direct_sum(self, p):
+        for r in range(1, p):
+            for s in range(1, p):
+                direct = binomial_sum(
+                    FpPoly([-1, r], p), FpPoly([-1, s], p), 1, -r * inv_mod(s, p) % p
+                )
+                assert str(b_rs(p, r, s)) == str(direct), (r, s)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_scaled_exponential_is_sigma_of_the_base(self, p):
+        # sigma_r: a -> r*a, X -> r*X sends L_1 to L_r coefficient by coefficient
+        base = laguerre_pm1(p).coeffs
+        for r in range(1, p):
+            want = [c.num.subs_scale(r) * pow(r, k, p) for k, c in enumerate(base)]
+            got = laguerre_scaled(p, r).coeffs
+            assert all(c.den.is_one for c in got)
+            assert [c.num for c in got] == want, r
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_wrong_scale_trips_the_checkers(self, monkeypatch, p):
+        # scaling by -r instead of r: b[1,s] is not even (b(a) * b(-a) =
+        # 1 - a^(p-1) has simple roots), so every row r != 1 off the
+        # diagonal is wrong, and the first such case in ascending order is
+        # (2, 1), one past row 1
+        import trunclog.bpoly as bp
+
+        honest = bp._b_rs_build
+
+        def wrong_scale(pp, r, s):
+            if r == 1:
+                return honest(pp, r, s)
+            return b_rs(pp, 1, s * inv_mod(r, pp) % pp).subs_scale(-r)
+
+        monkeypatch.setattr(bp, "_b_rs_build", wrong_scale)
+        monkeypatch.setattr(bp, "_B_CACHE", {})
+        r = verify_theorem(p, TheoremId.BAltAgreement)
+        assert r.status == "fail" and r.cases_checked == p
+        assert r.witness["case"] == {"r": 2, "s": 1, "routes": "sum vs coefficient"}
+        r = verify_theorem(p, TheoremId.LemmaProduct)
+        assert r.status == "fail" and r.cases_checked == p
+        assert r.witness["case"] == {"r": 2, "s": 1}
 
 
 class TestAlternateRoutes:
@@ -257,15 +310,25 @@ class TestCsv:
 class TestCacheConcurrency:
     def test_concurrent_first_writers_agree(self):
         # idempotent inserts: many threads racing to build the same entries
-        # must all observe equal values
+        # must all observe equal values; the last row comes first, so rows
+        # r != 1 race each other into the row-1 builds they read
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
         import trunclog.bpoly as bp
 
         p = 13
-        keys = [(r, s) for r in range(1, p) for s in range(1, p)]
+        keys = [(r, s) for r in range(p - 1, 0, -1) for s in range(1, p)]
         bp._B_CACHE.clear()
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda rs: b_rs(p, *rs), keys * 2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda rs: b_rs(p, *rs), keys * 2))
+        finally:
+            sys.setswitchinterval(interval)
         for (r, s), f in zip(keys * 2, results):
-            assert f == b_rs(p, r, s)
+            direct = binomial_sum(
+                FpPoly([-1, r], p), FpPoly([-1, s], p), 1, -r * inv_mod(s, p) % p
+            )
+            assert f == direct, (r, s)

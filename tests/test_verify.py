@@ -246,6 +246,22 @@ class TestMutationTraps:
         # already involves the mutated scaled-by-2 object
         assert r.witness["case"] == {"r": 1, "s": 1}
 
+    def test_scaled_family_mutation_trips_power_formula(self):
+        p = 5
+        bad_scaled = _bumped_scaled(lambda pp: 2)
+        r = verify_theorem(p, TheoremId.PowerFormula, lag_fn=bad_scaled)
+        assert r.status == "fail" and r.witness is not None
+        assert r.witness["case"] == {"j": 2}
+
+    def test_glog_coefficient_bump_trips_reciprocal(self):
+        p = 5
+        g = glog(p)
+        c2 = g.coeff(2)
+        mutant = g.with_coeff(2, RatFn(c2.num + 1, c2.den))
+        r = verify_theorem(p, TheoremId.Reciprocal, g=mutant)
+        assert r.status == "fail" and r.witness is not None
+        assert r.witness["case"] == {"coefficient": 2}
+
     def test_trunc_binomial_mutation_trips_product_rule(self, monkeypatch):
         import trunclog.verify as v
         from trunclog.special import trunc_binomial
@@ -293,6 +309,143 @@ class TestMutationTraps:
             "lhs": f"degree {p - 1}, roots with multiplicity {doubled}",
             "rhs": f"degree {(p - 1) // 2}, simple roots {predicted}",
         }
+
+
+# LemmaProduct computes row r = 1 and skips a case (r, s) with r != 1 only as
+# the sigma_r image of a passed case; the direct loop over every case below is
+# the oracle it must match, mutation by mutation.
+
+def _lemma_product_direct(p, lag_fn, b_fn):
+    """(status, cases_checked, witness) of L_r * L_s = b[r,s] * L_{r+s}
+    checked by one grid product per case."""
+    from trunclog.quotient import grid_mulmod, grid_to_xpoly, xpoly_to_grid
+    from trunclog.special import w_poly
+
+    cpoly = alpha_p_minus_alpha(p)
+    zero = FpPoly.zero(p)
+    grids = {r: xpoly_to_grid(lag_fn(p, r)) for r in range(1, p)}
+    cases = 0
+    for r in range(1, p):
+        for s in range(1, p):
+            cases += 1
+            prod = grid_mulmod(grids[r], grids[s], cpoly, p)
+            if (r + s) % p == 0:
+                want = [w_poly(p)] + [zero] * (p - 1)
+            else:
+                want = [b_fn(p, r, s) * g for g in grids[(r + s) % p]]
+            if prod != want:
+                witness = {
+                    "case": {"r": r, "s": s},
+                    "lhs": str(grid_to_xpoly(prod, p)),
+                    "rhs": str(grid_to_xpoly(want, p)),
+                }
+                return "fail", cases, witness
+    return "pass", cases, None
+
+
+def _bumped_scaled(at):
+    from trunclog.special import laguerre_scaled
+
+    def lag_fn(pp, r):
+        x = laguerre_scaled(pp, r)
+        if r != at(pp):
+            return x
+        coeffs = list(x.coeffs)
+        coeffs[0] = coeffs[0] + 1
+        return XPoly(coeffs, pp)
+
+    return lag_fn
+
+
+def _bumped_b(at):
+    def b_fn(pp, r, s):
+        return b_rs(pp, r, s) + (1 if (r, s) == at(pp) else 0)
+
+    return b_fn
+
+
+LEMMA_PRODUCT_MUTATIONS = {
+    "none": (None, None),
+    "lag at r=1": (_bumped_scaled(lambda p: 1), None),
+    "lag at r=2": (_bumped_scaled(lambda p: 2), None),
+    "lag at r=p-1": (_bumped_scaled(lambda p: p - 1), None),
+    "b at (2,2)": (None, _bumped_b(lambda p: (2, 2))),
+    "b at (1,p-2)": (None, _bumped_b(lambda p: (1, p - 2))),
+}
+
+
+class TestLemmaProductOracle:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("mutation", sorted(LEMMA_PRODUCT_MUTATIONS))
+    def test_matches_the_direct_loop(self, monkeypatch, p, mutation):
+        import trunclog.verify as v
+        from trunclog.special import laguerre_scaled
+
+        lag_fn, b_fn = LEMMA_PRODUCT_MUTATIONS[mutation]
+        if b_fn is not None:
+            monkeypatch.setattr(v, "b_rs", b_fn)
+        want = _lemma_product_direct(p, lag_fn or laguerre_scaled, b_fn or b_rs)
+        r = verify_theorem(p, TheoremId.LemmaProduct, lag_fn=lag_fn)
+        assert (r.status, r.cases_checked, r.witness) == want
+        assert (want[0] == "pass") == (mutation == "none")
+
+    # A twisted family L'_t = f_t * L_t with f_1 = 1 and f_t * f_(p-t) = 1,
+    # and b'[r,s] = b[r,s] * f_r * f_s / f_(r+s), satisfies every case.  Only
+    # the case (r0, s0) below takes the value sigma_r0(b'[1,s1]) instead, so
+    # it is the one failing case, and f_u != 1 at one u breaks exactly the
+    # symmetry condition named: (r0, s0) is not a sigma image, and skipping
+    # it would pass.  Each u occurs once among r0, s0, s1, r0 + s0, 1 + s1,
+    # and p - u among none of them; u != p - 1 keeps f_1 = 1 (p = 7).
+    @pytest.mark.parametrize("condition, r0, s0, u", [
+        ("sym[r]", 2, 6, 2),
+        ("sym[s]", 2, 3, 3),
+        ("sym[s1]", 3, 1, 5),
+        ("sym[r+s]", 2, 2, 4),
+        ("sym[1+s1]", 3, 3, 2),
+    ])
+    def test_each_symmetry_condition_is_needed(self, monkeypatch, condition, r0, s0, u):
+        import trunclog.verify as v
+        from trunclog.fields import inv_mod
+        from trunclog.special import laguerre_scaled
+
+        p = 7
+        f = {t: 1 for t in range(1, p)}
+        f[u], f[p - u] = 3, inv_mod(3, p)
+        s1 = s0 * inv_mod(r0, p) % p
+
+        def lag_fn(pp, t):
+            return XPoly([c * f[t] for c in laguerre_scaled(pp, t).coeffs], pp)
+
+        def b_fn(pp, r, s):
+            t = (r + s) % pp
+            if t == 0:
+                return b_rs(pp, r, s)
+            if (r, s) == (r0, s0):
+                return b_rs(pp, r, s) * f[s1] * inv_mod(f[(1 + s1) % pp], pp)
+            return b_rs(pp, r, s) * f[r] * f[s] * inv_mod(f[t], pp)
+
+        monkeypatch.setattr(v, "b_rs", b_fn)
+        want = _lemma_product_direct(p, lag_fn, b_fn)
+        assert want[:2] == ("fail", (r0 - 1) * (p - 1) + s0)
+        assert want[2]["case"] == {"r": r0, "s": s0}
+        r = verify_theorem(p, TheoremId.LemmaProduct, lag_fn=lag_fn)
+        assert (r.status, r.cases_checked, r.witness) == want
+
+    def test_skips_grid_products_off_row_one(self, monkeypatch):
+        # p - 1 products for row 1; every other case is a sigma_r image
+        import trunclog.verify as v
+
+        calls = []
+        orig = v.grid_mulmod
+
+        def counted(*args):
+            calls.append(1)
+            return orig(*args)
+
+        monkeypatch.setattr(v, "grid_mulmod", counted)
+        r = verify_theorem(7, TheoremId.LemmaProduct)
+        assert r.status == "pass" and r.cases_checked == 36
+        assert len(calls) == 6
 
 
 # Traps for RightInverse.  The input traps change what the identity is about:
