@@ -18,8 +18,9 @@ polynomial.
 ``laguerre_const`` is the constant obtained by substituting a -> a^p in the
 coefficients and X -> a^p - a.  ``laguerre_const_routes`` computes it by that
 substitution and by the product formula prod_{k=1}^{p-1} (1 + a/k)^k, once
-per prime; ``laguerre_const`` asserts the two equal and LFactorization
-compares the same pair, so the factorization identity is a permanent check.
+per prime, each route in its own function so that the two can be audited
+apart; ``laguerre_const`` asserts the two equal and LFactorization compares
+the same pair, so the factorization identity is a permanent check.
 """
 
 from __future__ import annotations
@@ -138,6 +139,12 @@ def w_poly(p: int) -> FpPoly:
 def laguerre_const_routes(p: int):
     """Both routes to the modulus constant: (substitution, product formula)."""
     check_odd_prime(p)
+    return _lc_by_substitution(p), _lc_by_product(p)
+
+
+def _lc_by_substitution(p: int) -> FpPoly:
+    """-sum_k (a^p - 1)_(p-1-k) * (a^p - a)^k: L's coefficients at a -> a^p,
+    evaluated at X = a^p - a."""
     ap_minus_1 = FpPoly.monomial(1, p, p) - 1
     ff = _falling_factorials(ap_minus_1, p - 1)
     arg = alpha_p_minus_alpha(p)
@@ -147,10 +154,15 @@ def laguerre_const_routes(p: int):
         total = total - ff[p - 1 - k] * arg_pow
         if k < p - 1:
             arg_pow = arg_pow * arg
+    return total
+
+
+def _lc_by_product(p: int) -> FpPoly:
+    """prod_{k=1}^{p-1} (1 + a/k)^k."""
     prod = FpPoly.one(p)
     for k in range(1, p):
         prod = prod * (FpPoly([1, inv_mod(k, p)], p) ** k)
-    return total, prod
+    return prod
 
 
 def laguerre_const(p: int) -> FpPoly:

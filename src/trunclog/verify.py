@@ -41,6 +41,14 @@ record, is the one route through both, and its degree is checked to be at
 most p-1 before its values are compared.  A failing route is interpolated
 back to a polynomial for the witness.
 
+PowersFunctional compares split forms.  Lc and every b[1,s] with s <= p-2
+split into linear factors over F_p, so each is bound once to a form
+lead * prod_t (a - t)^e[t]: ``roots_and_split`` gives it, and it must
+re-expand to the polynomial of record, or that factor is the witness.  F_p[a]
+has unique factorisation, so two nonzero products of bound forms are equal
+iff their leads and exponent vectors are; products, powers and a -> h*a act
+on the vectors, and polynomials are rebuilt only for a witness.
+
 A few checkers accept keyword overrides (g=, lag=, lag_fn=, b_fn=) so the
 test suite can inject single-site mutations and watch the battery trip.
 
@@ -435,29 +443,106 @@ def _check_reciprocal(p, g=None):
     return 1, None, None
 
 
+# A split form (lead, e) stands for lead * prod_t (a - t)^e[t] over t in F_p;
+# the module docstring says why comparing split forms is exact.
+
+
+def _bound_split_form(name, f):
+    """(f's split form, None), or (None, witness) when f is zero, does not
+    split over F_p, or its form does not re-expand to f."""
+    p = f.p
+    if f.is_zero:
+        return None, _witness({"factor": name}, f, "nonzero")
+    try:
+        lead, roots = roots_and_split(f)
+    except NonSplitError as exc:
+        return None, _witness({"factor": name}, exc.remainder, "split")
+    form = lead, tuple(roots.get(t, 0) for t in range(p))
+    expanded = _expand(form, p)
+    if expanded != f:
+        return None, _witness({"factor": name}, expanded, f)
+    return form, None
+
+
+def _expand(form, p):
+    """The polynomial lead * prod_t (a - t)^e[t] of a split form."""
+    lead, e = form
+    out = FpPoly.const(lead, p)
+    for t, m in enumerate(e):
+        if m:
+            out = out * FpPoly([-t, 1], p) ** m
+    return out
+
+
+def _form_subs_scale(form, h, p):
+    """The form of f(h*a): h*a - t = h * (a - t/h), so e'[u] = e[h*u] and the
+    lead gains h^deg."""
+    lead, e = form
+    return lead * pow(h, sum(e), p) % p, tuple(e[h * u % p] for u in range(p))
+
+
 def _check_powers_functional(p):
+    """The power-substitution equation for G, one case per h, compared at
+    every X^rem with rem = h*k mod p, k = 1..p-1, cross-multiplied as
+
+        (1/k) * Lc^q * Q_rem  ==  (h/rem) * P_h^k * Q_k(h*a),
+
+    q = h*k // p, Q_j = prod_{s<j} b[1,s], P_h = Q_h.  Lc and every b[1,s]
+    are bound to split forms once (``_bound_split_form``), so each side is a
+    lead times an exponent vector over the factors a - t: products add the
+    vectors, powers scale them and the scalars go on the leads.  A case
+    passes iff both leads and both vectors are equal.  The first failing
+    case's witness shows both sides rebuilt as polynomials from Lc and the
+    b[1,s] of record; a factor that fails to bind is the witness instead.
+    """
     lc = laguerre_const(p)
-    pre = b_prefix_products(p)
-    lc_pows = [FpPoly.one(p)]
-    for _ in range(p - 1):
-        lc_pows.append(lc_pows[-1] * lc)
+    bs = [b_rs(p, 1, s) for s in range(1, p - 1)]
+    lc_form, bad = _bound_split_form("Lc", lc)
+    if bad:
+        return 1, bad, None
+    pre = [(1, (0,) * p)]
+    for s, b in enumerate(bs, 1):
+        form, bad = _bound_split_form(f"b[1,{s}]", b)
+        if bad:
+            return 1, bad, None
+        lead, e = pre[-1]
+        pre.append((lead * form[0] % p, [c + d for c, d in zip(e, form[1])]))
+    lc_lead, lc_e = lc_form
     cases = 0
     for h in range(1, p):
         cases += 1
-        pre_h = [f.subs_scale(h) for f in pre]
-        p_h = pre[h - 1]
-        ph_pow = FpPoly.one(p)
+        pre_h = [_form_subs_scale(f, h, p) for f in pre]
+        h_lead, h_e = pre[h - 1]
         for k in range(1, p):
-            ph_pow = ph_pow * p_h
             rem = h * k % p
             q = h * k // p
-            # cross-multiplied coefficient comparison at X^rem:
-            #   (1/k) Lc^q / (P_h^k Q_k)  ==  (h/rem) / prod_{s<rem} b[1,s]
-            lhs = lc_pows[q] * inv_mod(k, p) * pre[rem - 1]
-            rhs = ph_pow * pre_h[k - 1] * (h * inv_mod(rem, p) % p)
+            r_lead, r_e = pre[rem - 1]
+            s_lead, s_e = pre_h[k - 1]
+            lhs = (
+                pow(lc_lead, q, p) * inv_mod(k, p) * r_lead % p,
+                [q * c + d for c, d in zip(lc_e, r_e)],
+            )
+            rhs = (
+                pow(h_lead, k, p) * s_lead * h * inv_mod(rem, p) % p,
+                [k * c + d for c, d in zip(h_e, s_e)],
+            )
             if lhs != rhs:
-                return cases, _witness({"h": h, "k": k}, lhs, rhs), None
+                return cases, _witness(
+                    {"h": h, "k": k}, *_powers_sides(p, lc, bs, h, k)
+                ), None
     return cases, None, None
+
+
+def _powers_sides(p, lc, bs, h, k):
+    """Both sides of case (h, k) of ``_check_powers_functional`` as
+    polynomials, for its witness."""
+    pre = [FpPoly.one(p)]
+    for b in bs:
+        pre.append(pre[-1] * b)
+    rem = h * k % p
+    lhs = lc ** (h * k // p) * inv_mod(k, p) * pre[rem - 1]
+    rhs = pre[h - 1] ** k * pre[k - 1].subs_scale(h) * (h * inv_mod(rem, p) % p)
+    return lhs, rhs
 
 
 def _check_powers_h_pm1(p):

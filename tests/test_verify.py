@@ -448,6 +448,180 @@ class TestLemmaProductOracle:
         assert len(calls) == 6
 
 
+# PowersFunctional compares split forms, a lead times an exponent vector over
+# the factors a - t, bound once to Lc and the b[1,s] of record; the
+# polynomial loop below is the oracle it must match, mutation by mutation.
+
+def _powers_functional_direct(p):
+    """(status, cases_checked, witness) of the power-substitution equation
+    checked by cross-multiplied polynomials, from verify's Lc and b_rs."""
+    import trunclog.verify as v
+    from trunclog.fields import inv_mod
+
+    lc = v.laguerre_const(p)
+    pre = [FpPoly.one(p)]
+    for s in range(1, p - 1):
+        pre.append(pre[-1] * v.b_rs(p, 1, s))
+    lc_pows = [FpPoly.one(p)]
+    for _ in range(p - 1):
+        lc_pows.append(lc_pows[-1] * lc)
+    cases = 0
+    for h in range(1, p):
+        cases += 1
+        pre_h = [f.subs_scale(h) for f in pre]
+        ph_pow = FpPoly.one(p)
+        for k in range(1, p):
+            ph_pow = ph_pow * pre[h - 1]
+            rem = h * k % p
+            q = h * k // p
+            lhs = lc_pows[q] * inv_mod(k, p) * pre[rem - 1]
+            rhs = ph_pow * pre_h[k - 1] * (h * inv_mod(rem, p) % p)
+            if lhs != rhs:
+                witness = {"case": {"h": h, "k": k}, "lhs": str(lhs), "rhs": str(rhs)}
+                return "fail", cases, witness
+    return "pass", cases, None
+
+
+def _b_times(at, t):
+    """b_rs with the one factor b[1, at(p)] multiplied by (a - t)."""
+    def b_fn(pp, r, s):
+        f = b_rs(pp, r, s)
+        return f * FpPoly([-t, 1], pp) if (r, s) == (1, at(pp)) else f
+
+    return b_fn
+
+
+def _non_residue(p):
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+
+# name: (verify.laguerre_const, verify.b_rs), None for the library's own
+POWERS_FUNCTIONAL_MUTATIONS = {
+    "none": (None, None),
+    "Lc times 2": (lambda pp: laguerre_const(pp) * 2, None),
+    "b[1,1] times (a - 1)": (None, _b_times(lambda p: 1, 1)),
+    "b[1,p-2] times a": (None, _b_times(lambda p: p - 2, 0)),
+}
+
+
+def _patch_records(monkeypatch, lc_fn=None, b_fn=None):
+    import trunclog.verify as v
+
+    if lc_fn is not None:
+        monkeypatch.setattr(v, "laguerre_const", lc_fn)
+    if b_fn is not None:
+        monkeypatch.setattr(v, "b_rs", b_fn)
+
+
+class TestPowersFunctionalOracle:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("mutation", sorted(POWERS_FUNCTIONAL_MUTATIONS))
+    def test_matches_the_polynomial_loop(self, monkeypatch, p, mutation):
+        _patch_records(monkeypatch, *POWERS_FUNCTIONAL_MUTATIONS[mutation])
+        want = _powers_functional_direct(p)
+        r = verify_theorem(p, TheoremId.PowersFunctional)
+        assert (r.status, r.cases_checked, r.witness) == want
+        assert (want[0] == "pass") == (mutation == "none")
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_non_split_lc_fails_naming_its_factor(self, monkeypatch, p):
+        quadratic = FpPoly([-_non_residue(p), 0, 1], p)
+        _patch_records(monkeypatch, lambda pp: laguerre_const(pp) * quadratic)
+        r = verify_theorem(p, TheoremId.PowersFunctional)
+        assert (r.status, r.cases_checked) == ("fail", 1)
+        assert r.witness == {
+            "case": {"factor": "Lc"}, "lhs": str(quadratic), "rhs": "split",
+        }
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_zero_b_fails_naming_its_factor(self, monkeypatch, p):
+        s0 = p - 2
+
+        def b_fn(pp, r, s):
+            return FpPoly.zero(pp) if (r, s) == (1, s0) else b_rs(pp, r, s)
+
+        _patch_records(monkeypatch, b_fn=b_fn)
+        r = verify_theorem(p, TheoremId.PowersFunctional)
+        assert (r.status, r.cases_checked) == ("fail", 1)
+        assert r.witness == {
+            "case": {"factor": f"b[1,{s0}]"}, "lhs": "0", "rhs": "nonzero",
+        }
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_binding_check_catches_a_dropped_root(self, monkeypatch, p):
+        # a split that loses a root leaves a form that is not Lc; only the
+        # re-expansion against the record can tell
+        import trunclog.verify as v
+
+        orig = v.roots_and_split
+
+        def drops_a_root(f):
+            lead, roots = orig(f)
+            roots = dict(roots)
+            del roots[min(roots)]
+            return lead, roots
+
+        monkeypatch.setattr(v, "roots_and_split", drops_a_root)
+        r = verify_theorem(p, TheoremId.PowersFunctional)
+        assert (r.status, r.cases_checked) == ("fail", 1)
+        assert r.witness["case"] == {"factor": "Lc"}
+        assert r.witness["rhs"] == str(laguerre_const(p))
+        assert r.witness["lhs"] != r.witness["rhs"]
+
+
+class TestPowersHEqualsPMinus1Trap:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_lc_times_unit_fails(self, monkeypatch, p):
+        _patch_records(monkeypatch, lambda pp: laguerre_const(pp) * 2)
+        r = verify_theorem(p, TheoremId.PowersHEqualsPMinus1)
+        assert (r.status, r.cases_checked) == ("fail", 1)
+        assert r.witness["case"] == {"k": 1}
+        assert r.witness["rhs"] == str(laguerre_const(p) * 2)
+
+
+SPLIT_PRIMES = [3, 5, 7, 11, 13, 17, 19]
+
+
+class TestSplitForms:
+    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    def test_lc_form_is_the_product_route(self, p):
+        # Lc = prod_k (1 + a/k)^k = prod_k k^(-k) (a - (p-k))^k
+        import trunclog.verify as v
+        from trunclog.fields import inv_mod
+
+        form, bad = v._bound_split_form("Lc", laguerre_const(p))
+        assert bad is None
+        lead = math.prod(pow(inv_mod(k, p), k, p) for k in range(1, p)) % p
+        assert form == (lead, (0,) + tuple(p - t for t in range(1, p)))
+
+    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    def test_every_b_re_expands_to_its_record(self, p):
+        import trunclog.verify as v
+
+        for s in range(1, p - 1):
+            form, bad = v._bound_split_form(f"b[1,{s}]", b_rs(p, 1, s))
+            assert bad is None
+            assert v._expand(form, p) == b_rs(p, 1, s)
+            assert sorted(form[1]) == [0] * ((p + 1) // 2) + [1] * ((p - 1) // 2)
+
+    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    def test_subs_scale_matches_the_polynomial(self, p):
+        import random
+
+        import trunclog.verify as v
+
+        rng = random.Random(p)
+        forms = [v._bound_split_form("Lc", laguerre_const(p))[0]]
+        forms += [
+            (rng.randrange(1, p), tuple(rng.randrange(3) for _ in range(p)))
+            for _ in range(3)
+        ]
+        for form in forms:
+            poly = v._expand(form, p)
+            for h in range(1, p):
+                assert v._expand(v._form_subs_scale(form, h, p), p) == poly.subs_scale(h)
+
+
 # Traps for RightInverse.  The input traps change what the identity is about:
 # a broken G or L passed as a twin, or a tampered constant Lc.  The internal
 # traps leave the inputs alone and tamper one part of the proof instead.
@@ -768,6 +942,50 @@ class TestCCoefficientsRouteAudit:
         monkeypatch.setattr(ps, "lag_coeffs_at", via_special)
         seen = _profiled_calls(lambda: verify_c_coefficients(5, pair_budget=1))
         assert ("trunclog.special", "laguerre_pm1") in _library_routes(seen)
+
+
+def _above_the_basics(seen):
+    """Library functions outside the fields and polys basics."""
+    return {
+        (mod, name) for mod, name in seen
+        if mod and mod.startswith("trunclog.")
+        and mod not in ("trunclog.fields", "trunclog.polys")
+    }
+
+
+def _shared_lc_routes(p):
+    """What the two routes to the modulus constant both enter above the
+    basics, each route audited on its own."""
+    import trunclog.special as special
+
+    sub = _above_the_basics(_profiled_calls(lambda: special._lc_by_substitution(p)))
+    prod = _above_the_basics(_profiled_calls(lambda: special._lc_by_product(p)))
+    return sub & prod
+
+
+class TestLFactorizationRouteAudit:
+    def test_routes_share_nothing_above_the_basics(self):
+        import trunclog.special as special
+
+        # the cached pair LFactorization compares is built by the two routes
+        seen = _profiled_calls(lambda: special.laguerre_const_routes.__wrapped__(5))
+        assert ("trunclog.special", "_lc_by_substitution") in seen
+        assert ("trunclog.special", "_lc_by_product") in seen
+        assert _shared_lc_routes(5) == set()
+
+    def test_audit_sees_a_shared_route(self, monkeypatch):
+        # the same audit flags a product route that reads the substitution's
+        # falling factorials
+        import trunclog.special as special
+
+        orig = special._lc_by_product
+
+        def via_falling_factorials(p):
+            special._falling_factorials(FpPoly.x(p), 2)
+            return orig(p)
+
+        monkeypatch.setattr(special, "_lc_by_product", via_falling_factorials)
+        assert ("trunclog.special", "_falling_factorials") in _shared_lc_routes(5)
 
 
 class TestCCoefficients:
