@@ -20,11 +20,9 @@ from .errors import NonSplitError, PoleError, TheoremViolationError
 from .fields import (
     Ext2Field,
     binom_lucas,
-    binom_of_poly,
     check_odd_prime,
     ext_quadratic,
     inv_mod,
-    pochhammer,
 )
 from .polys import FpPoly, RatFn, roots_and_split
 from .quotient import XPoly, compose_mod
@@ -83,7 +81,6 @@ __all__ = [
     "b_rs_alt",
     "b_rs_coeff",
     "binom_lucas",
-    "binom_of_poly",
     "check_odd_prime",
     "compose_mod",
     "ext_quadratic",
@@ -98,7 +95,6 @@ __all__ = [
     "laguerre_pm1",
     "laguerre_scaled",
     "p_times_jacobi_p",
-    "pochhammer",
     "product_all_b",
     "reciprocal_rhs",
     "roots_and_split",

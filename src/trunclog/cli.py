@@ -17,7 +17,13 @@ from .bpoly import CSV_HEADER, b_roots_csv_rows, b_rs
 from .fields import _is_prime
 from .glog import glog
 from .special import finite_polylog, laguerre_pm1
-from .verify import TheoremId, coerce_theorem, verify_all, verify_theorem
+from .verify import (
+    check_pair_budget,
+    checker_options,
+    coerce_theorem,
+    verify_all,
+    verify_theorem,
+)
 
 
 def _parse_primes(spec: str):
@@ -55,8 +61,7 @@ class CliConfig:
         pairs = getattr(args, "pairs", None)
         if pairs is not None and pairs != "exhaustive":
             pairs = int(pairs)
-            if pairs < 1:
-                raise ValueError(f"--pairs must be >= 1 or 'exhaustive', got {pairs}")
+        check_pair_budget(pairs)
         target = getattr(args, "target", None) or getattr(args, "theorem", "all")
         if args.command == "verify" and target != "all":
             coerce_theorem(target)
@@ -163,10 +168,8 @@ def _run_verify(config: CliConfig) -> int:
             reports.extend(verify_all(p, c_pairs=config.pairs, seed=config.seed))
         else:
             tid = coerce_theorem(config.target)
-            overrides = {}
-            if tid is TheoremId.CCoefficients:
-                overrides = {"pair_budget": config.pairs, "seed": config.seed}
-            reports.append(verify_theorem(p, tid, **overrides))
+            options = checker_options(tid, config.pairs, config.seed)
+            reports.append(verify_theorem(p, tid, **options))
     if config.format == "json":
         objs = [r.to_json_dict() for r in reports]
         print(json.dumps(objs[0] if len(objs) == 1 else objs, indent=2))

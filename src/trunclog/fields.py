@@ -1,10 +1,12 @@
-"""Prime-field scalars, a quadratic extension field, and binomial combinatorics.
+"""Prime-field scalars, a quadratic extension field, and binomials mod p.
 
 An element of F_p is a plain int in [0, p), the modulus a runtime argument:
 one build serves every odd prime, with primality checked once per modulus by
 trial division (desk-scale p).  ``ext_quadratic(p)`` constructs F_{p^2} as
 F_p[t]/(t^2 - n) with n the smallest quadratic non-residue mod p; any
 irreducible quadratic would do, this choice makes outputs reproducible.
+``binom_lucas`` is the integer binomial mod p; binomials of a polynomial
+argument are built in ``special`` (``binomials_of``).
 
 All values are immutable and all operations are pure functions, so everything
 here is safe to share between threads without synchronization.
@@ -80,32 +82,6 @@ def binom_lucas(n: int, k: int, p: int) -> int:
     return out
 
 
-def pochhammer(f, m: int):
-    """Falling product f(f-1)...(f-m+1); the empty product (m = 0) is 1.
-
-    Works uniformly for int, FpPoly and RatFn operands, which all support
-    subtraction of an int and multiplication; an int product is not reduced.
-    """
-    if m < 0:
-        raise ValueError("pochhammer requires m >= 0")
-    out = f ** 0
-    for j in range(m):
-        out = out * (f - j)
-    return out
-
-
-def binom_of_poly(f, k: int):
-    """Binomial C(f, k) = (f)_k / k! with f an FpPoly or RatFn.
-
-    Requires 0 <= k < p so that k! is invertible mod p.
-    """
-    p = f.p
-    if not 0 <= k < p:
-        raise ValueError(f"binomial lower index must satisfy 0 <= k < p, got {k}")
-    _, inv_fact = _factorials(p)
-    return pochhammer(f, k) * inv_fact[k]
-
-
 class Ext2Field:
     """Descriptor for F_{p^2} with arithmetic on raw (c0, c1) int pairs."""
 
@@ -117,12 +93,6 @@ class Ext2Field:
 
     def __setattr__(self, name, value):
         raise AttributeError("Ext2Field is immutable")
-
-    def minpoly(self):
-        """The monic irreducible quadratic t^2 - n as an FpPoly."""
-        from .polys import FpPoly
-
-        return FpPoly([-self.nonres, 0, 1], self.p, var="t")
 
     # -- raw tuple arithmetic ------------------------------------------------
 

@@ -59,18 +59,14 @@ class GLog:
             raise ValueError(f"coefficient index out of range: {k}")
         return self.coeffs[k - 1]
 
-    def as_xpoly(self, modulus=None) -> XPoly:
-        return XPoly((RatFn.zero(self.p),) + self.coeffs, self.p, modulus)
+    def as_xpoly(self) -> XPoly:
+        return XPoly((RatFn.zero(self.p),) + self.coeffs, self.p)
 
     def with_coeff(self, k: int, value: RatFn) -> "GLog":
         """A copy with coefficient k replaced; used to build broken twins."""
         new = list(self.coeffs)
         new[k - 1] = value
         return GLog(self.p, new)
-
-    def subs_scale(self, h: int) -> "GLog":
-        """Parameter substitution a -> h*a in every coefficient."""
-        return GLog(self.p, [c.subs_scale(h) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, GLog):

@@ -181,9 +181,6 @@ class FpPoly:
     def lead(self):
         return self.coeffs[-1] if self.coeffs else 0
 
-    def coeff(self, e) -> int:
-        return self.coeffs[e] if 0 <= e < len(self.coeffs) else 0
-
     def monic(self):
         if self.is_zero or self.lead == 1:
             return self
@@ -273,9 +270,6 @@ class FpPoly:
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def gcd(self, other):
         """Monic greatest common divisor."""
         oc = self._other_coeffs(other)
@@ -292,11 +286,6 @@ class FpPoly:
         for c in reversed(self.coeffs):
             out = (out * a + c) % p
         return out
-
-    def derivative(self):
-        p = self.p
-        out = [i * c % p for i, c in enumerate(self.coeffs)][1:]
-        return FpPoly._raw(_trim(out), p, self.var)
 
     def compose(self, g: "FpPoly") -> "FpPoly":
         """Substitution self(g) by Horner."""
@@ -373,22 +362,24 @@ def roots_and_split(f: FpPoly):
     """
     if f.is_zero:
         raise ValueError("cannot split the zero polynomial")
-    g = f.monic()
+    g = f.monic().coeffs
     p = f.p
     roots: dict[int, int] = {}
     for a in range(p):
-        while g.degree > 0 and g.eval_int(a) == 0:
-            # synthetic division by (var - a)
-            coeffs = g.coeffs
-            out = [0] * (len(coeffs) - 1)
+        while len(g) > 1:
+            # synthetic division by (var - a); its remainder is g(a), and the
+            # quotient of a monic g is monic, so needs no trimming
+            q = [0] * (len(g) - 1)
             acc = 0
-            for i in range(len(coeffs) - 1, 0, -1):
-                acc = (acc * a + coeffs[i]) % p
-                out[i - 1] = acc
-            g = FpPoly._raw(_trim(out), p, g.var)
+            for i in range(len(g) - 1, 0, -1):
+                acc = (acc * a + g[i]) % p
+                q[i - 1] = acc
+            if (acc * a + g[0]) % p:
+                break
+            g = q
             roots[a] = roots.get(a, 0) + 1
-    if g.degree > 0:
-        raise NonSplitError(g)
+    if len(g) > 1:
+        raise NonSplitError(FpPoly._raw(tuple(g), p, f.var))
     return f.lead, roots
 
 
@@ -425,14 +416,14 @@ def values(f: FpPoly):
     return [sum(map(operator.mul, coeffs, row)) % p for row in _power_rows(p)]
 
 
-def interpolate(vals, p, var="a") -> FpPoly:
+def interpolate(vals, p) -> FpPoly:
     """The unique polynomial of degree at most p-1 with the given value vector
     [f(0), ..., f(p-1)], by the Lagrange basis of ``_lagrange_columns``."""
     vals = list(vals)
     if len(vals) != p:
         raise ValueError(f"need {p} values, got {len(vals)}")
     coeffs = [sum(map(operator.mul, vals, col)) % p for col in _lagrange_columns(p)]
-    return FpPoly._raw(_trim(coeffs), p, var)
+    return FpPoly._raw(_trim(coeffs), p, "a")
 
 
 class RatFn:
@@ -508,10 +499,6 @@ class RatFn:
     def zero(cls, p, var="a"):
         return cls._raw(FpPoly.zero(p, var), FpPoly.one(p, var))
 
-    @classmethod
-    def one(cls, p, var="a"):
-        return cls.from_poly(FpPoly.one(p, var))
-
     @property
     def p(self):
         return self.num.p
@@ -574,29 +561,12 @@ class RatFn:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by the zero fraction")
-        return RatFn(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __neg__(self):
         return RatFn._raw(-self.num, self.den)
 
     def __pow__(self, e: int):
-        if e < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return (RatFn.one(self.p, self.var) / self) ** (-e)
-        # num and den stay coprime under powering; den stays monic
+        # num and den stay coprime under powering; den stays monic; a
+        # negative e raises ValueError in FpPoly.__pow__
         return RatFn._raw(self.num ** e, self.den ** e)
 
     def eval(self, a) -> int:
@@ -606,24 +576,6 @@ class RatFn:
         if dv == 0:
             raise PoleError(a % self.p)
         return self.num.eval_int(a) * inv_mod(dv, self.p) % self.p
-
-    def subs_scale(self, h: int) -> "RatFn":
-        """Substitute var -> h*var for h != 0 mod p; an automorphism, so the
-        reduced form survives up to re-scaling the denominator monic."""
-        p = self.p
-        if h % p == 0:
-            raise ValueError("scale must be nonzero mod p")
-        num = self.num.subs_scale(h)
-        den = self.den.subs_scale(h)
-        if den.lead != 1:
-            s = inv_mod(den.lead, p)
-            num = num * s
-            den = den * s
-        return RatFn._raw(num, den)
-
-    def frobenius_p(self) -> "RatFn":
-        """The literal p-th power: Frobenius applied to num and den."""
-        return RatFn._raw(self.num.frobenius_p(), self.den.frobenius_p())
 
     def __eq__(self, other):
         if isinstance(other, RatFn):

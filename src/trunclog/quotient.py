@@ -10,12 +10,14 @@ composes on grids; in the library it serves only the LeftInverse composite
 G(L(X)) that ``glog()``'s guard and the LeftInverse checker share.
 
 ``XPoly`` is the type for values: p ``RatFn`` coefficients (X^0 .. X^(p-1))
-with an optional modulus tag c, for rendering, equality, ``derivative`` and
-``specialize``; ``grid_to_xpoly`` and ``xpoly_to_grid`` convert.  Its own
-product serves only ``_compose_horner``, the plain rational Horner loop that
-the tests hold the grid composition to; the library never calls it.  The
-constant c must be a polynomial (a fraction with denominator 1): only binomial
-moduli X^p - c with polynomial c occur anywhere in this package.
+with an optional modulus tag c, for rendering, equality, sums, scaling by a
+coefficient, ``derivative`` and ``specialize``.  ``xpoly_to_grid`` and
+``grid_to_xpoly`` convert, the first raising ValueError on a coefficient that
+is not a polynomial.  XPoly's product and ``with_modulus`` serve only
+``_compose_horner``, the plain rational Horner loop that the tests hold the
+grid composition to; the library never calls it.  The constant c must be a
+polynomial (a fraction with denominator 1): only binomial moduli X^p - c with
+polynomial c occur anywhere in this package.
 """
 
 from __future__ import annotations
@@ -60,10 +62,6 @@ class XPoly:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, p, modulus=None):
-        return cls((), p, modulus)
-
-    @classmethod
     def constant(cls, c, p, modulus=None):
         return cls((c,), p, modulus)
 
@@ -76,18 +74,6 @@ class XPoly:
 
     def with_modulus(self, c):
         return XPoly(self.coeffs, self.p, c)
-
-    # -- structure ------------------------------------------------------------
-
-    @property
-    def degree(self):
-        for e in range(self.p - 1, -1, -1):
-            if not self.coeffs[e].is_zero:
-                return e
-        return -1
-
-    def coeff(self, e) -> RatFn:
-        return self.coeffs[e]
 
     def _check_tags(self, other):
         if self.p != other.p:
@@ -109,18 +95,6 @@ class XPoly:
         return XPoly(coeffs, self.p, self.modulus)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (RatFn, FpPoly, int)):
-            other = XPoly.constant(other, self.p, self.modulus)
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        self._check_tags(other)
-        coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        return XPoly(coeffs, self.p, self.modulus)
-
-    def __neg__(self):
-        return XPoly([-c for c in self.coeffs], self.p, self.modulus)
 
     def scalar_mul(self, s):
         s = _coerce_ratfn(s, self.p)
@@ -255,14 +229,11 @@ def grid_mulmod(a, b, cpoly: FpPoly, p: int):
 
 
 def xpoly_to_grid(x: XPoly):
-    """The coefficient grid of an XPoly whose coefficients are polynomials,
-    or None if any coefficient has a nontrivial denominator."""
-    out = []
-    for c in x.coeffs:
-        if not c.den.is_one:
-            return None
-        out.append(c.num)
-    return out
+    """The coefficient grid of an XPoly whose coefficients are polynomials;
+    ValueError if any coefficient has a nontrivial denominator."""
+    if any(not c.den.is_one for c in x.coeffs):
+        raise ValueError("series with non-polynomial coefficients")
+    return [c.num for c in x.coeffs]
 
 
 def grid_to_xpoly(grid, p, modulus=None) -> XPoly:

@@ -246,13 +246,6 @@ def _check_right_inverse(p, g=None, lag=None):
 # -- products of scaled exponentials --------------------------------------------
 
 
-def _poly_grid(x: XPoly):
-    grid = xpoly_to_grid(x)
-    if grid is None:
-        raise ValueError("series with non-polynomial coefficients")
-    return grid
-
-
 def _sigma(grid, t, p):
     """sigma_t of a grid: row k -> t^k * row_k(t*a)."""
     return [row.subs_scale(t) * pow(t, k, p) for k, row in enumerate(grid)]
@@ -279,7 +272,7 @@ def _check_lemma_product(p, lag_fn=None):
     cpoly = alpha_p_minus_alpha(p)
     w = w_poly(p)
     zero = FpPoly.zero(p)
-    grids = {r: _poly_grid(lag_fn(p, r)) for r in range(1, p)}
+    grids = {r: xpoly_to_grid(lag_fn(p, r)) for r in range(1, p)}
     sym = {t: grids[t] == _sigma(grids[1], t, p) for t in range(1, p)}
     cases = 0
     for r in range(1, p):
@@ -311,16 +304,15 @@ def _check_lemma_product(p, lag_fn=None):
 def _check_power_formula(p, lag_fn=None):
     lag_fn = laguerre_scaled if lag_fn is None else lag_fn
     cpoly = alpha_p_minus_alpha(p)
-    base = _poly_grid(lag_fn(p, 1))
+    pre = b_prefix_products(p)
+    base = xpoly_to_grid(lag_fn(p, 1))
     power = base
-    prefix = FpPoly.one(p)
     cases = 0
     for j in range(1, p):
         cases += 1
         if j > 1:
             power = grid_mulmod(power, base, cpoly, p)
-            prefix = prefix * b_rs(p, 1, j - 1)
-        want = [prefix * g for g in _poly_grid(lag_fn(p, j))]
+        want = [pre[j - 1] * g for g in xpoly_to_grid(lag_fn(p, j))]
         if power != want:
             return cases, _witness(
                 {"j": j}, grid_to_xpoly(power, p), grid_to_xpoly(want, p)
@@ -640,10 +632,10 @@ def _check_trunc_binomial_rules(p):
     truncate = FpPoly.zero(p)
     cases = 0
     tbs = {r: trunc_binomial(FpPoly([-1, r], p), 1, p) for r in range(1, p)}
-    grids = {r: _poly_grid(tb) for r, tb in tbs.items()}
+    grids = {r: xpoly_to_grid(tb) for r, tb in tbs.items()}
     # (1+X)^(ra-1) (1+X)^(sa-1) = (1+X)^(ta-2) with t = r+s mod p
     wants = {
-        t: _poly_grid(trunc_binomial(FpPoly([-2, t], p), 1, p)) for t in range(p)
+        t: xpoly_to_grid(trunc_binomial(FpPoly([-2, t], p), 1, p)) for t in range(p)
     }
     for r in range(1, p):
         for s in range(1, p):
@@ -963,12 +955,11 @@ def _c_pairs(field, pair_budget, seed):
         yield at, bt
 
 
-def _pair_budget(p, pair_budget):
-    """The budget to use: the default for p when None, else "exhaustive" or an
-    int >= 1; anything else (a bool, a float, another string) is rejected."""
-    if pair_budget is None:
-        return "exhaustive" if p <= 5 else 200
-    if pair_budget == "exhaustive" or (
+def check_pair_budget(pair_budget):
+    """pair_budget if it is None (the default for the prime), "exhaustive" or
+    an int >= 1; anything else (a bool, a float, another string) raises
+    ValueError."""
+    if pair_budget is None or pair_budget == "exhaustive" or (
         isinstance(pair_budget, int)
         and not isinstance(pair_budget, bool)
         and pair_budget >= 1
@@ -981,7 +972,9 @@ def _pair_budget(p, pair_budget):
 
 def _check_c_coefficients(p, pair_budget=None, seed=0):
     field = ext_quadratic(p)
-    pair_budget = _pair_budget(p, pair_budget)
+    pair_budget = check_pair_budget(pair_budget)
+    if pair_budget is None:
+        pair_budget = "exhaustive" if p <= 5 else 200
     layout = Layout.build(field)
     tc = layout.typecode
     cases = 0
@@ -1066,20 +1059,25 @@ def verify_theorem(p: int, theorem, **overrides) -> VerifyReport:
     return VerifyReport(tid, p, cases, status, witness, elapsed_ms, notes)
 
 
+def checker_options(tid: TheoremId, pair_budget, seed: int) -> dict:
+    """The keyword arguments a run passes to tid's checker: CCoefficients
+    takes the pair budget and the seed, and no other checker takes either."""
+    if tid is TheoremId.CCoefficients:
+        return {"pair_budget": pair_budget, "seed": seed}
+    return {}
+
+
 def verify_all(p: int, *, c_pairs=None, seed: int = 0):
     """Run every checker in declaration order; any exception propagates.
 
     Arguments are checked before any checker runs.
     """
     check_odd_prime(p)
-    _pair_budget(p, c_pairs)
-    reports = []
-    for tid in TheoremId:
-        overrides = {}
-        if tid is TheoremId.CCoefficients:
-            overrides = {"pair_budget": c_pairs, "seed": seed}
-        reports.append(verify_theorem(p, tid, **overrides))
-    return reports
+    check_pair_budget(c_pairs)
+    return [
+        verify_theorem(p, tid, **checker_options(tid, c_pairs, seed))
+        for tid in TheoremId
+    ]
 
 
 def verify_c_coefficients(p: int, pair_budget=None, seed: int = 0) -> VerifyReport:

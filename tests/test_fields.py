@@ -1,19 +1,18 @@
-"""Prime-field scalars, binomial combinatorics, and the quadratic extension."""
+"""Prime-field scalars, binomial combinatorics, and the quadratic extension.
+
+The falling factorials and binomials of a polynomial argument are built in
+``special``; their unit tests sit here beside the integer binomial they must
+agree with.
+"""
 
 import math
 import random
 
 import pytest
 
-from trunclog.fields import (
-    binom_lucas,
-    binom_of_poly,
-    check_odd_prime,
-    ext_quadratic,
-    inv_mod,
-    pochhammer,
-)
+from trunclog.fields import binom_lucas, check_odd_prime, ext_quadratic, inv_mod
 from trunclog.polys import FpPoly
+from trunclog.special import _falling_factorials, binomials_of
 
 
 class TestFpElem:
@@ -61,19 +60,19 @@ class TestBinomLucas:
 
 
 class TestPochhammer:
+    """``special._falling_factorials``: (f)_0, ..., (f)_m for an FpPoly f."""
+
     def test_empty_product(self):
-        assert pochhammer(2, 0) == 1
-        assert pochhammer(FpPoly([0, 1], 5), 0) == FpPoly([1], 5)
+        assert _falling_factorials(FpPoly([0, 1], 5), 0) == [FpPoly([1], 5)]
 
     def test_scalar_case(self):
-        # 3 * 2 = 6 = 1 mod 5, for an int and for a constant polynomial
-        assert pochhammer(3, 2) % 5 == 1
-        assert pochhammer(FpPoly.const(3, 5), 2) == 1
+        # 3 * 2 = 6 = 1 mod 5 for a constant polynomial
+        assert _falling_factorials(FpPoly.const(3, 5), 2)[2] == 1
 
     def test_alpha_minus_one_full_length(self):
         # (a-1)_(p-1) = a^(p-1) - 1
         for p in (3, 5, 7, 11):
-            got = pochhammer(FpPoly([-1, 1], p), p - 1)
+            got = _falling_factorials(FpPoly([-1, 1], p), p - 1)[p - 1]
             want = FpPoly.monomial(1, p - 1, p) - 1
             assert got == want
 
@@ -81,23 +80,27 @@ class TestPochhammer:
         # (n)_k / k! agrees with the digit-wise binomial for 0 <= k <= n < p
         for p in (5, 7, 13):
             for n in range(p):
+                falling = _falling_factorials(FpPoly.const(n, p), n)
                 for k in range(n + 1):
-                    via_poch = pochhammer(n, k) * inv_mod(math.factorial(k), p) % p
-                    assert binom_lucas(n, k, p) == via_poch
+                    via_poch = falling[k] * inv_mod(math.factorial(k), p)
+                    assert via_poch == binom_lucas(n, k, p)
 
 
 class TestBinomOfPoly:
+    """``special.binomials_of``: C(f, 0), ..., C(f, p-1) for an FpPoly f."""
+
     def test_k_zero(self):
-        assert binom_of_poly(FpPoly([0, 1], 5), 0) == FpPoly([1], 5)
+        assert binomials_of(FpPoly([0, 1], 5), 5)[0] == FpPoly([1], 5)
 
     def test_minus_one_choose_k(self):
         # C(-1, k) = (-1)^k
-        assert binom_of_poly(FpPoly.const(-1, 5), 4) == 1
-        assert binom_of_poly(FpPoly.const(-1, 5), 3) == -1 % 5
+        row = binomials_of(FpPoly.const(-1, 5), 5)
+        assert row[4] == 1
+        assert row[3] == -1 % 5
 
     def test_alpha_minus_one_choose_two(self):
         # (a-1)(a-2)/2 expanded mod 3 by hand: (a^2 + 2)*2 = 2a^2 + 1
-        got = binom_of_poly(FpPoly([-1, 1], 3), 2)
+        got = binomials_of(FpPoly([-1, 1], 3), 3)[2]
         assert got == FpPoly([1, 0, 2], 3)
 
     def test_evaluation_commutes(self):
@@ -107,13 +110,9 @@ class TestBinomOfPoly:
                 f = FpPoly([rng.randrange(p) for _ in range(3)], p)
                 k = rng.randrange(p)
                 a = rng.randrange(p)
-                poly_then_eval = binom_of_poly(f, k).eval_int(a)
-                eval_then_binom = binom_of_poly(FpPoly.const(f.eval_int(a), p), k)
+                poly_then_eval = binomials_of(f, p)[k].eval_int(a)
+                eval_then_binom = binomials_of(FpPoly.const(f.eval_int(a), p), p)[k]
                 assert eval_then_binom == poly_then_eval
-
-    def test_k_at_least_p_rejected(self):
-        with pytest.raises(ValueError):
-            binom_of_poly(FpPoly([0, 1], 5), 5)
 
 
 class TestExtQuadratic:
@@ -123,9 +122,10 @@ class TestExtQuadratic:
         assert ext_quadratic(7).nonres == 3
 
     def test_minpoly_has_no_root(self):
+        # t^2 - n has no root in F_p, so F_p[t]/(t^2 - n) is a field
         for p in (3, 5, 7, 11):
-            m = ext_quadratic(p).minpoly()
-            assert all(m.eval_int(x) != 0 for x in range(p))
+            n = ext_quadratic(p).nonres
+            assert all((x * x - n) % p != 0 for x in range(p))
 
     def test_frobenius_of_generator(self):
         # in F_9, t^3 = 2t because t^2 = 2

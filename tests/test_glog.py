@@ -46,7 +46,7 @@ class TestConstruction:
         g = glog(7)
         x = g.as_xpoly()
         assert x.coeffs[0].is_zero
-        assert x.degree == 6
+        assert len(x.coeffs) == 7 and not x.coeffs[6].is_zero
 
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ class TestNormalForm:
             w = FpPoly.one(p) - FpPoly.monomial(1, p - 1, p)
             for k in range(1, p):
                 den = glog(p).coeff(k).den
-                assert (w ** (k - 1) % den).is_zero
+                assert divmod(w ** (k - 1), den)[1].is_zero
 
     def test_normal_form_equals_coefficient(self):
         for p in (3, 5, 7):
@@ -186,10 +186,15 @@ class TestNormalForm:
                 assert RatFn(num, w ** e) == glog(p).coeff(k)
 
 
+def scaled(g, h):
+    """G with a -> h*a in every coefficient, the oracle's substitution."""
+    return GLog(g.p, [RatFn(c.num.subs_scale(h), c.den.subs_scale(h)) for c in g.coeffs])
+
+
 class TestParameterSubstitution:
     def test_subs_scale_evaluates_consistently(self):
         g = glog(5)
-        g2 = g.subs_scale(2)
+        g2 = scaled(g, 2)
         for k in range(1, 5):
             for a in range(5):
                 try:
@@ -237,8 +242,8 @@ class TestPowerSubstitution:
                 inner_coeffs = [RatFn.zero(p)] * p
                 inner_coeffs[h] = RatFn(FpPoly.one(p), pre[h - 1])
                 inner = XPoly(inner_coeffs, p)
-                lhs = compose_mod(g.subs_scale(h).as_xpoly(), inner, lc)
-                assert lhs == g.as_xpoly(lc).scalar_mul(h), (p, h)
+                lhs = compose_mod(scaled(g, h).as_xpoly(), inner, lc)
+                assert lhs == g.as_xpoly().with_modulus(lc).scalar_mul(h), (p, h)
 
     def test_top_power_variant_by_direct_composition(self):
         for p in (3, 5):
@@ -248,8 +253,8 @@ class TestPowerSubstitution:
             inner_coeffs = [RatFn.zero(p)] * p
             inner_coeffs[p - 1] = RatFn(w, laguerre_const(p))
             inner = XPoly(inner_coeffs, p)
-            lhs = compose_mod(g.subs_scale(p - 1).as_xpoly(), inner, lc)
-            assert lhs == -g.as_xpoly(lc)
+            lhs = compose_mod(scaled(g, p - 1).as_xpoly(), inner, lc)
+            assert lhs == g.as_xpoly().with_modulus(lc).scalar_mul(-1)
 
 
 class TestRawConstructor:

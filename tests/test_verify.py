@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from trunclog.bpoly import b_roots_predicted, b_rs
+from trunclog.errors import TheoremViolationError
 from trunclog.fields import ext_quadratic
 from trunclog.glog import glog
 from trunclog.polys import FpPoly, RatFn, _slot_typecode, _slots
@@ -309,6 +310,72 @@ class TestMutationTraps:
             "lhs": f"degree {p - 1}, roots with multiplicity {doubled}",
             "rhs": f"degree {(p - 1) // 2}, simple roots {predicted}",
         }
+
+
+# Every checker can fail.  Each row below is a single-site mutation of a name
+# that verify reads, for a checker that no other trap in this file makes fail:
+# (checker, name in trunclog.verify, wrapper of the original).
+
+
+def _lucas_flipped_at_1_1(orig):
+    return lambda p, s, a: orig(p, s, a) != ((s, a) == (1, 1))
+
+
+def _routes_disagree(orig):
+    def product_all_b(p):
+        raise TheoremViolationError(f"product routes disagree at p={p}")
+
+    return product_all_b
+
+
+def _times_a_minus_1(orig):
+    return lambda p: orig(p) * FpPoly([-1, 1], p)
+
+
+def _product_route_plus_1(orig):
+    def routes(p):
+        sub_route, prod_route = orig(p)
+        return sub_route, prod_route + 1
+
+    return routes
+
+
+def _x2_bumped(orig):
+    return lambda p, d: orig(p, d) + FpPoly.monomial(1, 2, p, "X")
+
+
+def _wrong_at_3(orig):
+    return lambda a, p: (orig(a, p) + (a % p == 3)) % p
+
+
+CHECKER_MUTATIONS = [
+    pytest.param(TheoremId.LucasCriterion, "b_root_lucas", _lucas_flipped_at_1_1,
+                 id="LucasCriterion"),
+    pytest.param(TheoremId.ProductFormula, "product_all_b", _routes_disagree,
+                 id="ProductFormula-routes-disagree"),
+    pytest.param(TheoremId.ProductFormula, "product_all_b", _times_a_minus_1,
+                 id="ProductFormula-times-a-minus-1"),
+    pytest.param(TheoremId.LFactorization, "laguerre_const_routes",
+                 _product_route_plus_1, id="LFactorization"),
+    pytest.param(TheoremId.PolylogShift, "finite_polylog", _x2_bumped,
+                 id="PolylogShift"),
+    pytest.param(TheoremId.PolylogWilson, "finite_polylog", _x2_bumped,
+                 id="PolylogWilson"),
+    pytest.param(TheoremId.SixSymmetries, "finite_polylog", _x2_bumped,
+                 id="SixSymmetries"),
+    pytest.param(TheoremId.FourTerm, "inv_mod", _wrong_at_3, id="FourTerm"),
+]
+
+
+class TestEveryCheckerCanFail:
+    @pytest.mark.parametrize("tid, name, wrap", CHECKER_MUTATIONS)
+    def test_mutation_fails_with_witness(self, monkeypatch, tid, name, wrap):
+        import trunclog.verify as v
+
+        monkeypatch.setattr(v, name, wrap(getattr(v, name)))
+        r = verify_theorem(7, tid)
+        assert r.status == "fail" and r.cases_checked >= 1
+        assert r.witness is not None and "case" in r.witness
 
 
 # LemmaProduct computes row r = 1 and skips a case (r, s) with r != 1 only as
@@ -641,7 +708,7 @@ def _lag_twin(p):
 
 def _rational_lag_twin(p):
     coeffs = list(laguerre_pm1(p).coeffs)
-    coeffs[1] = coeffs[1] / RatFn(FpPoly([1, 1], p))
+    coeffs[1] = RatFn(coeffs[1].as_poly(), FpPoly([1, 1], p))
     return XPoly(coeffs, p)
 
 
