@@ -132,20 +132,30 @@ def b_prefix_products(p: int, negate: bool = False):
 
 @functools.lru_cache(maxsize=None)
 def product_all_b(p: int) -> FpPoly:
-    """The full product prod_{s=1}^{p-2} b[1,s](a), computed three ways.
-
-    Route 2 is prod_{k=2}^{p-1} (1 + a/k)^(k-1); route 3 divides the modulus
-    constant by 1 - a^(p-1) exactly.  All three must agree.
-    """
+    """The full product prod_{s=1}^{p-2} b[1,s](a), computed three ways that
+    must agree: the last prefix product, and the two routes below, each its
+    own function so that the three can be audited apart."""
     check_odd_prime(p)
     r1 = b_prefix_products(p)[p - 2]
-    r2 = FpPoly.one(p)
-    for k in range(2, p):
-        r2 = r2 * (FpPoly([1, inv_mod(k, p)], p) ** (k - 1))
-    q, rem = divmod(laguerre_const(p), w_poly(p))
-    if not rem.is_zero or r1 != r2 or r1 != q:
+    r2 = _product_by_linear_factors(p)
+    r3 = _product_by_modulus_constant(p)
+    if r3 is None or r1 != r2 or r1 != r3:
         raise TheoremViolationError(f"product of the b-family disagrees at p={p}")
     return r1
+
+
+def _product_by_linear_factors(p: int) -> FpPoly:
+    """prod_{k=2}^{p-1} (1 + a/k)^(k-1)."""
+    prod = FpPoly.one(p)
+    for k in range(2, p):
+        prod = prod * (FpPoly([1, inv_mod(k, p)], p) ** (k - 1))
+    return prod
+
+
+def _product_by_modulus_constant(p: int) -> FpPoly | None:
+    """Lc / (1 - a^(p-1)), or None when the division leaves a remainder."""
+    q, rem = divmod(laguerre_const(p), w_poly(p))
+    return q if rem.is_zero else None
 
 
 CSV_HEADER = "p,s,roots,degree"

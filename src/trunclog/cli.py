@@ -9,9 +9,9 @@ monic denominator, so textual output is stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from .bpoly import CSV_HEADER, b_roots_csv_rows, b_rs
 from .fields import _is_prime
@@ -26,6 +26,21 @@ from .verify import (
 )
 
 
+def _usage_error(parse):
+    """parse as an argparse type: its ValueError becomes a usage error with
+    the same message, so argparse prints the usage line and exits 2."""
+
+    @functools.wraps(parse)
+    def convert(spec: str):
+        try:
+            return parse(spec)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+@_usage_error
 def _parse_primes(spec: str):
     """A single odd prime "p" or an inclusive range "a..b" of odd primes."""
     if ".." in spec:
@@ -43,40 +58,23 @@ def _parse_primes(spec: str):
     return [p]
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated invocation: every argument is checked before any computation."""
+@_usage_error
+def _pair_budget(spec: str):
+    return check_pair_budget(spec if spec == "exhaustive" else int(spec))
 
-    command: str                      # show | table | verify
-    primes: tuple[int, ...]
-    target: str                       # object name or theorem id or "all"
-    format: str = "text"
-    seed: int = 0
-    pairs: int | str | None = None    # CCoefficients budget
-    dlog: int = 1
 
-    @classmethod
-    def from_args(cls, args) -> "CliConfig":
-        primes = tuple(_parse_primes(args.prime))
-        pairs = getattr(args, "pairs", None)
-        if pairs is not None and pairs != "exhaustive":
-            pairs = int(pairs)
-        check_pair_budget(pairs)
-        target = getattr(args, "target", None) or getattr(args, "theorem", "all")
-        if args.command == "verify" and target != "all":
-            coerce_theorem(target)
-        dlog = getattr(args, "dlog", 1)
-        if dlog < 0:
-            raise ValueError("polylog order must be >= 0")
-        return cls(
-            command=args.command,
-            primes=primes,
-            target=target,
-            format=getattr(args, "format", "text"),
-            seed=getattr(args, "seed", 0),
-            pairs=pairs,
-            dlog=dlog,
-        )
+@_usage_error
+def _theorem(spec: str):
+    """A TheoremId, or "all" (the default, which argparse also converts)."""
+    return spec if spec == "all" else coerce_theorem(spec)
+
+
+@_usage_error
+def _polylog_order(spec: str) -> int:
+    d = int(spec)
+    if d < 0:
+        raise ValueError("polylog order must be >= 0")
+    return d
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,21 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     show = sub.add_parser("show", help="construct and print an object")
     show.add_argument("target", choices=["glog", "laguerre", "b", "polylog", "all"])
-    show.add_argument("--prime", required=True)
+    show.add_argument("--prime", type=_parse_primes, required=True)
     show.add_argument("--format", choices=["text", "json"], default="text")
-    show.add_argument("--dlog", type=int, default=1, help="polylog order")
+    show.add_argument("--dlog", type=_polylog_order, default=1, help="polylog order")
 
     table = sub.add_parser("table", help="emit a CSV table")
     table.add_argument("target", choices=["b-roots"])
-    table.add_argument("--prime", required=True)
+    table.add_argument("--prime", type=_parse_primes, required=True)
 
     verify = sub.add_parser("verify", help="run identity checkers")
-    verify.add_argument("--prime", required=True)
-    verify.add_argument("--theorem", default="all")
+    verify.add_argument("--prime", type=_parse_primes, required=True)
+    verify.add_argument("--theorem", type=_theorem, default="all")
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--pairs",
+        type=_pair_budget,
         default=None,
         help="pair budget for CCoefficients: an int >= 1 or 'exhaustive'",
     )
@@ -142,9 +141,9 @@ def _print_show_text(payload: dict) -> None:
         print(f"polylog_{d}(X) = {payload['polylog']['text']}")
 
 
-def _run_show(config: CliConfig) -> int:
-    payloads = [_show_payload(p, config.target, config.dlog) for p in config.primes]
-    if config.format == "json":
+def _run_show(args) -> int:
+    payloads = [_show_payload(p, args.target, args.dlog) for p in args.prime]
+    if args.format == "json":
         print(json.dumps(payloads[0] if len(payloads) == 1 else payloads,
                          indent=2, sort_keys=True))
     else:
@@ -153,24 +152,23 @@ def _run_show(config: CliConfig) -> int:
     return 0
 
 
-def _run_table(config: CliConfig) -> int:
+def _run_table(args) -> int:
     print(CSV_HEADER)
-    for p in config.primes:
+    for p in args.prime:
         for row in b_roots_csv_rows(p):
             print(row)
     return 0
 
 
-def _run_verify(config: CliConfig) -> int:
+def _run_verify(args) -> int:
     reports = []
-    for p in config.primes:
-        if config.target == "all":
-            reports.extend(verify_all(p, c_pairs=config.pairs, seed=config.seed))
+    for p in args.prime:
+        if args.theorem == "all":
+            reports.extend(verify_all(p, c_pairs=args.pairs, seed=args.seed))
         else:
-            tid = coerce_theorem(config.target)
-            options = checker_options(tid, config.pairs, config.seed)
-            reports.append(verify_theorem(p, tid, **options))
-    if config.format == "json":
+            options = checker_options(args.theorem, args.pairs, args.seed)
+            reports.append(verify_theorem(p, args.theorem, **options))
+    if args.format == "json":
         objs = [r.to_json_dict() for r in reports]
         print(json.dumps(objs[0] if len(objs) == 1 else objs, indent=2))
     else:
@@ -184,25 +182,14 @@ def _run_verify(config: CliConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Every argument is checked by its argparse type before any
+    computation; a bad one is a usage error, exit 2."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    try:
-        config = CliConfig.from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
-    if config.command == "show":
-        return _run_show(config)
-    if config.command == "table":
-        return _run_table(config)
-    if config.command == "verify":
-        return _run_verify(config)
-    return 2
+    run = {"show": _run_show, "table": _run_table, "verify": _run_verify}
+    return run[args.command](args)
 
 
 def entrypoint() -> None:

@@ -49,8 +49,8 @@ has unique factorisation, so two nonzero products of bound forms are equal
 iff their leads and exponent vectors are; products, powers and a -> h*a act
 on the vectors, and polynomials are rebuilt only for a witness.
 
-A few checkers accept keyword overrides (g=, lag=, lag_fn=, b_fn=) so the
-test suite can inject single-site mutations and watch the battery trip.
+Checkers take only p, except LeftInverse (g=, a candidate G) and CCoefficients
+(pair budget, seed); tests patch the module globals they read at call time.
 
 Reports are deterministic apart from elapsed_ms; ``verify_all`` emits them
 in the declaration order of ``TheoremId`` regardless of execution schedule.
@@ -184,10 +184,9 @@ def _is_x(got: XPoly, **case):
     return 1, None, None
 
 
-def _check_left_inverse(p, g=None, lag=None):
+def _check_left_inverse(p, g=None):
     g = glog(p) if g is None else g
-    lag = laguerre_pm1(p) if lag is None else lag
-    return _is_x(left_inverse_lhs(g, lag))
+    return _is_x(left_inverse_lhs(g, laguerre_pm1(p)))
 
 
 def _frobenius_image(coeffs, arg: FpPoly):
@@ -204,7 +203,7 @@ def _frobenius_image(coeffs, arg: FpPoly):
     return acc, den.frobenius_p()
 
 
-def _check_right_inverse(p, g=None, lag=None):
+def _check_right_inverse(p):
     """L(G(X)) = X mod X^p - Lc, proved from LeftInverse by the inverse-map
     lemma; no composition L(G(X)) is formed.
 
@@ -224,13 +223,14 @@ def _check_right_inverse(p, g=None, lag=None):
     so X -> G(Y) is its inverse and K2 -> K1 -> K2 is the identity too:
     L(G(Y)) = Y in K2, which is the statement.
 
-    All three parts run on the (g, lag) given, so a twin reaches each; the
-    left-inverse composite is the cached one glog()'s guard and LeftInverse
-    read.  One case; a witness names the part that failed, and a Frobenius
-    witness shows both sides cross-multiplied by M as in ``_frobenius_image``.
+    All three parts run on the G and L of ``glog`` and ``laguerre_pm1``, so a
+    twin of either reaches each; the left-inverse composite is the cached one
+    glog()'s guard and LeftInverse read.  One case; a witness names the part
+    that failed, and a Frobenius witness shows both sides cross-multiplied by
+    M as in ``_frobenius_image``.
     """
-    g = glog(p) if g is None else g
-    lag = laguerre_pm1(p) if lag is None else lag
+    g = glog(p)
+    lag = laguerre_pm1(p)
     lc = laguerre_const(p)
     alpha = alpha_p_minus_alpha(p)
     for part, series, arg, want in (
@@ -251,7 +251,7 @@ def _sigma(grid, t, p):
     return [row.subs_scale(t) * pow(t, k, p) for k, row in enumerate(grid)]
 
 
-def _check_lemma_product(p, lag_fn=None):
+def _check_lemma_product(p):
     """L_r(X) * L_s(X) = b[r,s](a) * L_{r+s}(X) mod X^p - (a^p - a) for every
     (r, s), with 1 - a^(p-1) in place of the right side when r + s = p.
 
@@ -268,11 +268,10 @@ def _check_lemma_product(p, lag_fn=None):
     every other case is computed, so the first failing case, its witness
     and the count (p-1)^2 are those of the direct loop over every case.
     """
-    lag_fn = laguerre_scaled if lag_fn is None else lag_fn
     cpoly = alpha_p_minus_alpha(p)
     w = w_poly(p)
     zero = FpPoly.zero(p)
-    grids = {r: xpoly_to_grid(lag_fn(p, r)) for r in range(1, p)}
+    grids = {r: xpoly_to_grid(laguerre_scaled(p, r)) for r in range(1, p)}
     sym = {t: grids[t] == _sigma(grids[1], t, p) for t in range(1, p)}
     cases = 0
     for r in range(1, p):
@@ -301,18 +300,17 @@ def _check_lemma_product(p, lag_fn=None):
     return cases, None, None
 
 
-def _check_power_formula(p, lag_fn=None):
-    lag_fn = laguerre_scaled if lag_fn is None else lag_fn
+def _check_power_formula(p):
     cpoly = alpha_p_minus_alpha(p)
     pre = b_prefix_products(p)
-    base = xpoly_to_grid(lag_fn(p, 1))
+    base = xpoly_to_grid(laguerre_scaled(p, 1))
     power = base
     cases = 0
     for j in range(1, p):
         cases += 1
         if j > 1:
             power = grid_mulmod(power, base, cpoly, p)
-        want = [pre[j - 1] * g for g in xpoly_to_grid(lag_fn(p, j))]
+        want = [pre[j - 1] * g for g in xpoly_to_grid(laguerre_scaled(p, j))]
         if power != want:
             return cases, _witness(
                 {"j": j}, grid_to_xpoly(power, p), grid_to_xpoly(want, p)
@@ -323,29 +321,38 @@ def _check_power_formula(p, lag_fn=None):
 # -- the b-family ---------------------------------------------------------------
 
 
-def _check_b_conjugate(p, b_fn=None):
-    b_fn = b_rs if b_fn is None else b_fn
+def _check_b_conjugate(p):
     w = w_poly(p)
     cases = 0
     for s in range(1, p - 1):
         cases += 1
-        f = b_fn(p, 1, s)
+        f = b_rs(p, 1, s)
         got = f * f.subs_scale(p - 1)
         if got != w:
             return cases, _witness({"s": s}, got, w), None
     return cases, None, None
 
 
-def _check_roots_theorem(p, b_fn=None):
-    b_fn = b_rs if b_fn is None else b_fn
+def _split(f, case):
+    """(roots_and_split(f), None), or (None, witness) when f is zero or does
+    not split over F_p."""
+    if f.is_zero:
+        return None, _witness(case, f, "nonzero")
+    try:
+        return roots_and_split(f), None
+    except NonSplitError as exc:
+        return None, _witness(case, exc.remainder, "split")
+
+
+def _check_roots_theorem(p):
     cases = 0
     for s in range(1, p - 1):
-        f = b_fn(p, 1, s)
+        f = b_rs(p, 1, s)
         predicted = b_roots_predicted(p, s)
-        try:
-            _, roots = roots_and_split(f)
-        except NonSplitError as exc:
-            return cases + 1, _witness({"s": s}, exc.remainder, "split"), None
+        split, bad = _split(f, {"s": s})
+        if bad:
+            return cases + 1, bad, None
+        roots = split[1]
         if not (
             f.degree == (p - 1) // 2
             and all(m == 1 for m in roots.values())
@@ -387,13 +394,12 @@ def _check_lucas_criterion(p):
     return cases, None, None
 
 
-def _check_symmetry(p, b_fn=None):
-    b_fn = b_rs if b_fn is None else b_fn
+def _check_symmetry(p):
     cases = 0
     for s in range(1, p - 1):
         cases += 1
-        lhs = b_fn(p, 1, s)
-        rhs = b_fn(p, 1, p - 1 - s)
+        lhs = b_rs(p, 1, s)
+        rhs = b_rs(p, 1, p - 1 - s)
         if lhs != rhs:
             return cases, _witness({"s": s}, lhs, rhs), None
     return cases, None, None
@@ -404,7 +410,10 @@ def _check_product_formula(p):
         prod = product_all_b(p)
     except TheoremViolationError as exc:
         return 1, _witness({}, str(exc), "three equal routes"), None
-    _, roots = roots_and_split(prod)
+    split, bad = _split(prod, {})
+    if bad:
+        return 1, bad, None
+    roots = split[1]
     for a in range(1, p):
         if roots.get(a, 0) != p - 1 - a:
             return 1, _witness(
@@ -425,9 +434,8 @@ def _check_l_factorization(p):
 # -- functional equations --------------------------------------------------------
 
 
-def _check_reciprocal(p, g=None):
-    g = glog(p) if g is None else g
-    lhs = g.as_xpoly().scalar_mul(laguerre_const(p))
+def _check_reciprocal(p):
+    lhs = glog(p).as_xpoly().scalar_mul(laguerre_const(p))
     rhs = reciprocal_rhs(p)
     if lhs != rhs:
         k = _first_diff(lhs, rhs)
@@ -443,12 +451,10 @@ def _bound_split_form(name, f):
     """(f's split form, None), or (None, witness) when f is zero, does not
     split over F_p, or its form does not re-expand to f."""
     p = f.p
-    if f.is_zero:
-        return None, _witness({"factor": name}, f, "nonzero")
-    try:
-        lead, roots = roots_and_split(f)
-    except NonSplitError as exc:
-        return None, _witness({"factor": name}, exc.remainder, "split")
+    split, bad = _split(f, {"factor": name})
+    if bad:
+        return None, bad
+    lead, roots = split
     form = lead, tuple(roots.get(t, 0) for t in range(p))
     expanded = _expand(form, p)
     if expanded != f:

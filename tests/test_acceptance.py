@@ -127,7 +127,9 @@ class TestAcceptance:
         finally:
             _report(6, "heavy symbolic checks for p in {3..13}, < 10 s each at 13", ok)
 
-    def test_criterion_7_mutation_sensitivity(self):
+    def test_criterion_7_mutation_sensitivity(self, monkeypatch):
+        import trunclog.verify as v
+
         ok = False
         try:
             p = 5
@@ -143,7 +145,8 @@ class TestAcceptance:
             coeffs = list(lag.coeffs)
             coeffs[2] = coeffs[2] + 1
             mutant_lag = XPoly(coeffs, p)
-            r = verify_theorem(p, TheoremId.LeftInverse, lag=mutant_lag)
+            monkeypatch.setattr(v, "laguerre_pm1", lambda pp: mutant_lag)
+            r = verify_theorem(p, TheoremId.LeftInverse)
             assert r.status == "fail" and r.witness is not None
 
             # analogous single-site mutation of b[1,1]
@@ -153,7 +156,8 @@ class TestAcceptance:
                 f = b_rs(pp, rr, ss)
                 return f + 1 if (rr, ss) == (1, 1) else f
 
-            r = verify_theorem(p, TheoremId.BConjugate, b_fn=mutant_b)
+            monkeypatch.setattr(v, "b_rs", mutant_b)
+            r = verify_theorem(p, TheoremId.BConjugate)
             assert r.status == "fail" and r.witness is not None
             ok = True
         finally:

@@ -1,11 +1,10 @@
 """The command-line surface: rendering, JSON schema, exit codes, determinism."""
 
-import argparse
 import json
 
 import pytest
 
-from trunclog.cli import CliConfig, main
+from trunclog.cli import build_parser, main
 from trunclog.verify import TheoremId, VerifyReport
 
 
@@ -110,29 +109,39 @@ class TestVerifyCommand:
 
 
 class TestCliConfig:
-    def test_validates_primes_before_computation(self):
-        ns = argparse.Namespace(command="verify", prime="2", theorem="all")
-        with pytest.raises(ValueError):
-            CliConfig.from_args(ns)
+    """The parsed configuration: argparse types check every argument."""
 
-    def test_rejects_pair_budget_below_one(self):
+    def test_validates_primes_before_computation(self, capsys, monkeypatch):
+        import trunclog.cli as cli_mod
+
+        def no_computation(*args, **kwargs):
+            raise AssertionError("computation ran before the primes were checked")
+
+        monkeypatch.setattr(cli_mod, "verify_all", no_computation)
+        code, out, err = run(capsys, "verify", "--prime", "2", "--theorem", "all")
+        assert code == 2 and out == ""
+        assert "2 is not an odd prime" in err
+
+    def test_rejects_pair_budget_below_one(self, capsys):
         for pairs in ("0", "-2"):
-            ns = argparse.Namespace(
-                command="verify", prime="5", theorem="CCoefficients", pairs=pairs
-            )
-            with pytest.raises(ValueError):
-                CliConfig.from_args(ns)
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(
+                    ["verify", "--prime", "5", "--theorem", "CCoefficients",
+                     "--pairs", pairs]
+                )
+            assert exc.value.code == 2
+            assert "pair budget must be an int >= 1" in capsys.readouterr().err
 
-    def test_rejects_unknown_theorem(self):
-        ns = argparse.Namespace(command="verify", prime="5", theorem="Bogus")
-        with pytest.raises(ValueError, match="unknown theorem id"):
-            CliConfig.from_args(ns)
+    def test_rejects_unknown_theorem(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["verify", "--prime", "5", "--theorem", "Bogus"])
+        assert exc.value.code == 2
+        assert "unknown theorem id" in capsys.readouterr().err
 
     def test_range_expansion(self):
-        ns = argparse.Namespace(command="verify", prime="3..13", theorem="all")
-        config = CliConfig.from_args(ns)
-        assert config.primes == (3, 5, 7, 11, 13)
-        assert config.target == "all"
+        args = build_parser().parse_args(["verify", "--prime", "3..13"])
+        assert args.prime == [3, 5, 7, 11, 13]
+        assert args.theorem == "all"
 
 
 class TestSamplerFlags:

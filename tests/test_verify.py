@@ -196,7 +196,9 @@ class TestReportShape:
         assert d["status"] == "pass"
         assert d["witness"] is None
 
-    def test_witness_iff_fail(self):
+    def test_witness_iff_fail(self, monkeypatch):
+        import trunclog.verify as v
+
         good = verify_theorem(5, TheoremId.BConjugate)
         assert good.status == "pass" and good.witness is None
 
@@ -204,7 +206,8 @@ class TestReportShape:
             f = b_rs(p, r, s)
             return f + 1 if (r, s) == (1, 1) else f
 
-        bad = verify_theorem(5, TheoremId.BConjugate, b_fn=bad_b)
+        monkeypatch.setattr(v, "b_rs", bad_b)
+        bad = verify_theorem(5, TheoremId.BConjugate)
         assert bad.status == "fail" and bad.witness is not None
         assert bad.witness["case"] == {"s": 1}
 
@@ -219,16 +222,20 @@ class TestMutationTraps:
         assert r.status == "fail"
         assert r.witness is not None and "case" in r.witness
 
-    def test_exponential_coefficient_bump_trips_checkers(self):
+    def test_exponential_coefficient_bump_trips_checkers(self, monkeypatch):
+        import trunclog.verify as v
+
         p = 5
         lag = laguerre_pm1(p)
         coeffs = list(lag.coeffs)
         coeffs[1] = coeffs[1] + 1
         mutant = XPoly(coeffs, p)
-        assert verify_theorem(p, TheoremId.LeftInverse, lag=mutant).status == "fail"
-        assert verify_theorem(p, TheoremId.RightInverse, lag=mutant).status == "fail"
+        monkeypatch.setattr(v, "laguerre_pm1", lambda pp: mutant)
+        assert verify_theorem(p, TheoremId.LeftInverse).status == "fail"
+        assert verify_theorem(p, TheoremId.RightInverse).status == "fail"
 
-    def test_scaled_family_mutation_trips_lemma_product(self):
+    def test_scaled_family_mutation_trips_lemma_product(self, monkeypatch):
+        import trunclog.verify as v
         from trunclog.special import laguerre_scaled
 
         p = 5
@@ -241,25 +248,31 @@ class TestMutationTraps:
             coeffs[0] = coeffs[0] + 1
             return XPoly(coeffs, pp)
 
-        r = verify_theorem(p, TheoremId.LemmaProduct, lag_fn=bad_scaled)
+        monkeypatch.setattr(v, "laguerre_scaled", bad_scaled)
+        r = verify_theorem(p, TheoremId.LemmaProduct)
         assert r.status == "fail"
         # first violated case in ascending order: (1,1), whose right side
         # already involves the mutated scaled-by-2 object
         assert r.witness["case"] == {"r": 1, "s": 1}
 
-    def test_scaled_family_mutation_trips_power_formula(self):
+    def test_scaled_family_mutation_trips_power_formula(self, monkeypatch):
+        import trunclog.verify as v
+
         p = 5
-        bad_scaled = _bumped_scaled(lambda pp: 2)
-        r = verify_theorem(p, TheoremId.PowerFormula, lag_fn=bad_scaled)
+        monkeypatch.setattr(v, "laguerre_scaled", _bumped_scaled(lambda pp: 2))
+        r = verify_theorem(p, TheoremId.PowerFormula)
         assert r.status == "fail" and r.witness is not None
         assert r.witness["case"] == {"j": 2}
 
-    def test_glog_coefficient_bump_trips_reciprocal(self):
+    def test_glog_coefficient_bump_trips_reciprocal(self, monkeypatch):
+        import trunclog.verify as v
+
         p = 5
         g = glog(p)
         c2 = g.coeff(2)
         mutant = g.with_coeff(2, RatFn(c2.num + 1, c2.den))
-        r = verify_theorem(p, TheoremId.Reciprocal, g=mutant)
+        monkeypatch.setattr(v, "glog", lambda pp: mutant)
+        r = verify_theorem(p, TheoremId.Reciprocal)
         assert r.status == "fail" and r.witness is not None
         assert r.witness["case"] == {"coefficient": 2}
 
@@ -284,24 +297,30 @@ class TestMutationTraps:
         assert r.cases_checked == 2
         assert r.witness["case"] == {"r": 1, "s": 2}
 
-    def test_b_mutation_trips_roots_theorem(self):
+    def test_b_mutation_trips_roots_theorem(self, monkeypatch):
+        import trunclog.verify as v
+
         p = 5
 
         def bad_b(pp, r, s):
             f = b_rs(pp, r, s)
             return f * FpPoly([0, 1], pp) if (r, s) == (1, 2) else f
 
-        r = verify_theorem(p, TheoremId.RootsTheorem, b_fn=bad_b)
+        monkeypatch.setattr(v, "b_rs", bad_b)
+        r = verify_theorem(p, TheoremId.RootsTheorem)
         assert r.status == "fail"
 
     @pytest.mark.parametrize("p", [5, 7])
-    def test_squared_b_fails_with_structural_witness(self, p):
+    def test_squared_b_fails_with_structural_witness(self, monkeypatch, p):
         # b[1,s]^2 has the predicted roots, each twice: an evaluation at one
         # point agrees on both sides, so the witness must name the structure
+        import trunclog.verify as v
+
         def squared_b(pp, r, s):
             return b_rs(pp, r, s) ** 2
 
-        r = verify_theorem(p, TheoremId.RootsTheorem, b_fn=squared_b)
+        monkeypatch.setattr(v, "b_rs", squared_b)
+        r = verify_theorem(p, TheoremId.RootsTheorem)
         assert r.status == "fail" and r.cases_checked == 1
         predicted = sorted(b_roots_predicted(p, 1))
         doubled = {a: 2 for a in predicted}
@@ -313,8 +332,10 @@ class TestMutationTraps:
 
 
 # Every checker can fail.  Each row below is a single-site mutation of a name
-# that verify reads, for a checker that no other trap in this file makes fail:
-# (checker, name in trunclog.verify, wrapper of the original).
+# that verify reads, for a checker that no other trap in this file makes fail,
+# or a zero or non-split polynomial where a checker splits one, which must be
+# a witness and not an exception: (checker, name in trunclog.verify, wrapper
+# of the original, the whole witness or None).
 
 
 def _lucas_flipped_at_1_1(orig):
@@ -348,34 +369,78 @@ def _wrong_at_3(orig):
     return lambda a, p: (orig(a, p) + (a % p == 3)) % p
 
 
+def _zero_b(orig):
+    return lambda p, r, s: FpPoly.zero(p)
+
+
+def _zero_product(orig):
+    return lambda p: FpPoly.zero(p)
+
+
+def _times_a2_plus_1(orig):
+    # a^2 + 1 has no root in F_7: -1 is not a square mod 7
+    return lambda p: orig(p) * FpPoly([1, 0, 1], p)
+
+
 CHECKER_MUTATIONS = [
     pytest.param(TheoremId.LucasCriterion, "b_root_lucas", _lucas_flipped_at_1_1,
-                 id="LucasCriterion"),
+                 None, id="LucasCriterion"),
     pytest.param(TheoremId.ProductFormula, "product_all_b", _routes_disagree,
-                 id="ProductFormula-routes-disagree"),
+                 None, id="ProductFormula-routes-disagree"),
     pytest.param(TheoremId.ProductFormula, "product_all_b", _times_a_minus_1,
-                 id="ProductFormula-times-a-minus-1"),
+                 None, id="ProductFormula-times-a-minus-1"),
+    pytest.param(TheoremId.ProductFormula, "product_all_b", _zero_product,
+                 {"case": {}, "lhs": "0", "rhs": "nonzero"},
+                 id="ProductFormula-zero"),
+    pytest.param(TheoremId.ProductFormula, "product_all_b", _times_a2_plus_1,
+                 {"case": {}, "lhs": "a^2 + 1", "rhs": "split"},
+                 id="ProductFormula-non-split"),
+    pytest.param(TheoremId.RootsTheorem, "b_rs", _zero_b,
+                 {"case": {"s": 1}, "lhs": "0", "rhs": "nonzero"},
+                 id="RootsTheorem-zero-b"),
     pytest.param(TheoremId.LFactorization, "laguerre_const_routes",
-                 _product_route_plus_1, id="LFactorization"),
+                 _product_route_plus_1, None, id="LFactorization"),
     pytest.param(TheoremId.PolylogShift, "finite_polylog", _x2_bumped,
-                 id="PolylogShift"),
+                 None, id="PolylogShift"),
     pytest.param(TheoremId.PolylogWilson, "finite_polylog", _x2_bumped,
-                 id="PolylogWilson"),
+                 None, id="PolylogWilson"),
     pytest.param(TheoremId.SixSymmetries, "finite_polylog", _x2_bumped,
-                 id="SixSymmetries"),
-    pytest.param(TheoremId.FourTerm, "inv_mod", _wrong_at_3, id="FourTerm"),
+                 None, id="SixSymmetries"),
+    pytest.param(TheoremId.FourTerm, "inv_mod", _wrong_at_3, None, id="FourTerm"),
 ]
 
 
 class TestEveryCheckerCanFail:
-    @pytest.mark.parametrize("tid, name, wrap", CHECKER_MUTATIONS)
-    def test_mutation_fails_with_witness(self, monkeypatch, tid, name, wrap):
+    @pytest.mark.parametrize("tid, name, wrap, witness", CHECKER_MUTATIONS)
+    def test_mutation_fails_with_witness(self, monkeypatch, tid, name, wrap, witness):
         import trunclog.verify as v
 
         monkeypatch.setattr(v, name, wrap(getattr(v, name)))
         r = verify_theorem(7, tid)
         assert r.status == "fail" and r.cases_checked >= 1
         assert r.witness is not None and "case" in r.witness
+        if witness is not None:
+            assert r.witness == witness
+
+
+class TestCheckerSurface:
+    def test_checkers_take_only_the_prime_and_their_options(self):
+        import inspect
+
+        import trunclog.verify as v
+
+        options = {
+            TheoremId.LeftInverse: ["g"],
+            TheoremId.CCoefficients: ["pair_budget", "seed"],
+        }
+        assert set(v._CHECKERS) == set(TheoremId)
+        for tid, checker in v._CHECKERS.items():
+            params = list(inspect.signature(checker).parameters)
+            assert params == ["p", *options.get(tid, [])], tid
+
+    def test_an_option_another_checker_lacks_is_rejected(self):
+        with pytest.raises(TypeError):
+            verify_theorem(5, "RightInverse", g=glog(5))
 
 
 # LemmaProduct computes row r = 1 and skips a case (r, s) with r != 1 only as
@@ -449,10 +514,12 @@ class TestLemmaProductOracle:
         from trunclog.special import laguerre_scaled
 
         lag_fn, b_fn = LEMMA_PRODUCT_MUTATIONS[mutation]
+        if lag_fn is not None:
+            monkeypatch.setattr(v, "laguerre_scaled", lag_fn)
         if b_fn is not None:
             monkeypatch.setattr(v, "b_rs", b_fn)
         want = _lemma_product_direct(p, lag_fn or laguerre_scaled, b_fn or b_rs)
-        r = verify_theorem(p, TheoremId.LemmaProduct, lag_fn=lag_fn)
+        r = verify_theorem(p, TheoremId.LemmaProduct)
         assert (r.status, r.cases_checked, r.witness) == want
         assert (want[0] == "pass") == (mutation == "none")
 
@@ -491,11 +558,12 @@ class TestLemmaProductOracle:
                 return b_rs(pp, r, s) * f[s1] * inv_mod(f[(1 + s1) % pp], pp)
             return b_rs(pp, r, s) * f[r] * f[s] * inv_mod(f[t], pp)
 
+        monkeypatch.setattr(v, "laguerre_scaled", lag_fn)
         monkeypatch.setattr(v, "b_rs", b_fn)
         want = _lemma_product_direct(p, lag_fn, b_fn)
         assert want[:2] == ("fail", (r0 - 1) * (p - 1) + s0)
         assert want[2]["case"] == {"r": r0, "s": s0}
-        r = verify_theorem(p, TheoremId.LemmaProduct, lag_fn=lag_fn)
+        r = verify_theorem(p, TheoremId.LemmaProduct)
         assert (r.status, r.cases_checked, r.witness) == want
 
     def test_skips_grid_products_off_row_one(self, monkeypatch):
@@ -690,7 +758,7 @@ class TestSplitForms:
 
 
 # Traps for RightInverse.  The input traps change what the identity is about:
-# a broken G or L passed as a twin, or a tampered constant Lc.  The internal
+# a broken G or L patched in as a twin, or a tampered constant Lc.  The internal
 # traps leave the inputs alone and tamper one part of the proof instead.
 
 
@@ -712,11 +780,12 @@ def _rational_lag_twin(p):
     return XPoly(coeffs, p)
 
 
-# name: (twin builders by keyword, added to Lc, part the witness names)
+# name: (twin builders by the name verify reads, added to Lc, part the
+# witness names)
 _INPUT_TRAPS = {
-    "G twin": ({"g": _g_twin}, 0, "G-frobenius"),
-    "L twin": ({"lag": _lag_twin}, 0, "L-frobenius"),
-    "rational L twin": ({"lag": _rational_lag_twin}, 0, "L-frobenius"),
+    "G twin": ({"glog": _g_twin}, 0, "G-frobenius"),
+    "L twin": ({"laguerre_pm1": _lag_twin}, 0, "L-frobenius"),
+    "rational L twin": ({"laguerre_pm1": _rational_lag_twin}, 0, "L-frobenius"),
     "Lc + 1": ({}, 1, "L-frobenius"),
 }
 
@@ -729,8 +798,11 @@ def _run_input_trap(monkeypatch, p, name):
     twins = {key: build(p) for key, build in builders.items()}
     lc = laguerre_const(p) + shift
     monkeypatch.setattr(v, "laguerre_const", lambda pp: lc)
-    report = verify_theorem(p, TheoremId.RightInverse, **twins)
-    return twins.get("g", glog(p)), twins.get("lag", laguerre_pm1(p)), lc, report
+    for key, twin in twins.items():
+        monkeypatch.setattr(v, key, lambda pp, twin=twin: twin)
+    report = verify_theorem(p, TheoremId.RightInverse)
+    g = twins.get("glog", glog(p))
+    return g, twins.get("laguerre_pm1", laguerre_pm1(p)), lc, report
 
 
 class TestRightInverseTraps:
@@ -1053,6 +1125,68 @@ class TestLFactorizationRouteAudit:
 
         monkeypatch.setattr(special, "_lc_by_product", via_falling_factorials)
         assert ("trunclog.special", "_falling_factorials") in _shared_lc_routes(5)
+
+
+def _bypass_product_caches(monkeypatch):
+    """A fresh cache for b_rs, and the cached constructors the routes of
+    product_all_b read unwrapped, so an audit sees every function a route
+    enters."""
+    import trunclog.bpoly as bpoly
+    import trunclog.special as special
+
+    monkeypatch.setattr(bpoly, "_B_CACHE", {})
+    for mod, name in ((bpoly, "b_prefix_products"), (special, "laguerre_const_routes")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, getattr(fn, "__wrapped__", fn))
+
+
+def _shared_product_routes(monkeypatch, p):
+    """What any two of ProductFormula's three routes both enter above the
+    basics, each route audited on its own with the caches bypassed."""
+    import trunclog.bpoly as bpoly
+
+    seen = []
+    for route in ("b_prefix_products", "_product_by_linear_factors",
+                  "_product_by_modulus_constant"):
+        _bypass_product_caches(monkeypatch)
+        fn = getattr(bpoly, route)
+        seen.append(_above_the_basics(_profiled_calls(lambda: fn(p))))
+    return (seen[0] & seen[1]) | (seen[0] & seen[2]) | (seen[1] & seen[2])
+
+
+class TestProductFormulaRouteAudit:
+    def test_routes_share_nothing_above_the_basics(self, monkeypatch):
+        import trunclog.bpoly as bpoly
+
+        # the cached product ProductFormula reads is built by the three routes
+        _bypass_product_caches(monkeypatch)
+        seen = _profiled_calls(lambda: bpoly.product_all_b.__wrapped__(7))
+        for route in (
+            "b_prefix_products",
+            "_product_by_linear_factors",
+            "_product_by_modulus_constant",
+        ):
+            assert ("trunclog.bpoly", route) in seen
+        # with the caches bypassed, the routes reach their own constructors
+        assert ("trunclog.special", "binomial_sum") in seen
+        assert ("trunclog.special", "_lc_by_substitution") in seen
+        assert _shared_product_routes(monkeypatch, 7) == set()
+
+    def test_audit_sees_a_shared_route(self, monkeypatch):
+        # the same audit flags a linear-factor route that reads the falling
+        # factorials of the modulus constant's substitution route
+        import trunclog.bpoly as bpoly
+        import trunclog.special as special
+
+        orig = bpoly._product_by_linear_factors
+
+        def via_falling_factorials(p):
+            special._falling_factorials(FpPoly.x(p), 2)
+            return orig(p)
+
+        monkeypatch.setattr(bpoly, "_product_by_linear_factors", via_falling_factorials)
+        shared = _shared_product_routes(monkeypatch, 7)
+        assert ("trunclog.special", "_falling_factorials") in shared
 
 
 class TestCCoefficients:
