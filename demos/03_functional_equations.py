@@ -36,7 +36,8 @@ for tid in (
 
 # the reciprocal equation in explicit form:
 #   laguerre_const * G(X) == -X^p * G_at_minus_a((1 - a^(p-1)) / X)
-lhs = glog(p).as_xpoly().scalar_mul(laguerre_const(p))
-rhs = reciprocal_rhs(p)
+lc = laguerre_const(p)
+lhs = [c * lc for c in glog(p).as_xpoly().coeffs]
+rhs = list(reciprocal_rhs(p).coeffs)
 print()
 print(f"reciprocal equation holds coefficient-wise: {lhs == rhs}")

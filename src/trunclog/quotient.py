@@ -9,15 +9,16 @@ products.  ``compose_mod`` clears denominators (``common_denominator``) and
 composes on grids; in the library it serves only the LeftInverse composite
 G(L(X)) that ``glog()``'s guard and the LeftInverse checker share.
 
-``XPoly`` is the type for values: p ``RatFn`` coefficients (X^0 .. X^(p-1))
-with an optional modulus tag c, for rendering, equality, sums, scaling by a
-coefficient, ``derivative`` and ``specialize``.  ``xpoly_to_grid`` and
+``XPoly`` is the value type that constructors return and witnesses print:
+p ``RatFn`` coefficients (X^0 .. X^(p-1)) with an optional modulus tag c, for
+rendering, equality and ``specialize``.  ``xpoly_to_grid`` and
 ``grid_to_xpoly`` convert, the first raising ValueError on a coefficient that
-is not a polynomial.  XPoly's product and ``with_modulus`` serve only
-``_compose_horner``, the plain rational Horner loop that the tests hold the
-grid composition to; the library never calls it.  The constant c must be a
-polynomial (a fraction with denominator 1): only binomial moduli X^p - c with
-polynomial c occur anywhere in this package.
+is not a polynomial.  XPoly's arithmetic (its sum and product, ``constant``
+and ``with_modulus``) serves only ``_compose_horner``, the plain rational
+Horner loop that the tests hold the grid composition to; the library never
+calls it.  The constant c must be a polynomial (a fraction with denominator
+1): only binomial moduli X^p - c with polynomial c occur anywhere in this
+package.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import PoleError
 from .polys import FpPoly, RatFn, _pack, _slot_typecode, _unpack
 
 
-def _coerce_ratfn(v, p, var="a"):
+def _coerce_ratfn(v, p):
     if isinstance(v, RatFn):
         if v.p != p:
             raise ValueError(f"mixed moduli: {p} and {v.p}")
@@ -37,7 +38,7 @@ def _coerce_ratfn(v, p, var="a"):
         if v.p != p:
             raise ValueError(f"mixed moduli: {p} and {v.p}")
         return RatFn.from_poly(v)
-    return RatFn.const(v, p, var)
+    return RatFn.const(v, p)
 
 
 class XPoly:
@@ -66,11 +67,10 @@ class XPoly:
         return cls((c,), p, modulus)
 
     @classmethod
-    def x_power(cls, p, e, modulus=None, scale=1):
+    def x_power(cls, p, e, modulus=None):
         if not 0 <= e < p:
             raise ValueError("exponent out of range")
-        coeffs = [0] * e + [scale]
-        return cls(coeffs, p, modulus)
+        return cls([0] * e + [1], p, modulus)
 
     def with_modulus(self, c):
         return XPoly(self.coeffs, self.p, c)
@@ -96,10 +96,6 @@ class XPoly:
 
     __radd__ = __add__
 
-    def scalar_mul(self, s):
-        s = _coerce_ratfn(s, self.p)
-        return XPoly([c * s for c in self.coeffs], self.p, self.modulus)
-
     def __mul__(self, other):
         if not isinstance(other, XPoly):
             return NotImplemented
@@ -119,13 +115,6 @@ class XPoly:
             if not full[e].is_zero:
                 full[e - p] = full[e - p] + c * full[e]
         return XPoly(full[:p], p, c)
-
-    def derivative(self):
-        """Formal d/dX; only meaningful for untagged values."""
-        if self.modulus is not None:
-            raise ValueError("derivative is defined for untagged XPoly values")
-        coeffs = [self.coeffs[e] * e for e in range(1, self.p)]
-        return XPoly(coeffs, self.p)
 
     # -- evaluation -----------------------------------------------------------
 

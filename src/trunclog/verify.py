@@ -49,6 +49,11 @@ has unique factorisation, so two nonzero products of bound forms are equal
 iff their leads and exponent vectors are; products, powers and a -> h*a act
 on the vectors, and polynomials are rebuilt only for a witness.
 
+Checkers compute on polynomials only: FpPoly values, FpPoly grids, value
+vectors on F_p, split forms and CCoefficients' packed columns.  Fractions are
+compared cross-multiplied; RatFn and XPoly are what the constructors return
+and the witnesses print, and no passing case does their arithmetic.
+
 Checkers take only p, except LeftInverse (g=, a candidate G) and CCoefficients
 (pair budget, seed); tests patch the module globals they read at call time.
 
@@ -78,14 +83,8 @@ from .fields import check_odd_prime, ext_quadratic, inv_mod
 from .glog import glog, left_inverse_lhs, reciprocal_rhs
 from .jacobi import p_times_jacobi_p
 from .pairsystem import Layout, pair_columns, pair_rows, solve_pair, substitutes
-from .polys import FpPoly, RatFn, interpolate, roots_and_split, values
-from .quotient import (
-    XPoly,
-    common_denominator,
-    grid_mulmod,
-    grid_to_xpoly,
-    xpoly_to_grid,
-)
+from .polys import FpPoly, interpolate, roots_and_split, values
+from .quotient import common_denominator, grid_mulmod, grid_to_xpoly, xpoly_to_grid
 from .special import (
     alpha_p_minus_alpha,
     finite_polylog,
@@ -162,30 +161,24 @@ def _witness(case: dict, lhs, rhs) -> dict:
     return {"case": case, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _first_diff(a: XPoly, b: XPoly) -> int:
-    for k in range(a.p):
-        if a.coeffs[k] != b.coeffs[k]:
-            return k
-    return -1
-
-
 # -- inverse pair --------------------------------------------------------------
 
 
-def _is_x(got: XPoly, **case):
+def _is_x(got, **case):
     """One case: a composite must be X in its quotient ring.  A witness case
     holds the given keys, then the first coefficient that differs."""
-    want = XPoly.x_power(got.p, 1, modulus=got.modulus)
-    if got != want:
-        k = _first_diff(got, want)
-        return 1, _witness(
-            {**case, "coefficient": k}, got.coeffs[k], want.coeffs[k]
-        ), None
+    for k, c in enumerate(got.coeffs):
+        want = int(k == 1)
+        if not (c.den.is_one and c.num == want):
+            return 1, _witness({**case, "coefficient": k}, c, want), None
     return 1, None, None
 
 
 def _check_left_inverse(p, g=None):
-    g = glog(p) if g is None else g
+    if g is None:
+        g = glog(p)
+    elif g.p != p:
+        raise ValueError(f"candidate G is for p = {g.p}, not p = {p}")
     return _is_x(left_inverse_lhs(g, laguerre_pm1(p)))
 
 
@@ -435,11 +428,14 @@ def _check_l_factorization(p):
 
 
 def _check_reciprocal(p):
-    lhs = glog(p).as_xpoly().scalar_mul(laguerre_const(p))
+    """Lc * G(X) = reciprocal_rhs(p) on reduced coefficients G_k = n_k / d_k
+    and m_k / e_k, cross-multiplied: Lc * n_k * e_k == m_k * d_k.  The
+    fraction G_k * Lc is formed only for a witness."""
+    lc = laguerre_const(p)
     rhs = reciprocal_rhs(p)
-    if lhs != rhs:
-        k = _first_diff(lhs, rhs)
-        return 1, _witness({"coefficient": k}, lhs.coeffs[k], rhs.coeffs[k]), None
+    for k, (gk, rk) in enumerate(zip(glog(p).as_xpoly().coeffs, rhs.coeffs)):
+        if lc * gk.num * rk.den != rk.num * gk.den:
+            return 1, _witness({"coefficient": k}, gk * lc, rk), None
     return 1, None, None
 
 
@@ -559,12 +555,17 @@ def _check_powers_h_pm1(p):
     return 1, None, None
 
 
-def _polylog_at(p: int, u: RatFn) -> RatFn:
-    """The truncated logarithm formally evaluated at a rational expression."""
-    res = RatFn.const(inv_mod(p - 1, p), p, u.var)
+def _polylog_at(p: int, num: FpPoly, den: FpPoly) -> FpPoly:
+    """N with L1(num/den) = N / den^(p-1): N = sum_k num^k den^(p-1-k) / k.
+
+    X^p / X^(p-1) = X and (X-1)^p / (1-X)^(p-1) = X - 1 (p - 1 is even), so
+    each reflected side below is a linear factor times such an N."""
+    acc = FpPoly.const(inv_mod(p - 1, p), p, num.var)
+    den_pow = FpPoly.one(p, num.var)
     for k in range(p - 2, 0, -1):
-        res = res * u + inv_mod(k, p)
-    return res * u
+        den_pow = den_pow * den
+        acc = acc * num + den_pow * inv_mod(k, p)
+    return acc * num
 
 
 def _check_polylog_shift(p):
@@ -576,9 +577,9 @@ def _check_polylog_shift(p):
 
 
 def _check_polylog_wilson(p):
-    l1 = RatFn.from_poly(finite_polylog(p, 1))
+    l1 = finite_polylog(p, 1)
     x = FpPoly.x(p, "X")
-    rhs = -(RatFn.from_poly(x ** p)) * _polylog_at(p, RatFn(FpPoly.one(p, "X"), x))
+    rhs = -x * _polylog_at(p, FpPoly.one(p, "X"), x)
     if l1 != rhs:
         return 1, _witness({}, l1, rhs), None
     return 1, None, None
@@ -587,16 +588,14 @@ def _check_polylog_wilson(p):
 def _check_six_symmetries(p):
     x = FpPoly.x(p, "X")
     one = FpPoly.one(p, "X")
-    xm1_p = RatFn.from_poly((x - 1) ** p)
-    xp = RatFn.from_poly(x ** p)
     l1 = finite_polylog(p, 1)
     exprs = [
-        RatFn.from_poly(l1),
-        RatFn.from_poly(l1.compose(one - x)),
-        xm1_p * _polylog_at(p, RatFn(one, one - x)),
-        xm1_p * _polylog_at(p, RatFn(x, x - 1)),
-        -xp * _polylog_at(p, RatFn(x - 1, x)),
-        -xp * _polylog_at(p, RatFn(one, x)),
+        l1,
+        l1.compose(one - x),
+        (x - 1) * _polylog_at(p, one, one - x),
+        (x - 1) * _polylog_at(p, x, x - 1),
+        -x * _polylog_at(p, x - 1, x),
+        -x * _polylog_at(p, one, x),
     ]
     cases = 0
     for i, e in enumerate(exprs):
@@ -637,8 +636,9 @@ def _check_four_term(p):
 def _check_trunc_binomial_rules(p):
     truncate = FpPoly.zero(p)
     cases = 0
-    tbs = {r: trunc_binomial(FpPoly([-1, r], p), 1, p) for r in range(1, p)}
-    grids = {r: xpoly_to_grid(tb) for r, tb in tbs.items()}
+    grids = {
+        r: xpoly_to_grid(trunc_binomial(FpPoly([-1, r], p), 1, p)) for r in range(1, p)
+    }
     # (1+X)^(ra-1) (1+X)^(sa-1) = (1+X)^(ta-2) with t = r+s mod p
     wants = {
         t: xpoly_to_grid(trunc_binomial(FpPoly([-2, t], p), 1, p)) for t in range(p)
@@ -654,16 +654,19 @@ def _check_trunc_binomial_rules(p):
                     grid_to_xpoly(prod, p),
                     grid_to_xpoly(want, p),
                 ), None
+    # d/dX (1+X)^f = f*(1+X)^(f-1) + (f^p-f)*X^(p-1); (1+X)^(f-1) is wants[r]
     for r in range(1, p):
         cases += 1
         f = FpPoly([-1, r], p)
-        lhs = tbs[r].derivative()
-        frob_term = f.frobenius_p() - f
-        rhs = trunc_binomial(f - 1, 1, p).scalar_mul(f) + XPoly.x_power(
-            p, p - 1, scale=RatFn.from_poly(frob_term)
-        )
+        lhs = [grids[r][e] * e for e in range(1, p)] + [truncate]
+        rhs = [row * f for row in wants[r]]
+        rhs[p - 1] = rhs[p - 1] + f.frobenius_p() - f
         if lhs != rhs:
-            return cases, _witness({"derivative of": f"(1+X)^({f})"}, lhs, rhs), None
+            return cases, _witness(
+                {"derivative of": f"(1+X)^({f})"},
+                grid_to_xpoly(lhs, p),
+                grid_to_xpoly(rhs, p),
+            ), None
     return cases, None, None
 
 

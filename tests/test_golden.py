@@ -1,11 +1,21 @@
-"""Golden-file tests pinning the JSON surfaces the CLI emits."""
+"""Golden-file tests pinning what the CLI prints.
+
+The byte-exact files are CLI stdout with each ``elapsed_ms`` value masked
+to 0; any change to a report, a case count, a witness or a rendering shows
+up as a diff here.
+"""
 
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from trunclog.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+_ELAPSED = re.compile(r'("elapsed_ms": |elapsed_ms=)\d+')
 
 
 def run_json(capsys, *argv):
@@ -28,3 +38,21 @@ def test_verify_symmetry_p3_matches_golden(capsys):
     got["elapsed_ms"] = 0
     want = json.loads((GOLDEN / "verify_symmetry_p3.json").read_text())
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("verify_p3-13.json", ["verify", "--prime", "3..13", "--format", "json"]),
+        ("verify_p3-13.txt", ["verify", "--prime", "3..13"]),
+        ("show_all_p7.txt", ["show", "all", "--prime", "7"]),
+        ("show_all_p7.json", ["show", "all", "--prime", "7", "--format", "json"]),
+        ("show_polylog_p7_dlog2.txt", ["show", "polylog", "--prime", "7", "--dlog", "2"]),
+        ("table_b_roots_p11.csv", ["table", "b-roots", "--prime", "11"]),
+    ],
+)
+def test_stdout_matches_golden_bytes(capsys, name, argv):
+    code = main(argv)
+    out = _ELAPSED.sub(r"\g<1>0", capsys.readouterr().out)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()

@@ -316,13 +316,6 @@ class TestXPolyMisc:
         a = XPoly([1, 2], p)
         assert a != a.with_modulus(modulus(p))
 
-    def test_derivative_only_untagged(self):
-        p = 5
-        x = XPoly([0, 1, 1], p)
-        assert x.derivative() == XPoly([1, 2], p)
-        with pytest.raises(ValueError):
-            x.with_modulus(modulus(p)).derivative()
-
     def test_mixed_moduli_in_coefficients_rejected(self):
         with pytest.raises(ValueError):
             XPoly([RatFn.const(1, 3)], 5)

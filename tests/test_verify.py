@@ -442,6 +442,16 @@ class TestCheckerSurface:
         with pytest.raises(TypeError):
             verify_theorem(5, "RightInverse", g=glog(5))
 
+    def test_left_inverse_rejects_a_candidate_for_another_prime(self, monkeypatch):
+        import trunclog.verify as v
+
+        def entered(g, lag):
+            raise AssertionError("the candidate reached the composition")
+
+        monkeypatch.setattr(v, "left_inverse_lhs", entered)
+        with pytest.raises(ValueError, match=r"^candidate G is for p = 7, not p = 5$"):
+            verify_theorem(5, TheoremId.LeftInverse, g=glog(7))
+
 
 # LemmaProduct computes row r = 1 and skips a case (r, s) with r != 1 only as
 # the sigma_r image of a passed case; the direct loop over every case below is
@@ -1187,6 +1197,78 @@ class TestProductFormulaRouteAudit:
         monkeypatch.setattr(bpoly, "_product_by_linear_factors", via_falling_factorials)
         shared = _shared_product_routes(monkeypatch, 7)
         assert ("trunclog.special", "_falling_factorials") in shared
+
+
+def _value_type_calls(fn):
+    """Each RatFn or XPoly method entered, while fn runs, directly from a
+    frame of trunclog.verify.  ``__hash__`` is left out: it is how the
+    lru_cache of ``left_inverse_lhs`` looks up its XPoly argument, and that
+    lookup runs in the caller's frame without computing anything."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_qualname
+        if (
+            event == "call"
+            and name.startswith(("RatFn.", "XPoly."))
+            and not name.endswith(".__hash__")
+            and frame.f_globals.get("__name__") in ("trunclog.polys", "trunclog.quotient")
+            and frame.f_back.f_globals.get("__name__") == "trunclog.verify"
+        ):
+            seen.add(name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+_POLYNOMIAL_ONLY = [
+    TheoremId.LeftInverse,
+    TheoremId.RightInverse,
+    TheoremId.Reciprocal,
+    TheoremId.TruncBinomialRules,
+    TheoremId.PolylogWilson,
+    TheoremId.SixSymmetries,
+]
+
+
+def _run_polynomial_only(p):
+    reports = [verify_theorem(p, tid) for tid in _POLYNOMIAL_ONLY]
+    assert all(r.status == "pass" for r in reports)
+
+
+class TestValueTypeAudit:
+    # the checkers whose identities hold between fractions or series compare
+    # them on polynomials; the constructors are prebuilt so that only the
+    # checks are audited
+    p = 7
+
+    @pytest.fixture(autouse=True)
+    def prebuilt(self):
+        from trunclog.bpoly import b_prefix_products
+
+        glog(self.p)
+        laguerre_const(self.p)
+        for negate in (False, True):
+            b_prefix_products(self.p, negate=negate)
+        for r in range(1, self.p):
+            for s in range(1, self.p):
+                b_rs(self.p, r, s)
+
+    def test_checkers_call_no_fraction_or_series_method(self):
+        assert _value_type_calls(lambda: _run_polynomial_only(self.p)) == set()
+
+    def test_audit_sees_a_fraction_product(self, monkeypatch):
+        # a fraction in place of Lc makes Reciprocal multiply RatFn itself
+        import trunclog.verify as v
+
+        lc = RatFn.from_poly(laguerre_const(self.p))
+        monkeypatch.setattr(v, "laguerre_const", lambda pp: lc)
+        seen = _value_type_calls(lambda: verify_theorem(self.p, TheoremId.Reciprocal))
+        assert "RatFn.__mul__" in seen
 
 
 class TestCCoefficients:
