@@ -9,8 +9,8 @@ coefficient of X^k is -(1/k) / prod_{s<k} b[1,s](a); there is no constant
 term, the coefficient of X is -1, and at a = 0 the whole thing collapses to
 minus the truncated logarithm.
 
-``glog`` verifies the defining inverse identity at construction, on the
-composite ``left_inverse_lhs`` that the LeftInverse checker reads as well, and
+``glog`` verifies the defining inverse identity at construction as
+G(L) = sum_k c_k * L_k by the power formula (``left_inverse_by_powers``), and
 caches the result per prime.  The raw ``GLog`` constructor performs no check,
 which is what the mutation tests use to build deliberately broken twins.
 
@@ -28,11 +28,11 @@ from __future__ import annotations
 import functools
 
 from .errors import TheoremViolationError
-from .bpoly import b_prefix_products
+from .bpoly import b_prefix_products, b_rs
 from .fields import check_odd_prime, inv_mod
 from .polys import FpPoly, RatFn
-from .quotient import XPoly, compose_mod
-from .special import alpha_p_minus_alpha, laguerre_pm1, w_poly
+from .quotient import XPoly, compose_mod, grid_mulmod, xpoly_to_grid
+from .special import alpha_p_minus_alpha, laguerre_pm1, laguerre_scaled, w_poly
 
 
 class GLog:
@@ -115,16 +115,61 @@ def glog(p: int) -> GLog:
         RatFn(FpPoly.const(-inv_mod(k, p), p), pre[k - 1]) for k in range(1, p)
     ]
     g = GLog(p, coeffs)
-    got = left_inverse_lhs(g, laguerre_pm1(p))
-    if got != XPoly.x_power(p, 1, modulus=got.modulus):
-        raise TheoremViolationError(f"left-inverse construction fails at p={p}")
+    lag = laguerre_pm1(p)
+    scaled = tuple(laguerre_scaled(p, j) for j in range(1, p))
+    bs = tuple(b_rs(p, 1, s) for s in range(1, p - 1))
+    if not left_inverse_by_powers(g, lag, scaled, pre, bs):
+        got = left_inverse_lhs(g, lag)
+        if got != XPoly.x_power(p, 1, modulus=got.modulus):
+            raise TheoremViolationError(f"left-inverse construction fails at p={p}")
     return g
 
 
-@functools.lru_cache(maxsize=None)
 def left_inverse_lhs(g: GLog, lag: XPoly) -> XPoly:
-    """G(L(X)) mod X^p - (a^p - a); glog's guard and LeftInverse share it."""
+    """G(L(X)) mod X^p - (a^p - a) by ``compose_mod``, uncached."""
     return compose_mod(g.as_xpoly(), lag, RatFn.from_poly(alpha_p_minus_alpha(g.p)))
+
+
+def left_inverse_by_powers(g: GLog, lag: XPoly, scaled, pre, bs) -> bool:
+    """True when G(L(X)) = X mod X^p - (a^p - a) follows from the power
+    formula lag^k = pre[k-1] * L_k (``power_formula_failure``): if each
+    G_k * pre[k-1] is a constant c_k, G(L) = sum_k c_k * L_k."""
+    p = g.p
+    if any(not c.den.is_one for x in (lag, *scaled) for c in x.coeffs):
+        return False
+    total = [FpPoly.zero(p)] * p
+    for gk, q, x in zip(g.coeffs, pre, scaled, strict=True):
+        num, den = gk.num * q, gk.den
+        c = num.lead * inv_mod(den.lead, p) if num.degree == den.degree else 0
+        if num != den * c:
+            return False
+        total = [t + r.num * c for t, r in zip(total, x.coeffs)]
+    x_grid = xpoly_to_grid(XPoly.x_power(p, 1))
+    return total == x_grid and power_formula_failure(lag, scaled, pre, bs) is None
+
+
+@functools.lru_cache(maxsize=1)
+def power_formula_failure(lag: XPoly, scaled: tuple, pre: tuple, bs: tuple):
+    """(j, lag^j as a grid) for the first j in 1..p-1 with lag^j != pre[j-1] *
+    L_j mod X^p - (a^p - a), or None; scaled = (L_1 ..), pre[k] = prod_{s<=k}
+    b[1,s], bs = (b[1,1] ..).  The last run is kept for glog()'s guard and the
+    checkers.  Case j >= 2 follows from case j-1 and the step lag * L_(j-1) =
+    b[1,j-1] * L_j, pre[j-1] = pre[j-2] * b[1,j-1]; where a step fails, case j
+    is compared directly on lag^j = pre[j-2] * (lag * L_(j-1)).
+    """
+    p, cpoly = lag.p, alpha_p_minus_alpha(lag.p)
+    base, prev = xpoly_to_grid(lag), xpoly_to_grid(scaled[0])
+    if base != [pre[0] * x for x in prev]:
+        return 1, base
+    for j in range(2, p):
+        grid, b = xpoly_to_grid(scaled[j - 1]), bs[j - 2]
+        step = grid_mulmod(base, prev, cpoly, p)
+        if pre[j - 1] != pre[j - 2] * b or step != [b * x for x in grid]:
+            power = [pre[j - 2] * x for x in step]
+            if power != [pre[j - 1] * x for x in grid]:
+                return j, power
+        prev = grid
+    return None
 
 
 def glog_coeff_normal(p: int, k: int):
@@ -169,6 +214,16 @@ def glog_pole_table(p: int):
     return out
 
 
+def _reciprocal_terms(p: int):
+    """``reciprocal_rhs``'s coefficients as unreduced (num, den) pairs."""
+    pre_neg, w, wk = b_prefix_products(p, negate=True), w_poly(p), FpPoly.one(p)
+    terms = [(FpPoly.zero(p), FpPoly.one(p))] * p
+    for k in range(1, p):
+        wk = wk * w
+        terms[p - k] = (wk * inv_mod(k, p), pre_neg[k - 1])
+    return terms
+
+
 def reciprocal_rhs(p: int) -> XPoly:
     """The reflected side -X^p * G_(-a)((1 - a^(p-1)) / X) of the reciprocal
     equation, expanded by formal substitution.
@@ -179,11 +234,4 @@ def reciprocal_rhs(p: int) -> XPoly:
     laguerre_const(p) * G(X) identically; the verifier checks that.
     """
     check_odd_prime(p)
-    pre_neg = b_prefix_products(p, negate=True)
-    w = w_poly(p)
-    coeffs = [RatFn.zero(p) for _ in range(p)]
-    wk = FpPoly.one(p)
-    for k in range(1, p):
-        wk = wk * w
-        coeffs[p - k] = RatFn(wk * inv_mod(k, p), pre_neg[k - 1])
-    return XPoly(coeffs, p)
+    return XPoly([RatFn(num, den) for num, den in _reciprocal_terms(p)], p)

@@ -6,8 +6,8 @@ a polynomial constant c; c = 0 gives the product truncated below X^p.  It
 Kronecker-packs each row once per product and multiplies packed integers, so
 a grid product packs 2p rows rather than two operands for each of p² row
 products.  ``compose_mod`` clears denominators (``common_denominator``) and
-composes on grids; in the library it serves only the LeftInverse composite
-G(L(X)) that ``glog()``'s guard and the LeftInverse checker share.
+composes on grids; in the library it forms G(L(X)) only for a candidate G
+that the power route of ``glog`` does not prove, and for a witness.
 
 ``XPoly`` is the value type that constructors return and witnesses print:
 p ``RatFn`` coefficients (X^0 .. X^(p-1)) with an optional modulus tag c, for

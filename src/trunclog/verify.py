@@ -18,9 +18,11 @@ sides rendered.  Case counts per checker:
     JacobiLink, JacobiShift                   (p-1)(p-2)
     CCoefficients                             number of sampled pairs
 
-RightInverse forms no composition L(G(X)): it is proved from LeftInverse
-plus two Frobenius conditions (one for L, one for G) by the inverse-map
-lemma in ``_check_right_inverse``.
+PowerFormula runs by induction on the product lemma, LeftInverse sums
+c_k * L_k by the power formula and composes only what that does not prove
+(``glog.power_formula_failure`` and ``left_inverse_by_powers``, one run shared
+with glog()'s guard).  RightInverse forms no composition L(G(X)): it follows
+from LeftInverse and L-Frobenius by the inverse-map lemma.
 
 LemmaProduct makes p - 1 grid products, not (p-1)^2: row r = 1 is computed,
 and a case (r, s) with r != 1 is counted as the image of the passed case
@@ -80,7 +82,8 @@ from .bpoly import (
 )
 from .errors import NonSplitError, TheoremViolationError
 from .fields import check_odd_prime, ext_quadratic, inv_mod
-from .glog import glog, left_inverse_lhs, reciprocal_rhs
+from .glog import _reciprocal_terms, glog, left_inverse_by_powers, left_inverse_lhs
+from .glog import power_formula_failure, reciprocal_rhs
 from .jacobi import p_times_jacobi_p
 from .pairsystem import Layout, pair_columns, pair_rows, solve_pair, substitutes
 from .polys import FpPoly, interpolate, roots_and_split, values
@@ -174,12 +177,23 @@ def _is_x(got, **case):
     return 1, None, None
 
 
+def _power_inputs(p):
+    """The power formula's (L_1 .. L_(p-1)), prefix products and b[1,s]."""
+    scaled = tuple(laguerre_scaled(p, j) for j in range(1, p))
+    return scaled, b_prefix_products(p), tuple(b_rs(p, 1, s) for s in range(1, p - 1))
+
+
 def _check_left_inverse(p, g=None):
+    """G(L(X)) = X by ``left_inverse_by_powers``; the composite decides, and
+    is the witness, only where that route proves nothing."""
     if g is None:
         g = glog(p)
     elif g.p != p:
         raise ValueError(f"candidate G is for p = {g.p}, not p = {p}")
-    return _is_x(left_inverse_lhs(g, laguerre_pm1(p)))
+    lag = laguerre_pm1(p)
+    if left_inverse_by_powers(g, lag, *_power_inputs(p)):
+        return 1, None, None
+    return _is_x(left_inverse_lhs(g, lag))
 
 
 def _frobenius_image(coeffs, arg: FpPoly):
@@ -206,33 +220,29 @@ def _check_right_inverse(p):
 
     - "L-frobenius": Y -> L(X) is a ring map K2 -> K1 iff L(X)^p = Lc in K1,
       i.e. sum_k L_k(a^p) * alpha^k = Lc;
+    - "left inverse": G(L(X)) = X in K1, by LeftInverse's route;
     - "G-frobenius": X -> G(Y) is a ring map K1 -> K2 iff G(Y)^p = alpha in
-      K2, i.e. sum_k G_k(a^p) * Lc^k = alpha, compared over G's common
-      denominator D as sum_k (G_k D)(a^p) * Lc^k = alpha * D(a^p);
-    - "left inverse": G(L(X)) = X in K1 says K1 -> K2 -> K1 is the identity.
+      K2, i.e. sum_k G_k(a^p) * Lc^k = alpha.  The p-th power of G(L) = X
+      in K1 is that equation, so the first two parts imply it.  It is
+      computed, over G's common denominator D, only when the power route
+      does not prove the left inverse, and then precedes the composite.
 
     Both maps are F_p(a)-linear and both rings have dimension p over F_p(a).
-    The composite being the identity makes K2 -> K1 onto, hence bijective,
-    so X -> G(Y) is its inverse and K2 -> K1 -> K2 is the identity too:
-    L(G(Y)) = Y in K2, which is the statement.
-
-    All three parts run on the G and L of ``glog`` and ``laguerre_pm1``, so a
-    twin of either reaches each; the left-inverse composite is the cached one
-    glog()'s guard and LeftInverse read.  One case; a witness names the part
-    that failed, and a Frobenius witness shows both sides cross-multiplied by
-    M as in ``_frobenius_image``.
+    K1 -> K2 -> K1 is the identity, so K2 -> K1 is onto, hence bijective;
+    X -> G(Y) is its inverse and L(G(Y)) = Y in K2, which is the statement.
+    A twin of ``glog`` or ``laguerre_pm1`` reaches each part.  One case; a
+    Frobenius witness is cross-multiplied by M as in ``_frobenius_image``.
     """
-    g = glog(p)
-    lag = laguerre_pm1(p)
-    lc = laguerre_const(p)
+    g, lag, lc = glog(p), laguerre_pm1(p), laguerre_const(p)
     alpha = alpha_p_minus_alpha(p)
-    for part, series, arg, want in (
-        ("L-frobenius", lag, alpha, lc),
-        ("G-frobenius", g.as_xpoly(), lc, alpha),
-    ):
-        num, den = _frobenius_image(series.coeffs, arg)
-        if num != want * den:
-            return 1, _witness({"part": part}, num, want * den), None
+    num, den = _frobenius_image(lag.coeffs, alpha)
+    if num != lc * den:
+        return 1, _witness({"part": "L-frobenius"}, num, lc * den), None
+    if left_inverse_by_powers(g, lag, *_power_inputs(p)):
+        return 1, None, None
+    num, den = _frobenius_image(g.as_xpoly().coeffs, lc)
+    if num != alpha * den:
+        return 1, _witness({"part": "G-frobenius"}, num, alpha * den), None
     return _is_x(left_inverse_lhs(g, lag), part="left inverse")
 
 
@@ -294,21 +304,15 @@ def _check_lemma_product(p):
 
 
 def _check_power_formula(p):
-    cpoly = alpha_p_minus_alpha(p)
-    pre = b_prefix_products(p)
-    base = xpoly_to_grid(laguerre_scaled(p, 1))
-    power = base
-    cases = 0
-    for j in range(1, p):
-        cases += 1
-        if j > 1:
-            power = grid_mulmod(power, base, cpoly, p)
-        want = [pre[j - 1] * g for g in xpoly_to_grid(laguerre_scaled(p, j))]
-        if power != want:
-            return cases, _witness(
-                {"j": j}, grid_to_xpoly(power, p), grid_to_xpoly(want, p)
-            ), None
-    return cases, None, None
+    """L_1^j = pre[j-1] * L_j by induction on the product lemma
+    (``power_formula_failure``), with the direct loop's count and witness."""
+    scaled, pre, bs = _power_inputs(p)
+    failure = power_formula_failure(scaled[0], scaled, pre, bs)
+    if failure is None:
+        return p - 1, None, None
+    j, power = failure
+    want = [pre[j - 1] * g for g in xpoly_to_grid(scaled[j - 1])]
+    return j, _witness({"j": j}, grid_to_xpoly(power, p), grid_to_xpoly(want, p)), None
 
 
 # -- the b-family ---------------------------------------------------------------
@@ -428,13 +432,15 @@ def _check_l_factorization(p):
 
 
 def _check_reciprocal(p):
-    """Lc * G(X) = reciprocal_rhs(p) on reduced coefficients G_k = n_k / d_k
-    and m_k / e_k, cross-multiplied: Lc * n_k * e_k == m_k * d_k.  The
-    fraction G_k * Lc is formed only for a witness."""
+    """Lc * G(X) = reciprocal_rhs(p), with G_k = n_k / d_k reduced and the
+    right side's unreduced term m_k / e_k (``glog._reciprocal_terms``)
+    cross-multiplied: Lc * n_k * e_k == m_k * d_k.  reciprocal_rhs and the
+    fraction G_k * Lc are formed only for a witness."""
     lc = laguerre_const(p)
-    rhs = reciprocal_rhs(p)
-    for k, (gk, rk) in enumerate(zip(glog(p).as_xpoly().coeffs, rhs.coeffs)):
-        if lc * gk.num * rk.den != rk.num * gk.den:
+    terms = _reciprocal_terms(p)
+    for k, (gk, (m, e)) in enumerate(zip(glog(p).as_xpoly().coeffs, terms)):
+        if lc * gk.num * e != m * gk.den:
+            rk = reciprocal_rhs(p).coeffs[k]
             return 1, _witness({"coefficient": k}, gk * lc, rk), None
     return 1, None, None
 

@@ -57,10 +57,11 @@ class TestConstruction:
 
 
 class TestConstructionGuard:
-    """glog's left-inverse guard still composes, and fails, on tampered input.
+    """glog's left-inverse guard still fails on tampered input.
 
-    ``glog.__wrapped__`` skips the per-prime cache; the composite cache is
-    keyed by the tampered (G, L) pair, so nothing is read from the good one.
+    ``glog.__wrapped__`` skips the per-prime cache; the power route keeps its
+    result only for the inputs it was given, so nothing is read from the good
+    ones.
     """
 
     glog_mod = importlib.import_module("trunclog.glog")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import g_side
 from trunclog.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,3 +57,9 @@ def test_stdout_matches_golden_bytes(capsys, name, argv):
     out = _ELAPSED.sub(r"\g<1>0", capsys.readouterr().out)
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+def test_g_side_trap_reports_match_golden_bytes():
+    # the JSON reports of LeftInverse, RightInverse, PowerFormula and
+    # Reciprocal under each mutation of tests/g_side.py, elapsed_ms masked
+    assert g_side.golden_text() == (GOLDEN / "g_side_traps_p5-7.json").read_text()

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
+import g_side
 from trunclog.bpoly import b_roots_predicted, b_rs
 from trunclog.errors import TheoremViolationError
 from trunclog.fields import ext_quadratic
 from trunclog.glog import glog
 from trunclog.polys import FpPoly, RatFn, _slot_typecode, _slots
-from trunclog.quotient import XPoly, compose_mod
+from trunclog.quotient import XPoly, common_denominator, compose_mod
 from trunclog.special import alpha_p_minus_alpha, laguerre_const, laguerre_pm1
 from trunclog.pairsystem import (
     Layout,
@@ -840,7 +841,11 @@ class TestRightInverseTraps:
         import trunclog.verify as v
 
         # the L condition is summed in a^p - a, the G condition in Lc; one
-        # sum is pushed off by 1 and the other is left intact
+        # sum is pushed off by 1 and the other is left intact.  G-frobenius
+        # follows from the other two parts and is computed only when the left
+        # inverse fails, so for it the left inverse is made to fail too: the
+        # tampered G condition must still be the witness, ahead of the left
+        # inverse's own
         target = alpha_p_minus_alpha(p) if part == "L-frobenius" else laguerre_const(p)
         orig = v._frobenius_image
 
@@ -848,6 +853,13 @@ class TestRightInverseTraps:
             num, den = orig(coeffs, arg)
             return (num + den, den) if arg == target else (num, den)
 
+        if part == "G-frobenius":
+            # the power route proves nothing and the composite is off by 1
+            composite = v.left_inverse_lhs
+            monkeypatch.setattr(v, "left_inverse_by_powers", lambda *args: False)
+            monkeypatch.setattr(v, "left_inverse_lhs", lambda g, lag: composite(g, lag) + 1)
+            r = verify_theorem(p, TheoremId.RightInverse)
+            assert r.witness["case"] == {"part": "left inverse", "coefficient": 0}
         monkeypatch.setattr(v, "_frobenius_image", tampered)
         r = verify_theorem(p, TheoremId.RightInverse)
         assert r.status == "fail" and r.cases_checked == 1
@@ -855,17 +867,201 @@ class TestRightInverseTraps:
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_shared_composite_tampered(self, monkeypatch, p):
+        # The composite G(L(X)) is the sum sum_k c_k * L_k, trusted on the
+        # shared power route.  G_2 doubled beside L_2 halved keeps that sum
+        # at X while the power formula fails at j = 2.  Honest, the route
+        # makes all three checkers fail as their direct oracles do; made to
+        # vouch for every case, it makes them pass the broken pair, so each
+        # reads it.  Made to deny every case on the true pair, it leaves
+        # LeftInverse and RightInverse to the composition, and PowerFormula
+        # fails at the j it names.
         import trunclog.verify as v
-        from trunclog.glog import left_inverse_lhs
+        from trunclog.fields import inv_mod
+        from trunclog.special import laguerre_scaled
 
-        def tampered(g, lag):
-            return left_inverse_lhs(g, lag) + 1
+        glog_mod = sys.modules["trunclog.glog"]
+        theorems = (TheoremId.LeftInverse, TheoremId.RightInverse, TheoremId.PowerFormula)
 
-        monkeypatch.setattr(v, "left_inverse_lhs", tampered)
-        r = verify_theorem(p, TheoremId.RightInverse)
-        assert r.status == "fail" and r.cases_checked == 1
-        assert r.witness["case"] == {"part": "left inverse", "coefficient": 0}
-        assert r.witness["lhs"] == "1" and r.witness["rhs"] == "0"
+        def run(route=None):
+            if route is not None:
+                monkeypatch.setattr(glog_mod, "power_formula_failure", route)
+                monkeypatch.setattr(v, "power_formula_failure", route)
+            return [verify_theorem(p, t) for t in theorems]
+
+        fake = [FpPoly.zero(p)] * p
+        denied = run(lambda *args: (2, fake))
+        assert [r.status for r in denied] == ["pass", "pass", "fail"]
+        assert denied[2].cases_checked == 2 and denied[2].witness["case"] == {"j": 2}
+        monkeypatch.undo()
+
+        g = glog(p)
+        twin = g.with_coeff(2, g.coeff(2) * 2)
+        half = inv_mod(2, p)
+        l2 = XPoly([c * half for c in laguerre_scaled(p, 2).coeffs], p)
+        monkeypatch.setattr(v, "glog", lambda pp: twin)
+        monkeypatch.setattr(
+            v, "laguerre_scaled", lambda pp, r: l2 if r == 2 else laguerre_scaled(pp, r)
+        )
+        honest = run()
+        assert [(r.status, r.cases_checked, r.witness) for r in honest] == [
+            _left_inverse_direct(p), _right_inverse_direct(p), _power_formula_direct(p),
+        ]
+        assert [r.status for r in honest] == ["fail"] * 3
+        assert [r.status for r in run(lambda *args: None)] == ["pass"] * 3
+
+
+# The G-side checkers prove their identities from the power formula.  The
+# direct routes below are the oracles they must match under every mutation
+# of tests/g_side.py: the composition G(L(X)), RightInverse with all three
+# parts computed, the loop that multiplies out every power, and Reciprocal on
+# reduced fractions.  Each reads the names of trunclog.verify that the
+# mutations patch.
+
+
+def _x_witness(got, **case):
+    """The witness of a composite that must be X, or None when it is X."""
+    for k, c in enumerate(got.coeffs):
+        want = int(k == 1)
+        if not (c.den.is_one and c.num == want):
+            return {"case": {**case, "coefficient": k}, "lhs": str(c), "rhs": str(want)}
+    return None
+
+
+def _report(witness, cases=1):
+    return ("fail" if witness else "pass"), cases, witness
+
+
+def _left_inverse_direct(p):
+    import trunclog.verify as v
+
+    c = RatFn.from_poly(alpha_p_minus_alpha(p))
+    return _report(_x_witness(compose_mod(v.glog(p).as_xpoly(), v.laguerre_pm1(p), c)))
+
+
+def _right_inverse_direct(p):
+    import trunclog.verify as v
+
+    g, lag, lc = v.glog(p), v.laguerre_pm1(p), v.laguerre_const(p)
+    alpha = alpha_p_minus_alpha(p)
+    for part, series, arg, want in (
+        ("L-frobenius", lag, alpha, lc),
+        ("G-frobenius", g.as_xpoly(), lc, alpha),
+    ):
+        # sum_k s_k(a^p) * arg^k = want over the common denominator D of s_k
+        nums, den = common_denominator(series.coeffs)
+        lhs = FpPoly.zero(p)
+        for num in reversed(nums):
+            lhs = lhs * arg + num.frobenius_p()
+        rhs = want * den.frobenius_p()
+        if lhs != rhs:
+            return _report({"case": {"part": part}, "lhs": str(lhs), "rhs": str(rhs)})
+    c = RatFn.from_poly(alpha)
+    return _report(_x_witness(compose_mod(g.as_xpoly(), lag, c), part="left inverse"))
+
+
+def _power_formula_direct(p):
+    import trunclog.verify as v
+    from trunclog.quotient import grid_mulmod, grid_to_xpoly, xpoly_to_grid
+
+    cpoly = alpha_p_minus_alpha(p)
+    pre = v.b_prefix_products(p)
+    base = xpoly_to_grid(v.laguerre_scaled(p, 1))
+    power = base
+    for j in range(1, p):
+        if j > 1:
+            power = grid_mulmod(power, base, cpoly, p)
+        want = [pre[j - 1] * g for g in xpoly_to_grid(v.laguerre_scaled(p, j))]
+        if power != want:
+            lhs, rhs = grid_to_xpoly(power, p), grid_to_xpoly(want, p)
+            return _report({"case": {"j": j}, "lhs": str(lhs), "rhs": str(rhs)}, j)
+    return _report(None, p - 1)
+
+
+def _reciprocal_direct(p):
+    import trunclog.verify as v
+    from trunclog.glog import reciprocal_rhs
+
+    lc = v.laguerre_const(p)
+    for k, (gk, rk) in enumerate(zip(v.glog(p).as_xpoly().coeffs, reciprocal_rhs(p).coeffs)):
+        if gk * lc != rk:
+            return _report({"case": {"coefficient": k}, "lhs": str(gk * lc), "rhs": str(rk)})
+    return _report(None)
+
+
+G_SIDE_ORACLES = {
+    "LeftInverse": _left_inverse_direct,
+    "RightInverse": _right_inverse_direct,
+    "PowerFormula": _power_formula_direct,
+    "Reciprocal": _reciprocal_direct,
+}
+
+
+class TestGSideOracles:
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("mutation", list(g_side.MUTATIONS))
+    @pytest.mark.parametrize("theorem", g_side.G_SIDE)
+    def test_matches_the_direct_route(self, monkeypatch, p, mutation, theorem):
+        g_side.apply(monkeypatch, mutation)
+        want = G_SIDE_ORACLES[theorem](p)
+        r = verify_theorem(p, theorem)
+        assert (r.status, r.cases_checked, r.witness) == want
+
+    def test_a_failing_step_falls_back_to_its_case(self, monkeypatch):
+        # with b[1,1] doubled the step at j = 2 fails while the power formula
+        # holds, so the case is compared directly and passes
+        import trunclog.verify as v
+        from trunclog.quotient import grid_mulmod, xpoly_to_grid
+        from trunclog.special import laguerre_scaled
+
+        p = 7
+        g_side.apply(monkeypatch, "2*b[1,1]")
+        l1, l2 = (xpoly_to_grid(laguerre_scaled(p, r)) for r in (1, 2))
+        b = v.b_rs(p, 1, 1)
+        assert grid_mulmod(l1, l1, alpha_p_minus_alpha(p), p) != [b * x for x in l2]
+        assert verify_theorem(p, TheoremId.PowerFormula).status == "pass"
+
+    @pytest.mark.parametrize("mutation, composed", [
+        ("none", 0), ("G twin", 1), ("G without the c_k shape", 1), ("L twin", 1),
+    ])
+    def test_left_inverse_composes_only_what_the_powers_do_not_prove(
+        self, monkeypatch, mutation, composed
+    ):
+        import trunclog.verify as v
+
+        calls = []
+        orig = v.left_inverse_lhs
+
+        def counted(g, lag):
+            calls.append(1)
+            return orig(g, lag)
+
+        g_side.apply(monkeypatch, mutation)
+        monkeypatch.setattr(v, "left_inverse_lhs", counted)
+        verify_theorem(7, TheoremId.LeftInverse)
+        assert len(calls) == composed
+
+    def test_left_inverse_keeps_no_candidate(self):
+        import gc
+        import itertools
+        import weakref
+
+        from trunclog.glog import GLog
+
+        class Twin(GLog):  # a subclass takes weak references
+            pass
+
+        p = 7
+        g = glog(p)
+        refs = []
+        for k, c in itertools.islice(itertools.product(range(1, p), range(1, p)), 20):
+            coeffs = list(g.coeffs)
+            coeffs[k - 1] = coeffs[k - 1] + c
+            twin = Twin(p, coeffs)
+            assert verify_theorem(p, TheoremId.LeftInverse, g=twin).status == "fail"
+            refs.append(weakref.ref(twin))
+            del twin
+        gc.collect()
+        assert [r() for r in refs] == [None] * 20
 
 
 # Traps for the value-vector checkers.  b_rs is the one route through
@@ -1201,9 +1397,7 @@ class TestProductFormulaRouteAudit:
 
 def _value_type_calls(fn):
     """Each RatFn or XPoly method entered, while fn runs, directly from a
-    frame of trunclog.verify.  ``__hash__`` is left out: it is how the
-    lru_cache of ``left_inverse_lhs`` looks up its XPoly argument, and that
-    lookup runs in the caller's frame without computing anything."""
+    frame of trunclog.verify."""
     seen = set()
 
     def profile(frame, event, arg):
@@ -1211,7 +1405,6 @@ def _value_type_calls(fn):
         if (
             event == "call"
             and name.startswith(("RatFn.", "XPoly."))
-            and not name.endswith(".__hash__")
             and frame.f_globals.get("__name__") in ("trunclog.polys", "trunclog.quotient")
             and frame.f_back.f_globals.get("__name__") == "trunclog.verify"
         ):
@@ -1659,8 +1852,10 @@ for name, mod in list(sys.modules.items()):
     if name.startswith("trunclog") and vars(mod).get("compose_mod") is orig:
         setattr(mod, "compose_mod", counted)
 reports = trunclog.verify_all(7)
+power_runs = sys.modules["trunclog.glog"].power_formula_failure.cache_info().misses
 print(json.dumps({
     "compose_mod": len(calls),
+    "power_formula_runs": power_runs,
     "routes_built": special.laguerre_const_routes.cache_info().misses,
     "statuses": sorted({r.status for r in reports}),
 }))
@@ -1669,9 +1864,10 @@ print(json.dumps({
 
 class TestSharedResults:
     def test_each_identity_computed_once(self):
-        # glog's guard, LeftInverse and RightInverse share one G(L(X)), and
-        # RightInverse composes nothing else; laguerre_const and
-        # LFactorization share the routes to the modulus constant
+        # glog's guard, LeftInverse, RightInverse and PowerFormula share one
+        # run of the power formula, and a passing run composes nothing;
+        # laguerre_const and LFactorization share the routes to the modulus
+        # constant
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -1683,5 +1879,6 @@ class TestSharedResults:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
-            "compose_mod": 1, "routes_built": 1, "statuses": ["pass"],
+            "compose_mod": 0, "power_formula_runs": 1, "routes_built": 1,
+            "statuses": ["pass"],
         }
