@@ -24,12 +24,12 @@ c_k * L_k by the power formula and composes only what that does not prove
 with glog()'s guard).  RightInverse forms no composition L(G(X)): it follows
 from LeftInverse and L-Frobenius by the inverse-map lemma.
 
-LemmaProduct makes p - 1 grid products, not (p-1)^2: row r = 1 is computed,
-and a case (r, s) with r != 1 is counted as the image of the passed case
-(1, s/r) under the automorphism sigma_r: a -> r*a, X -> r*X, which keeps the
-ideal of X^p - (a^p - a).  That needs L_t = sigma_t(L_1) at the indices
-involved and b[r,s] = b[1, s/r](r*a); a case for which a condition fails
-is computed directly (``_check_lemma_product``).
+LemmaProduct, TruncBinomialRules, JacobiLink and JacobiShift compute row
+r = 1 only: a case (r, s) with r != 1 is counted as the image of the passed
+case (1, s/r) under a -> r*a (with X -> r*X for LemmaProduct), when the
+symmetry conditions the checker's docstring states hold on the objects of
+record.  Any other case is computed, so the first failing case, its witness
+and the count are those of the direct loop over every case.
 
 BAltAgreement and the three Jacobi checkers compare value vectors
 [f(0), ..., f(p-1)] on F_p.  Every b[r,s] route and every Jacobi sum with
@@ -252,6 +252,11 @@ def _check_right_inverse(p):
 def _sigma(grid, t, p):
     """sigma_t of a grid: row k -> t^k * row_k(t*a)."""
     return [row.subs_scale(t) * pow(t, k, p) for k, row in enumerate(grid)]
+
+
+def _tau(grid, t):
+    """tau_t of a grid: a -> t*a with X fixed, row k -> row_k(t*a)."""
+    return [row.subs_scale(t) for row in grid]
 
 
 def _check_lemma_product(p):
@@ -640,25 +645,39 @@ def _check_four_term(p):
 
 
 def _check_trunc_binomial_rules(p):
+    """(1+X)^(r*a-1) (1+X)^(s*a-1) = (1+X)^((r+s)*a-2) mod X^p; derivatives.
+
+    tau_t (a -> t*a, X fixed) is an automorphism of F_p[a][X]/(X^p) and
+    tau_r o tau_u = tau_{r*u}.  So case (r, s), r != 1, is tau_r of the passed
+    case (1, s1), s1 = s/r, when sym[u]: grids[u] = tau_u(grids[1]) holds at
+    u = r, s, s1 and wsym[u]: wants[u] = tau_u(wants[1]) at u = r+s, 1+s1,
+    or, on the diagonal r + s = 0, tau_r fixes wants[0].
+    """
     truncate = FpPoly.zero(p)
     cases = 0
     grids = {
         r: xpoly_to_grid(trunc_binomial(FpPoly([-1, r], p), 1, p)) for r in range(1, p)
     }
-    # (1+X)^(ra-1) (1+X)^(sa-1) = (1+X)^(ta-2) with t = r+s mod p
     wants = {
         t: xpoly_to_grid(trunc_binomial(FpPoly([-2, t], p), 1, p)) for t in range(p)
     }
+    sym = {u: grids[u] == _tau(grids[1], u) for u in range(1, p)}
+    wsym = {u: wants[u] == _tau(wants[1], u) for u in range(1, p)}
     for r in range(1, p):
         for s in range(1, p):
             cases += 1
+            t = (r + s) % p
+            s1 = s * inv_mod(r, p) % p
+            if r != 1 and sym[r] and sym[s] and sym[s1] and (
+                wsym[t] and wsym[(1 + s1) % p] if t else _tau(wants[0], r) == wants[0]
+            ):
+                continue
             prod = grid_mulmod(grids[r], grids[s], truncate, p)
-            want = wants[(r + s) % p]
-            if prod != want:
+            if prod != wants[t]:
                 return cases, _witness(
                     {"r": r, "s": s},
                     grid_to_xpoly(prod, p),
-                    grid_to_xpoly(want, p),
+                    grid_to_xpoly(wants[t], p),
                 ), None
     # d/dX (1+X)^f = f*(1+X)^(f-1) + (f^p-f)*X^(p-1); (1+X)^(f-1) is wants[r]
     for r in range(1, p):
@@ -718,6 +737,11 @@ def _sum_values(p, f, g, alpha, beta):
         right = table[(g[0] * t + g[1]) % p]
         out.append(sum(map(operator.mul, map(operator.mul, left, right), weights)) % p)
     return out
+
+
+def _permuted(vals, r):
+    """[vals[r*t] for t in F_p]: the values of f(r*a) from those of f."""
+    return [vals[r * t % len(vals)] for t in range(len(vals))]
 
 
 def _b_alt_values(p, r, s):
@@ -810,8 +834,11 @@ def _check_jacobi_link(p):
     Compares value vectors on F_p: ``_jacobi_values`` against b_rs of record.
     The Jacobi sum C(r*a - 1, p-1-k) * C(s*a - 1, k) times scalars has degree
     at most p-1, b_rs is checked to have degree at most p-1 first, and two
-    such polynomials that agree at all p points are equal.
+    such polynomials that agree at all p points are equal.  ``_sum_values``
+    reads f and g only through f(t) and g(t), and x depends only on s/r, so
+    row r's sums are row 1's with t -> r*t (``_permuted``).
     """
+    row1 = {}
     cases = 0
     for r in range(1, p):
         for s in range(1, p):
@@ -821,7 +848,9 @@ def _check_jacobi_link(p):
             base, vals, bad = _b_record(p, r, s)
             if bad:
                 return cases, bad, None
-            jac_vals = _jacobi_values(p, (r, 0), (s, 0), _linked_x(p, r, s))
+            if r == 1:
+                row1[s] = _jacobi_values(p, (r, 0), (s, 0), _linked_x(p, r, s))
+            jac_vals = _permuted(row1[s * inv_mod(r, p) % p], r)
             if jac_vals != vals:
                 return cases, _witness(
                     {"r": r, "s": s}, interpolate(jac_vals, p), base
@@ -845,8 +874,13 @@ def _check_jacobi_shift(p):
     zero and (A+B)(x+1)/2 = B, so there the recurrence would only restate the
     shift (see ``jacobi``).  It is checked at x + 1 instead, where
     p*P_p = (a - a^p)(r + s)/2 is nonzero; the witness case records that x.
+    Row r's vectors are row 1's permuted, as in JacobiLink, so the shift
+    holds at (r, s) iff at (1, s1), s1 = s/r, and the recurrence at (r, s) is
+    that at (1, s1) under a -> r*a when p*P_p(r*a, s*a; x+1) is the image of
+    the term at (1, s1); else it is computed from the permuted vectors.
     """
     half = inv_mod(2, p)
+    row1 = {}
     cases = 0
     for r in range(1, p):
         for s in range(1, p):
@@ -854,21 +888,27 @@ def _check_jacobi_shift(p):
                 continue
             cases += 1
             x = _linked_x(p, r, s)
-            plain_vals = _jacobi_values(p, (r, 0), (s, 0), x)
-            shifted_vals = _jacobi_values(p, (r, 0), (s, 1), x)
-            if shifted_vals != plain_vals:
-                return cases, _witness(
-                    {"r": r, "s": s},
-                    interpolate(shifted_vals, p),
-                    interpolate(plain_vals, p),
-                ), None
-            x = (x + 1) % p
-            plain = interpolate(_jacobi_values(p, (r, 0), (s, 0), x), p)
-            shifted = interpolate(_jacobi_values(p, (r, 0), (s, 1), x), p)
             a_poly = FpPoly([0, r], p)
             b_poly = FpPoly([0, s], p)
+            term = p_times_jacobi_p(p, a_poly, b_poly, x + 1)
+            s1 = s * inv_mod(r, p) % p
+            if r == 1:
+                plain_vals = _jacobi_values(p, (r, 0), (s, 0), x)
+                shifted_vals = _jacobi_values(p, (r, 0), (s, 1), x)
+                if shifted_vals != plain_vals:
+                    return cases, _witness(
+                        {"r": r, "s": s},
+                        interpolate(shifted_vals, p),
+                        interpolate(plain_vals, p),
+                    ), None
+                vecs = [_jacobi_values(p, (r, 0), (s, b), x + 1) for b in (0, 1)]
+                row1[s] = vecs, term
+            elif term == row1[s1][1].subs_scale(r):
+                continue
+            x = (x + 1) % p
+            plain, shifted = (interpolate(_permuted(v, r), p) for v in row1[s1][0])
             lhs = (a_poly + b_poly) * ((x + 1) * half % p) * shifted
-            rhs = b_poly * plain + p_times_jacobi_p(p, a_poly, b_poly, x)
+            rhs = b_poly * plain + term
             if lhs != rhs:
                 return cases, _witness(
                     {"r": r, "s": s, "x": x, "identity": "parameter-shift recurrence"},

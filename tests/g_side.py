@@ -86,9 +86,9 @@ MUTATIONS = {
 }
 
 
-def apply(monkeypatch, name):
-    """Patch trunclog.verify with the named mutation."""
-    for attr, wrap in MUTATIONS[name].items():
+def apply(monkeypatch, name, mutations=MUTATIONS):
+    """Patch trunclog.verify with the named mutation of a table."""
+    for attr, wrap in mutations[name].items():
         monkeypatch.setattr(v, attr, wrap(getattr(v, attr)))
 
 
@@ -99,13 +99,14 @@ def report_json(p, theorem):
     return out
 
 
-def golden_text(primes=(5, 7)):
-    """The G-side reports under every mutation, as the golden file holds them."""
+def golden_text(primes=(5, 7), mutations=MUTATIONS, theorems=G_SIDE):
+    """The reports of the theorems under every mutation of a table, as a
+    golden file holds them; by default the G side's."""
     entries = []
     for p in primes:
-        for name in MUTATIONS:
+        for name in mutations:
             with pytest.MonkeyPatch.context() as mp:
-                apply(mp, name)
-                reports = [report_json(p, t) for t in G_SIDE]
+                apply(mp, name, mutations)
+                reports = [report_json(p, t) for t in theorems]
             entries.append({"prime": p, "mutation": name, "reports": reports})
     return json.dumps(entries, indent=2) + "\n"

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import g_side
+import orbit
 from trunclog.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,3 +64,9 @@ def test_g_side_trap_reports_match_golden_bytes():
     # the JSON reports of LeftInverse, RightInverse, PowerFormula and
     # Reciprocal under each mutation of tests/g_side.py, elapsed_ms masked
     assert g_side.golden_text() == (GOLDEN / "g_side_traps_p5-7.json").read_text()
+
+
+def test_orbit_trap_reports_match_golden_bytes():
+    # the JSON reports of TruncBinomialRules, JacobiLink and JacobiShift
+    # under each mutation of tests/orbit.py, elapsed_ms masked
+    assert orbit.golden_text() == (GOLDEN / "orbit_traps_p5-7.json").read_text()

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import g_side
+import orbit
 from trunclog.bpoly import b_roots_predicted, b_rs
 from trunclog.errors import TheoremViolationError
 from trunclog.fields import ext_quadratic
@@ -1062,6 +1063,190 @@ class TestGSideOracles:
             del twin
         gc.collect()
         assert [r() for r in refs] == [None] * 20
+
+
+# TruncBinomialRules, JacobiLink and JacobiShift compute row r = 1 and count
+# a case (r, s) with r != 1 as an image of a row-1 case; the direct loops
+# over every case below are the oracles they must match under every mutation
+# of tests/orbit.py.  Each reads at call time the names those mutations patch.
+
+
+def _trunc_binomial_rules_direct(p):
+    import trunclog.verify as v
+    from trunclog.quotient import grid_mulmod, grid_to_xpoly, xpoly_to_grid
+
+    def grid(f):
+        return xpoly_to_grid(v.trunc_binomial(FpPoly(f, p), 1, p))
+
+    zero = FpPoly.zero(p)
+    grids = {r: grid([-1, r]) for r in range(1, p)}
+    wants = {t: grid([-2, t]) for t in range(p)}
+    cases = 0
+    for r in range(1, p):
+        for s in range(1, p):
+            cases += 1
+            prod = grid_mulmod(grids[r], grids[s], zero, p)
+            want = wants[(r + s) % p]
+            if prod != want:
+                lhs, rhs = grid_to_xpoly(prod, p), grid_to_xpoly(want, p)
+                return _report(v._witness({"r": r, "s": s}, lhs, rhs), cases)
+    for r in range(1, p):
+        cases += 1
+        f = FpPoly([-1, r], p)
+        lhs = [grids[r][e] * e for e in range(1, p)] + [zero]
+        rhs = [row * f for row in wants[r]]
+        rhs[p - 1] = rhs[p - 1] + f.frobenius_p() - f
+        if lhs != rhs:
+            case = {"derivative of": f"(1+X)^({f})"}
+            lhs, rhs = grid_to_xpoly(lhs, p), grid_to_xpoly(rhs, p)
+            return _report(v._witness(case, lhs, rhs), cases)
+    return _report(None, cases)
+
+
+def _jacobi_link_direct(p):
+    import trunclog.verify as v
+    from trunclog.polys import interpolate
+
+    cases = 0
+    for r in range(1, p):
+        for s in range(1, p):
+            if (r + s) % p == 0:
+                continue
+            cases += 1
+            base, vals, bad = v._b_record(p, r, s)
+            if bad:
+                return _report(bad, cases)
+            jac_vals = v._jacobi_values(p, (r, 0), (s, 0), v._linked_x(p, r, s))
+            if jac_vals != vals:
+                lhs = interpolate(jac_vals, p)
+                return _report(v._witness({"r": r, "s": s}, lhs, base), cases)
+    return _report(None, cases)
+
+
+def _jacobi_shift_direct(p):
+    import trunclog.verify as v
+    from trunclog.fields import inv_mod
+    from trunclog.polys import interpolate
+
+    half = inv_mod(2, p)
+    cases = 0
+    for r in range(1, p):
+        for s in range(1, p):
+            if (r + s) % p == 0:
+                continue
+            cases += 1
+            x = v._linked_x(p, r, s)
+            plain = interpolate(v._jacobi_values(p, (r, 0), (s, 0), x), p)
+            shifted = interpolate(v._jacobi_values(p, (r, 0), (s, 1), x), p)
+            if shifted != plain:
+                return _report(v._witness({"r": r, "s": s}, shifted, plain), cases)
+            x = (x + 1) % p
+            plain = interpolate(v._jacobi_values(p, (r, 0), (s, 0), x), p)
+            shifted = interpolate(v._jacobi_values(p, (r, 0), (s, 1), x), p)
+            a_poly, b_poly = FpPoly([0, r], p), FpPoly([0, s], p)
+            lhs = (a_poly + b_poly) * ((x + 1) * half % p) * shifted
+            rhs = b_poly * plain + v.p_times_jacobi_p(p, a_poly, b_poly, x)
+            if lhs != rhs:
+                case = {"r": r, "s": s, "x": x, "identity": "parameter-shift recurrence"}
+                return _report(v._witness(case, lhs, rhs), cases)
+    return _report(None, cases)
+
+
+ORBIT_ORACLES = {
+    "TruncBinomialRules": _trunc_binomial_rules_direct,
+    "JacobiLink": _jacobi_link_direct,
+    "JacobiShift": _jacobi_shift_direct,
+}
+
+
+def _top_bumped(j, g, d):
+    """trunc_binomial with g[t] * a^j added to the X^(p-1) coefficient of
+    the series at f = t*a - 1, and d[u] * a^j to that at f = u*a - 2."""
+    import trunclog.verify as v
+
+    orig = v.trunc_binomial
+
+    def trunc_binomial(f, b=1, p=None):
+        x = orig(f, b, p)
+        offset, slope = (list(f.coeffs) + [0, 0])[:2]
+        bump = (g if offset == p - 1 else d)[slope]
+        coeffs = list(x.coeffs)
+        coeffs[p - 1] = coeffs[p - 1] + FpPoly.monomial(bump, j, p)
+        return XPoly(coeffs, p)
+
+    return trunc_binomial
+
+
+def _counted(monkeypatch, name):
+    """Patch trunclog.verify's name with a wrapper that counts its calls."""
+    import trunclog.verify as v
+
+    calls = []
+    orig = getattr(v, name)
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(v, name, counted)
+    return calls
+
+
+class TestOrbitOracles:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("mutation", list(orbit.MUTATIONS))
+    @pytest.mark.parametrize("theorem", orbit.ORBIT)
+    def test_matches_the_direct_loop(self, monkeypatch, p, mutation, theorem):
+        orbit.apply(monkeypatch, mutation)
+        want = ORBIT_ORACLES[theorem](p)
+        r = verify_theorem(p, theorem)
+        assert (r.status, r.cases_checked, r.witness) == want
+
+    # Every series (1+X)^f of record has constant term 1, so with
+    # g[t] * a^j * X^(p-1) added to the series at f = t*a - 1 and
+    # d[u] * a^j * X^(p-1) to that at f = u*a - 2 (``_top_bumped``), case
+    # (r, s) passes iff g[r] + g[s] = d[r+s]; sym[u] holds iff
+    # g[u] = u^j * g[1] and wsym[u] iff d[u] = u^j * d[1].  Row 1 passes, as
+    # d[1+s] = g[1] + g[s]; at the first failing case of the direct loop,
+    # below, only the named condition fails, so skipping it would pass.  No
+    # twin of this form with up to three deviations from a tau-consistent
+    # family breaks the diagonal condition alone at p = 5 or 7: each one that
+    # passes every earlier case also passes its row's first diagonal case.
+    @pytest.mark.parametrize("condition, j, g, d, r0, s0", [
+        ("sym[r]", 2, [0, 1, 5, 2, 5, 4, 1], [2, 5, 2, 6, 3, 6, 5], 2, 3),
+        ("sym[s]", 2, [0, 1, 4, 0, 5, 4, 1], [2, 5, 2, 5, 1, 6, 5], 2, 3),
+        ("sym[s1]", 0, [0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0], 2, 5),
+        ("wsym[r+s]", 0, [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0], 2, 2),
+        ("wsym[1+s1]", 0, [0] * 7, [0, 1, 0, 0, 0, 0, 0], 2, 6),
+    ])
+    def test_each_symmetry_condition_is_needed(
+        self, monkeypatch, condition, j, g, d, r0, s0
+    ):
+        import trunclog.verify as v
+
+        p = 7
+        monkeypatch.setattr(v, "trunc_binomial", _top_bumped(j, g, d))
+        want = _trunc_binomial_rules_direct(p)
+        assert want[:2] == ("fail", (r0 - 1) * (p - 1) + s0)
+        assert want[2]["case"] == {"r": r0, "s": s0}
+        r = verify_theorem(p, TheoremId.TruncBinomialRules)
+        assert (r.status, r.cases_checked, r.witness) == want
+
+    def test_trunc_binomial_rules_multiplies_row_one_only(self, monkeypatch):
+        # p - 1 products for row 1; every other product case is a tau_r image
+        calls = _counted(monkeypatch, "grid_mulmod")
+        r = verify_theorem(7, TheoremId.TruncBinomialRules)
+        assert r.status == "pass" and r.cases_checked == 42
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("theorem, per_case", [("JacobiLink", 1), ("JacobiShift", 4)])
+    def test_jacobi_sums_row_one_only(self, monkeypatch, p, theorem, per_case):
+        # row 1 has p - 2 cases; every other row permutes its value vectors
+        calls = _counted(monkeypatch, "_sum_values")
+        r = verify_theorem(p, theorem)
+        assert r.status == "pass" and r.cases_checked == (p - 1) * (p - 2)
+        assert len(calls) == per_case * (p - 2)
 
 
 # Traps for the value-vector checkers.  b_rs is the one route through
