@@ -53,19 +53,23 @@ class GLog:
     def __setattr__(self, name, value):
         raise AttributeError("GLog is immutable")
 
-    def coeff(self, k: int) -> RatFn:
-        """Coefficient of X^k, 1 <= k <= p-1."""
+    def _index(self, k: int) -> int:
         if not 1 <= k <= self.p - 1:
             raise ValueError(f"coefficient index out of range: {k}")
-        return self.coeffs[k - 1]
+        return k - 1
+
+    def coeff(self, k: int) -> RatFn:
+        """Coefficient of X^k, 1 <= k <= p-1."""
+        return self.coeffs[self._index(k)]
 
     def as_xpoly(self) -> XPoly:
         return XPoly((RatFn.zero(self.p),) + self.coeffs, self.p)
 
     def with_coeff(self, k: int, value: RatFn) -> "GLog":
-        """A copy with coefficient k replaced; used to build broken twins."""
+        """A copy with coefficient k, 1 <= k <= p-1, replaced; used to build
+        broken twins."""
         new = list(self.coeffs)
-        new[k - 1] = value
+        new[self._index(k)] = value
         return GLog(self.p, new)
 
     def __eq__(self, other):

@@ -49,6 +49,8 @@ def p_times_jacobi_p(p: int, A: FpPoly, B: FpPoly, x) -> FpPoly:
     parameters each difference vanishes.
     """
     check_odd_prime(p)
+    if A.p != p or B.p != p:
+        raise ValueError("parameter polynomials must share the prime")
     x = int(x) % p
     half = inv_mod(2, p)
     t1 = (A - A.frobenius_p()) * (pow(x + 1, p, p) * half % p)

@@ -183,8 +183,9 @@ def grid_mulmod(a, b, cpoly: FpPoly, p: int):
     full[e] = sum of A_i * B_j over i + j = e is a sum of plain big-int
     products, unpacked once per e.  A slot of full[e] sums one convolution
     entry, at most min(row lengths)·(p-1)², for each of at most
-    min(nonzero rows of a, of b) terms; that bounds the slot width.  With cpoly zero this is the product truncated below
-    X^p, and only the terms with i + j < p are formed.
+    min(nonzero rows of a, of b) terms; that bounds the slot width.  With
+    cpoly zero this is the product truncated below X^p, and only the terms
+    with i + j < p are formed.
     """
     zero = FpPoly.zero(p)
     n = p if cpoly.is_zero else 2 * p - 1

@@ -107,9 +107,11 @@ def trunc_binomial(f, b=1, p=None) -> XPoly:
 
     f may be an FpPoly or RatFn in the parameter, or an int constant; b is an
     int, FpPoly or RatFn.  For an integer constant 0 <= f < p and b = 1 this
-    is exactly (1 + X)^f.
+    is exactly (1 + X)^f.  p may be omitted only when f is not an int.
     """
     if p is None:
+        if isinstance(f, int):
+            raise ValueError("p is required for an int exponent")
         p = f.p
     check_odd_prime(p)
     if isinstance(f, int):

@@ -2,7 +2,7 @@
 
 Every checker enumerates its statement's full parameter range in a fixed
 ascending order and compares both sides in canonical form: pass always means
-exact identity, never closeness.  On the first violated case the checker
+exact identity, never closeness.  On the first violated case the run
 stops and the report carries a witness with the parameter values and both
 sides rendered.  Case counts per checker:
 
@@ -55,6 +55,16 @@ Checkers compute on polynomials only: FpPoly values, FpPoly grids, value
 vectors on F_p, split forms and CCoefficients' packed columns.  Fractions are
 compared cross-multiplied; RatFn and XPoly are what the constructors return
 and the witnesses print, and no passing case does their arithmetic.
+
+Every checker is a generator that yields one outcome per case, in that
+order: None for a case that passed or was counted as an orbit image, and
+the witness of the first case that failed.  CCoefficients returns its
+notes as the generator's value.  ``verify_theorem`` alone counts: the count
+is the number of outcomes up to and including the first witness, and it never
+resumes a checker after a witness, so no checker code runs past one.  Helpers
+that can fail a case and have a value to give (``_split``,
+``_bound_split_form``) run under ``yield from``: they yield the witness or
+return the value.
 
 Checkers take only p, except LeftInverse (g=, a candidate G) and CCoefficients
 (pair budget, seed); tests patch the module globals they read at call time.
@@ -168,13 +178,13 @@ def _witness(case: dict, lhs, rhs) -> dict:
 
 
 def _is_x(got, **case):
-    """One case: a composite must be X in its quotient ring.  A witness case
-    holds the given keys, then the first coefficient that differs."""
+    """None if a composite is X in its quotient ring, else a witness whose
+    case holds the given keys, then the first coefficient that differs."""
     for k, c in enumerate(got.coeffs):
         want = int(k == 1)
         if not (c.den.is_one and c.num == want):
-            return 1, _witness({**case, "coefficient": k}, c, want), None
-    return 1, None, None
+            return _witness({**case, "coefficient": k}, c, want)
+    return None
 
 
 def _power_inputs(p):
@@ -192,8 +202,9 @@ def _check_left_inverse(p, g=None):
         raise ValueError(f"candidate G is for p = {g.p}, not p = {p}")
     lag = laguerre_pm1(p)
     if left_inverse_by_powers(g, lag, *_power_inputs(p)):
-        return 1, None, None
-    return _is_x(left_inverse_lhs(g, lag))
+        yield None
+    else:
+        yield _is_x(left_inverse_lhs(g, lag))
 
 
 def _frobenius_image(coeffs, arg: FpPoly):
@@ -237,13 +248,14 @@ def _check_right_inverse(p):
     alpha = alpha_p_minus_alpha(p)
     num, den = _frobenius_image(lag.coeffs, alpha)
     if num != lc * den:
-        return 1, _witness({"part": "L-frobenius"}, num, lc * den), None
+        yield _witness({"part": "L-frobenius"}, num, lc * den)
     if left_inverse_by_powers(g, lag, *_power_inputs(p)):
-        return 1, None, None
+        yield None
+        return
     num, den = _frobenius_image(g.as_xpoly().coeffs, lc)
     if num != alpha * den:
-        return 1, _witness({"part": "G-frobenius"}, num, alpha * den), None
-    return _is_x(left_inverse_lhs(g, lag), part="left inverse")
+        yield _witness({"part": "G-frobenius"}, num, alpha * den)
+    yield _is_x(left_inverse_lhs(g, lag), part="left inverse")
 
 
 # -- products of scaled exponentials --------------------------------------------
@@ -281,10 +293,8 @@ def _check_lemma_product(p):
     zero = FpPoly.zero(p)
     grids = {r: xpoly_to_grid(laguerre_scaled(p, r)) for r in range(1, p)}
     sym = {t: grids[t] == _sigma(grids[1], t, p) for t in range(1, p)}
-    cases = 0
     for r in range(1, p):
         for s in range(1, p):
-            cases += 1
             t = (r + s) % p
             s1 = s * inv_mod(r, p) % p
             if r != 1 and sym[r] and sym[s] and sym[s1] and (
@@ -292,6 +302,7 @@ def _check_lemma_product(p):
                 or sym[t] and sym[(1 + s1) % p]
                 and b_rs(p, r, s) == b_rs(p, 1, s1).subs_scale(r)
             ):
+                yield None
                 continue
             prod = grid_mulmod(grids[r], grids[s], cpoly, p)
             if t == 0:
@@ -299,13 +310,9 @@ def _check_lemma_product(p):
             else:
                 b = b_rs(p, r, s)
                 want = [b * g for g in grids[t]]
-            if prod != want:
-                return cases, _witness(
-                    {"r": r, "s": s},
-                    grid_to_xpoly(prod, p),
-                    grid_to_xpoly(want, p),
-                ), None
-    return cases, None, None
+            yield None if prod == want else _witness(
+                {"r": r, "s": s}, grid_to_xpoly(prod, p), grid_to_xpoly(want, p)
+            )
 
 
 def _check_power_formula(p):
@@ -314,10 +321,12 @@ def _check_power_formula(p):
     scaled, pre, bs = _power_inputs(p)
     failure = power_formula_failure(scaled[0], scaled, pre, bs)
     if failure is None:
-        return p - 1, None, None
+        yield from [None] * (p - 1)
+        return
     j, power = failure
+    yield from [None] * (j - 1)
     want = [pre[j - 1] * g for g in xpoly_to_grid(scaled[j - 1])]
-    return j, _witness({"j": j}, grid_to_xpoly(power, p), grid_to_xpoly(want, p)), None
+    yield _witness({"j": j}, grid_to_xpoly(power, p), grid_to_xpoly(want, p))
 
 
 # -- the b-family ---------------------------------------------------------------
@@ -325,112 +334,89 @@ def _check_power_formula(p):
 
 def _check_b_conjugate(p):
     w = w_poly(p)
-    cases = 0
     for s in range(1, p - 1):
-        cases += 1
         f = b_rs(p, 1, s)
         got = f * f.subs_scale(p - 1)
-        if got != w:
-            return cases, _witness({"s": s}, got, w), None
-    return cases, None, None
+        yield None if got == w else _witness({"s": s}, got, w)
 
 
 def _split(f, case):
-    """(roots_and_split(f), None), or (None, witness) when f is zero or does
+    """roots_and_split(f); yields the witness instead when f is zero or does
     not split over F_p."""
     if f.is_zero:
-        return None, _witness(case, f, "nonzero")
+        yield _witness(case, f, "nonzero")
     try:
-        return roots_and_split(f), None
+        return roots_and_split(f)
     except NonSplitError as exc:
-        return None, _witness(case, exc.remainder, "split")
+        yield _witness(case, exc.remainder, "split")
 
 
 def _check_roots_theorem(p):
-    cases = 0
+    """A split or shape failure of b[1,s] is one case; else every a is one."""
     for s in range(1, p - 1):
         f = b_rs(p, 1, s)
         predicted = b_roots_predicted(p, s)
-        split, bad = _split(f, {"s": s})
-        if bad:
-            return cases + 1, bad, None
-        roots = split[1]
+        _, roots = yield from _split(f, {"s": s})
         if not (
             f.degree == (p - 1) // 2
             and all(m == 1 for m in roots.values())
             and frozenset(roots) == predicted
         ):
-            return cases + 1, _witness(
+            yield _witness(
                 {"s": s},
                 f"degree {f.degree}, roots with multiplicity "
                 f"{dict(sorted(roots.items()))}",
                 f"degree {(p - 1) // 2}, simple roots {sorted(predicted)}",
-            ), None
+            )
         for a in range(1, p):
-            cases += 1
             is_root = f.eval_int(a) == 0
-            if is_root != (a in predicted):
-                return cases, _witness(
-                    {"s": s, "a": a},
-                    f"b[1,{s}]({a}) = {f.eval_int(a)}",
-                    f"root predicted: {a in predicted}",
-                ), None
-    return cases, None, None
+            yield None if is_root == (a in predicted) else _witness(
+                {"s": s, "a": a},
+                f"b[1,{s}]({a}) = {f.eval_int(a)}",
+                f"root predicted: {a in predicted}",
+            )
 
 
 def _check_lucas_criterion(p):
-    cases = 0
     for s in range(1, p - 1):
         f = b_rs(p, 1, s)
         predicted = b_roots_predicted(p, s)
         for a in range(1, p):
-            cases += 1
             by_lucas = b_root_lucas(p, s, a)
             by_eval = f.eval_int(a) == 0
-            if by_lucas != by_eval or by_lucas != (a in predicted):
-                return cases, _witness(
-                    {"s": s, "a": a},
-                    f"Lucas says root: {by_lucas}",
-                    f"evaluation says root: {by_eval}",
-                ), None
-    return cases, None, None
+            yield None if by_lucas == by_eval == (a in predicted) else _witness(
+                {"s": s, "a": a},
+                f"Lucas says root: {by_lucas}",
+                f"evaluation says root: {by_eval}",
+            )
 
 
 def _check_symmetry(p):
-    cases = 0
     for s in range(1, p - 1):
-        cases += 1
         lhs = b_rs(p, 1, s)
         rhs = b_rs(p, 1, p - 1 - s)
-        if lhs != rhs:
-            return cases, _witness({"s": s}, lhs, rhs), None
-    return cases, None, None
+        yield None if lhs == rhs else _witness({"s": s}, lhs, rhs)
 
 
 def _check_product_formula(p):
     try:
         prod = product_all_b(p)
     except TheoremViolationError as exc:
-        return 1, _witness({}, str(exc), "three equal routes"), None
-    split, bad = _split(prod, {})
-    if bad:
-        return 1, bad, None
-    roots = split[1]
+        yield _witness({}, str(exc), "three equal routes")
+    _, roots = yield from _split(prod, {})
     for a in range(1, p):
         if roots.get(a, 0) != p - 1 - a:
-            return 1, _witness(
+            yield _witness(
                 {"root": a},
                 f"multiplicity {roots.get(a, 0)}",
                 f"multiplicity {p - 1 - a}",
-            ), None
-    return 1, None, None
+            )
+    yield None
 
 
 def _check_l_factorization(p):
     sub_route, prod_route = laguerre_const_routes(p)
-    if sub_route != prod_route:
-        return 1, _witness({}, sub_route, prod_route), None
-    return 1, None, None
+    yield None if sub_route == prod_route else _witness({}, sub_route, prod_route)
 
 
 # -- functional equations --------------------------------------------------------
@@ -445,9 +431,8 @@ def _check_reciprocal(p):
     terms = _reciprocal_terms(p)
     for k, (gk, (m, e)) in enumerate(zip(glog(p).as_xpoly().coeffs, terms)):
         if lc * gk.num * e != m * gk.den:
-            rk = reciprocal_rhs(p).coeffs[k]
-            return 1, _witness({"coefficient": k}, gk * lc, rk), None
-    return 1, None, None
+            yield _witness({"coefficient": k}, gk * lc, reciprocal_rhs(p).coeffs[k])
+    yield None
 
 
 # A split form (lead, e) stands for lead * prod_t (a - t)^e[t] over t in F_p;
@@ -455,18 +440,15 @@ def _check_reciprocal(p):
 
 
 def _bound_split_form(name, f):
-    """(f's split form, None), or (None, witness) when f is zero, does not
+    """f's split form; yields the witness instead when f is zero, does not
     split over F_p, or its form does not re-expand to f."""
     p = f.p
-    split, bad = _split(f, {"factor": name})
-    if bad:
-        return None, bad
-    lead, roots = split
+    lead, roots = yield from _split(f, {"factor": name})
     form = lead, tuple(roots.get(t, 0) for t in range(p))
     expanded = _expand(form, p)
     if expanded != f:
-        return None, _witness({"factor": name}, expanded, f)
-    return form, None
+        yield _witness({"factor": name}, expanded, f)
+    return form
 
 
 def _expand(form, p):
@@ -502,20 +484,13 @@ def _check_powers_functional(p):
     """
     lc = laguerre_const(p)
     bs = [b_rs(p, 1, s) for s in range(1, p - 1)]
-    lc_form, bad = _bound_split_form("Lc", lc)
-    if bad:
-        return 1, bad, None
+    lc_lead, lc_e = yield from _bound_split_form("Lc", lc)
     pre = [(1, (0,) * p)]
     for s, b in enumerate(bs, 1):
-        form, bad = _bound_split_form(f"b[1,{s}]", b)
-        if bad:
-            return 1, bad, None
+        form = yield from _bound_split_form(f"b[1,{s}]", b)
         lead, e = pre[-1]
         pre.append((lead * form[0] % p, [c + d for c, d in zip(e, form[1])]))
-    lc_lead, lc_e = lc_form
-    cases = 0
     for h in range(1, p):
-        cases += 1
         pre_h = [_form_subs_scale(f, h, p) for f in pre]
         h_lead, h_e = pre[h - 1]
         for k in range(1, p):
@@ -532,10 +507,8 @@ def _check_powers_functional(p):
                 [k * c + d for c, d in zip(h_e, s_e)],
             )
             if lhs != rhs:
-                return cases, _witness(
-                    {"h": h, "k": k}, *_powers_sides(p, lc, bs, h, k)
-                ), None
-    return cases, None, None
+                yield _witness({"h": h, "k": k}, *_powers_sides(p, lc, bs, h, k))
+        yield None
 
 
 def _powers_sides(p, lc, bs, h, k):
@@ -562,8 +535,8 @@ def _check_powers_h_pm1(p):
         lhs = wk * pre[p - k - 1]
         rhs = lc * pre_neg[k - 1]
         if lhs != rhs:
-            return 1, _witness({"k": k}, lhs, rhs), None
-    return 1, None, None
+            yield _witness({"k": k}, lhs, rhs)
+    yield None
 
 
 def _polylog_at(p: int, num: FpPoly, den: FpPoly) -> FpPoly:
@@ -582,18 +555,14 @@ def _polylog_at(p: int, num: FpPoly, den: FpPoly) -> FpPoly:
 def _check_polylog_shift(p):
     l1 = finite_polylog(p, 1)
     shifted = l1.compose(FpPoly([1, -1], p, var="X"))
-    if shifted != l1:
-        return 1, _witness({}, shifted, l1), None
-    return 1, None, None
+    yield None if shifted == l1 else _witness({}, shifted, l1)
 
 
 def _check_polylog_wilson(p):
     l1 = finite_polylog(p, 1)
     x = FpPoly.x(p, "X")
     rhs = -x * _polylog_at(p, FpPoly.one(p, "X"), x)
-    if l1 != rhs:
-        return 1, _witness({}, l1, rhs), None
-    return 1, None, None
+    yield None if l1 == rhs else _witness({}, l1, rhs)
 
 
 def _check_six_symmetries(p):
@@ -608,12 +577,8 @@ def _check_six_symmetries(p):
         -x * _polylog_at(p, x - 1, x),
         -x * _polylog_at(p, one, x),
     ]
-    cases = 0
-    for i, e in enumerate(exprs):
-        cases += 1
-        if e != exprs[0]:
-            return cases, _witness({"expression": i + 1}, e, exprs[0]), None
-    return cases, None, None
+    for i, e in enumerate(exprs, 1):
+        yield None if e == exprs[0] else _witness({"expression": i}, e, exprs[0])
 
 
 def _check_four_term(p):
@@ -635,10 +600,8 @@ def _check_four_term(p):
     for i in range(p + 1):
         for j in range(p + 1):
             if grid[i][j]:
-                return 1, _witness(
-                    {"monomial": f"X^{i}*Y^{j}"}, grid[i][j], 0
-                ), None
-    return 1, None, None
+                yield _witness({"monomial": f"X^{i}*Y^{j}"}, grid[i][j], 0)
+    yield None
 
 
 # -- truncated binomials -----------------------------------------------------------
@@ -654,7 +617,6 @@ def _check_trunc_binomial_rules(p):
     or, on the diagonal r + s = 0, tau_r fixes wants[0].
     """
     truncate = FpPoly.zero(p)
-    cases = 0
     grids = {
         r: xpoly_to_grid(trunc_binomial(FpPoly([-1, r], p), 1, p)) for r in range(1, p)
     }
@@ -665,34 +627,28 @@ def _check_trunc_binomial_rules(p):
     wsym = {u: wants[u] == _tau(wants[1], u) for u in range(1, p)}
     for r in range(1, p):
         for s in range(1, p):
-            cases += 1
             t = (r + s) % p
             s1 = s * inv_mod(r, p) % p
             if r != 1 and sym[r] and sym[s] and sym[s1] and (
                 wsym[t] and wsym[(1 + s1) % p] if t else _tau(wants[0], r) == wants[0]
             ):
+                yield None
                 continue
             prod = grid_mulmod(grids[r], grids[s], truncate, p)
-            if prod != wants[t]:
-                return cases, _witness(
-                    {"r": r, "s": s},
-                    grid_to_xpoly(prod, p),
-                    grid_to_xpoly(wants[t], p),
-                ), None
+            yield None if prod == wants[t] else _witness(
+                {"r": r, "s": s}, grid_to_xpoly(prod, p), grid_to_xpoly(wants[t], p)
+            )
     # d/dX (1+X)^f = f*(1+X)^(f-1) + (f^p-f)*X^(p-1); (1+X)^(f-1) is wants[r]
     for r in range(1, p):
-        cases += 1
         f = FpPoly([-1, r], p)
         lhs = [grids[r][e] * e for e in range(1, p)] + [truncate]
         rhs = [row * f for row in wants[r]]
         rhs[p - 1] = rhs[p - 1] + f.frobenius_p() - f
-        if lhs != rhs:
-            return cases, _witness(
-                {"derivative of": f"(1+X)^({f})"},
-                grid_to_xpoly(lhs, p),
-                grid_to_xpoly(rhs, p),
-            ), None
-    return cases, None, None
+        yield None if lhs == rhs else _witness(
+            {"derivative of": f"(1+X)^({f})"},
+            grid_to_xpoly(lhs, p),
+            grid_to_xpoly(rhs, p),
+        )
 
 
 # -- value vectors for the degree-(p-1) family in a ------------------------------
@@ -797,32 +753,27 @@ def _check_b_alt(p):
     A failing route's values are interpolated back to the polynomial the
     witness shows.
     """
-    cases = 0
     for r in range(1, p):
         for s in range(1, p):
-            cases += 1
             base, vals, bad = _b_record(p, r, s)
             if bad:
-                return cases, bad, None
+                yield bad
             coeff_vals = _b_coeff_values(p, r, s)
             if vals != coeff_vals:
-                return cases, _witness(
+                yield _witness(
                     {"r": r, "s": s, "routes": "sum vs coefficient"},
                     base,
                     interpolate(coeff_vals, p),
-                ), None
+                )
             if (r + s) % p == 0:
-                if not base.is_zero:
-                    return cases, _witness({"r": r, "s": s}, base, 0), None
+                yield None if base.is_zero else _witness({"r": r, "s": s}, base, 0)
                 continue
             alt_vals = _b_alt_values(p, r, s)
-            if vals != alt_vals:
-                return cases, _witness(
-                    {"r": r, "s": s, "routes": "sum vs alternate"},
-                    base,
-                    interpolate(alt_vals, p),
-                ), None
-    return cases, None, None
+            yield None if vals == alt_vals else _witness(
+                {"r": r, "s": s, "routes": "sum vs alternate"},
+                base,
+                interpolate(alt_vals, p),
+            )
 
 
 # -- Jacobi connection ---------------------------------------------------------------
@@ -839,23 +790,19 @@ def _check_jacobi_link(p):
     row r's sums are row 1's with t -> r*t (``_permuted``).
     """
     row1 = {}
-    cases = 0
     for r in range(1, p):
         for s in range(1, p):
             if (r + s) % p == 0:
                 continue
-            cases += 1
             base, vals, bad = _b_record(p, r, s)
             if bad:
-                return cases, bad, None
+                yield bad
             if r == 1:
                 row1[s] = _jacobi_values(p, (r, 0), (s, 0), _linked_x(p, r, s))
             jac_vals = _permuted(row1[s * inv_mod(r, p) % p], r)
-            if jac_vals != vals:
-                return cases, _witness(
-                    {"r": r, "s": s}, interpolate(jac_vals, p), base
-                ), None
-    return cases, None, None
+            yield None if jac_vals == vals else _witness(
+                {"r": r, "s": s}, interpolate(jac_vals, p), base
+            )
 
 
 def _check_jacobi_shift(p):
@@ -881,12 +828,10 @@ def _check_jacobi_shift(p):
     """
     half = inv_mod(2, p)
     row1 = {}
-    cases = 0
     for r in range(1, p):
         for s in range(1, p):
             if (r + s) % p == 0:
                 continue
-            cases += 1
             x = _linked_x(p, r, s)
             a_poly = FpPoly([0, r], p)
             b_poly = FpPoly([0, s], p)
@@ -896,26 +841,25 @@ def _check_jacobi_shift(p):
                 plain_vals = _jacobi_values(p, (r, 0), (s, 0), x)
                 shifted_vals = _jacobi_values(p, (r, 0), (s, 1), x)
                 if shifted_vals != plain_vals:
-                    return cases, _witness(
+                    yield _witness(
                         {"r": r, "s": s},
                         interpolate(shifted_vals, p),
                         interpolate(plain_vals, p),
-                    ), None
+                    )
                 vecs = [_jacobi_values(p, (r, 0), (s, b), x + 1) for b in (0, 1)]
                 row1[s] = vecs, term
             elif term == row1[s1][1].subs_scale(r):
+                yield None
                 continue
             x = (x + 1) % p
             plain, shifted = (interpolate(_permuted(v, r), p) for v in row1[s1][0])
             lhs = (a_poly + b_poly) * ((x + 1) * half % p) * shifted
             rhs = b_poly * plain + term
-            if lhs != rhs:
-                return cases, _witness(
-                    {"r": r, "s": s, "x": x, "identity": "parameter-shift recurrence"},
-                    lhs,
-                    rhs,
-                ), None
-    return cases, None, None
+            yield None if lhs == rhs else _witness(
+                {"r": r, "s": s, "x": x, "identity": "parameter-shift recurrence"},
+                lhs,
+                rhs,
+            )
 
 
 def _reflection_values(p, s):
@@ -941,24 +885,22 @@ def _check_jacobi_reflection(p):
     p-1 first.  The witness names the first link whose sides differ, both
     interpolated back to polynomials.
     """
-    cases = 0
     for s in range(1, p - 1):
-        cases += 1
         _, head, bad = _b_record(p, 1, s)
         if bad:
-            return cases, bad, None
+            yield bad
         _, tail, bad = _b_record(p, 1, p - 1 - s)
         if bad:
-            return cases, bad, None
+            yield bad
         chain = [("b[1,s]", head), *_reflection_values(p, s), ("b[1,p-1-s]", tail)]
         for (left, lvals), (right, rvals) in zip(chain, chain[1:]):
             if lvals != rvals:
-                return cases, _witness(
+                yield _witness(
                     {"s": s, "link": f"{left} = {right}"},
                     interpolate(lvals, p),
                     interpolate(rvals, p),
-                ), None
-    return cases, None, None
+                )
+        yield None
 
 
 # -- specialized product coefficients over F_{p^2} -------------------------------------
@@ -1032,30 +974,22 @@ def _check_c_coefficients(p, pair_budget=None, seed=0):
         pair_budget = "exhaustive" if p <= 5 else 200
     layout = Layout.build(field)
     tc = layout.typecode
-    cases = 0
-    unique_count = 0
+    uniques = []
     for at, bt in _c_pairs(field, pair_budget, seed):
-        cases += 1
+        case = {"alpha": at, "beta": bt}
         cols, rhs = pair_columns(field, at, bt, layout)
         sol, unique = solve_pair(field, pair_rows(p, cols, rhs, tc), p, tc)
         if sol is None:
-            return cases, _witness(
-                {"alpha": at, "beta": bt}, "no solution", "solvable system"
-            ), None
+            yield _witness(case, "no solution", "solvable system")
         if not substitutes(field, cols, rhs, sol, layout):
-            return cases, _witness(
-                {"alpha": at, "beta": bt}, "solution fails an equation", "all satisfied"
-            ), None
-        if unique:
-            unique_count += 1
+            yield _witness(case, "solution fails an equation", "all satisfied")
+        uniques.append(unique)
         if p == 3:
             closed = _closed_forms_p3(field, at, bt)
             if not unique or sol != closed:
-                return cases, _witness(
-                    {"alpha": at, "beta": bt}, sol, closed
-                ), None
-    notes = f"unique solutions: {unique_count}/{cases}"
-    return cases, None, notes
+                yield _witness(case, sol, closed)
+        yield None
+    return f"unique solutions: {sum(uniques)}/{len(uniques)}"
 
 
 # -- registry and runners ----------------------------------------------------------
@@ -1100,15 +1034,25 @@ def coerce_theorem(theorem) -> TheoremId:
 def verify_theorem(p: int, theorem, **overrides) -> VerifyReport:
     """Run one checker and wrap the outcome in a report.
 
-    A checker that checked no case and found no witness would read as a
-    vacuous pass; that raises RuntimeError instead.
+    The checker yields one outcome per case, None for a pass or a witness.
+    The count is the number of outcomes up to and including the first
+    witness; the checker is not resumed after one, and its return value is
+    the report's notes only when it ran to the end.  A checker that yields
+    no outcome would read as a vacuous pass; that raises RuntimeError.
     """
     check_odd_prime(p)
     tid = coerce_theorem(theorem)
     t0 = time.perf_counter()
-    cases, witness, notes = _CHECKERS[tid](p, **overrides)
+    outcomes = _CHECKERS[tid](p, **overrides)
+    cases, witness, notes = 0, None, None
+    try:
+        while witness is None:
+            witness = next(outcomes)
+            cases += 1
+    except StopIteration as stop:
+        notes = stop.value
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    if cases == 0 and witness is None:
+    if cases == 0:
         raise RuntimeError(f"{tid.value} checked no case at p={p}")
     status = "fail" if witness is not None else "pass"
     return VerifyReport(tid, p, cases, status, witness, elapsed_ms, notes)

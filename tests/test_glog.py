@@ -55,6 +55,12 @@ class TestConstruction:
     def test_cached(self):
         assert glog(5) is glog(5)
 
+    @pytest.mark.parametrize("k", [0, -1, 5])
+    def test_with_coeff_rejects_an_index_out_of_range(self, k):
+        # k = 0 and -1 would otherwise replace X^4's coefficient by list index
+        with pytest.raises(ValueError, match="coefficient index out of range"):
+            glog(5).with_coeff(k, RatFn.const(1, 5))
+
 
 class TestConstructionGuard:
     """glog's left-inverse guard still fails on tampered input.

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import checker_traps
 import g_side
 import orbit
 from trunclog.cli import main
@@ -70,3 +71,18 @@ def test_orbit_trap_reports_match_golden_bytes():
     # the JSON reports of TruncBinomialRules, JacobiLink and JacobiShift
     # under each mutation of tests/orbit.py, elapsed_ms masked
     assert orbit.golden_text() == (GOLDEN / "orbit_traps_p5-7.json").read_text()
+
+
+def test_checker_trap_reports_match_golden_bytes():
+    # the JSON reports of the multi-case checkers under each mutation of
+    # tests/checker_traps.py at p = 7, elapsed_ms masked
+    text = (GOLDEN / "checker_traps_p7.json").read_text()
+    assert checker_traps.golden_text() == text
+    # every multi-case checker fails after its first case under some mutation
+    late = {
+        r["theorem"]
+        for entry in json.loads(text)
+        for r in entry["reports"]
+        if r["status"] == "fail" and r["cases"] >= 2
+    }
+    assert late == set(checker_traps.MULTI_CASE)

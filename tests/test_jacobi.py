@@ -150,6 +150,12 @@ class TestLinkedArgumentCollapse:
 
 
 class TestPTimesDegreeP:
+    @pytest.mark.parametrize("fn", [jacobi_pm1, p_times_jacobi_p])
+    def test_parameters_over_another_prime_are_rejected(self, fn):
+        a_poly = FpPoly([0, 1], 7)
+        with pytest.raises(ValueError, match="must share the prime"):
+            fn(5, a_poly, a_poly, 1)
+
     def test_spec_example_vanishes(self):
         # A = B = a, x = 0, p = 3: the two terms cancel
         got = p_times_jacobi_p(3, FpPoly([0, 1], 3), FpPoly([0, 1], 3), 0)

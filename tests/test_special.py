@@ -144,6 +144,10 @@ class TestTruncBinomial:
     def test_f_zero(self):
         assert trunc_binomial(0, 1, 5) == XPoly.constant(1, 5)
 
+    def test_int_exponent_needs_p(self):
+        with pytest.raises(ValueError, match="p is required for an int exponent"):
+            trunc_binomial(3)
+
     def test_small_integer_exponent_is_exact_binomial(self):
         for p in (5, 7):
             for a in range(p):

@@ -183,11 +183,62 @@ class TestVerifyAll:
     def test_zero_cases_is_not_a_pass(self, monkeypatch):
         import trunclog.verify as v
 
-        monkeypatch.setitem(
-            v._CHECKERS, TheoremId.FourTerm, lambda p, **kw: (0, None, None)
-        )
+        monkeypatch.setitem(v._CHECKERS, TheoremId.FourTerm, lambda p, **kw: iter(()))
         with pytest.raises(RuntimeError, match="FourTerm"):
             verify_theorem(3, TheoremId.FourTerm)
+
+
+class TestRunner:
+    """verify_theorem drives a checker's outcomes; fakes stand in for it."""
+
+    @staticmethod
+    def run(monkeypatch, fake):
+        import trunclog.verify as v
+
+        monkeypatch.setitem(v._CHECKERS, TheoremId.FourTerm, fake)
+        return verify_theorem(3, TheoremId.FourTerm)
+
+    @pytest.mark.parametrize("passed", [0, 1, 4])
+    def test_count_runs_up_to_and_including_the_first_witness(
+        self, monkeypatch, passed
+    ):
+        witness = {"case": {"n": passed + 1}, "lhs": "1", "rhs": "0"}
+
+        def fake(p):
+            yield from [None] * passed
+            yield witness
+            yield None
+
+        r = self.run(monkeypatch, fake)
+        assert (r.status, r.cases_checked, r.witness) == ("fail", passed + 1, witness)
+
+    def test_checker_is_not_resumed_after_its_witness(self, monkeypatch):
+        resumed = []
+
+        def fake(p):
+            yield None
+            yield {"case": {}, "lhs": "1", "rhs": "0"}
+            resumed.append(p)
+            raise AssertionError("resumed after a witness")
+
+        r = self.run(monkeypatch, fake)
+        assert (r.status, r.cases_checked) == ("fail", 2)
+        assert resumed == []
+
+    def test_notes_are_reported_only_on_a_pass(self, monkeypatch):
+        def fake(fail):
+            def checker(p):
+                yield None
+                if fail:
+                    yield {"case": {}, "lhs": "1", "rhs": "0"}
+                return "the notes"
+
+            return checker
+
+        passed = self.run(monkeypatch, fake(False))
+        assert (passed.status, passed.notes) == ("pass", "the notes")
+        failed = self.run(monkeypatch, fake(True))
+        assert (failed.status, failed.notes) == ("fail", None)
 
 
 class TestReportShape:
@@ -439,6 +490,8 @@ class TestCheckerSurface:
         for tid, checker in v._CHECKERS.items():
             params = list(inspect.signature(checker).parameters)
             assert params == ["p", *options.get(tid, [])], tid
+            # the runner's protocol: one outcome per case, yielded
+            assert inspect.isgeneratorfunction(checker), tid
 
     def test_an_option_another_checker_lacks_is_rejected(self):
         with pytest.raises(TypeError):
@@ -729,15 +782,22 @@ class TestPowersHEqualsPMinus1Trap:
 SPLIT_PRIMES = [3, 5, 7, 11, 13, 17, 19]
 
 
+def _bound(name, f):
+    """The split form ``_bound_split_form`` returns; it must yield no witness."""
+    import trunclog.verify as v
+
+    with pytest.raises(StopIteration) as stop:
+        next(v._bound_split_form(name, f))
+    return stop.value.value
+
+
 class TestSplitForms:
     @pytest.mark.parametrize("p", SPLIT_PRIMES)
     def test_lc_form_is_the_product_route(self, p):
         # Lc = prod_k (1 + a/k)^k = prod_k k^(-k) (a - (p-k))^k
-        import trunclog.verify as v
         from trunclog.fields import inv_mod
 
-        form, bad = v._bound_split_form("Lc", laguerre_const(p))
-        assert bad is None
+        form = _bound("Lc", laguerre_const(p))
         lead = math.prod(pow(inv_mod(k, p), k, p) for k in range(1, p)) % p
         assert form == (lead, (0,) + tuple(p - t for t in range(1, p)))
 
@@ -746,8 +806,7 @@ class TestSplitForms:
         import trunclog.verify as v
 
         for s in range(1, p - 1):
-            form, bad = v._bound_split_form(f"b[1,{s}]", b_rs(p, 1, s))
-            assert bad is None
+            form = _bound(f"b[1,{s}]", b_rs(p, 1, s))
             assert v._expand(form, p) == b_rs(p, 1, s)
             assert sorted(form[1]) == [0] * ((p + 1) // 2) + [1] * ((p - 1) // 2)
 
@@ -758,7 +817,7 @@ class TestSplitForms:
         import trunclog.verify as v
 
         rng = random.Random(p)
-        forms = [v._bound_split_form("Lc", laguerre_const(p))[0]]
+        forms = [_bound("Lc", laguerre_const(p))]
         forms += [
             (rng.randrange(1, p), tuple(rng.randrange(3) for _ in range(p)))
             for _ in range(3)
