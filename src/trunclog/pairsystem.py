@@ -18,15 +18,18 @@ pair the four scaled copies of g2 are formed once, and column i is one
 shifted piece of each, cut out by a quadrant mask: the block mask (rows
 j < i) times the in-block mask (columns m + i < p).  A scale (s0, s1) maps
 parts (x0, x1) to (s0 x0 + n s1 x1, s1 x0 + s0 x1), n s1 unreduced, so a
-column slot holds at most (1+n)(p-1)^2.  The masks are built once per
-``Layout``, that is once per checker call, and dropped with it.
+column slot holds at most (1+n)(p-1)^2.  The masks live in a per-call ``Layout``.
 
-``solve_pair`` reads rows from the unpacked columns as it needs them and
-stops once the rank reaches p; ``substitutes`` then checks all p^2
-equations at once, as the packed product sum_i c_i C_i plus the negated
-right side, every slot of which must vanish mod p.  All packed slots stay
-nonnegative and at most ``slot_bound``, which picks the slot width; past
-8 bytes ``Layout.build`` raises OverflowError.
+``pair_rows`` yields the rows last first (j, then m, from p-1 down to 0),
+one block of p slots unpacked at a time.  Block p-1 is triangular: row
+(p-1, m) is 0 in columns i < p-m and holds cg[m-1] in column p-m for m >= 1,
+cg[p-1] in column 0 for m = 0.  Each cg[k] is nonzero, alpha + beta being
+outside F_p*, so ``solve_pair``, which stops at the p-th pivot, reads only
+those p rows; earlier blocks are read if the rank falls short.
+``substitutes`` checks all p^2 equations at once: every slot of the packed
+sum_i c_i C_i minus the right side must vanish mod p.  Packed slots stay
+nonnegative and at most ``slot_bound``, which picks the slot width; past 8
+bytes ``Layout.build`` raises OverflowError.
 
 Nothing here reads ``special``, ``bpoly`` or ``glog``: ``lag_coeffs_at`` is
 an independent route to the coefficients of L.
@@ -148,13 +151,13 @@ def pair_columns(field, at, bt, layout):
 
 
 def pair_rows(p, cols, rhs, tc):
-    """The rows of the pair system in order, reduced, read from the unpacked
-    columns only as the elimination asks for them."""
-    parts = [(_slots(c0, p * p, tc), _slots(c1, p * p, tc)) for c0, c1 in cols]
-    for k, r in enumerate(rhs):
-        row = [(c0[k] % p, c1[k] % p) for c0, c1 in parts]
-        row.append(r)
-        yield row
+    """The rows of the pair system, reduced, last first (j, then m, from p-1
+    down to 0); a block's p slots are unpacked when its first row is read."""
+    w = p * 8 * array(tc).itemsize
+    for j in reversed(range(p)):
+        parts = [[_slots((c >> j * w) & ((1 << w) - 1), p, tc) for c in col] for col in cols]
+        for m in reversed(range(p)):
+            yield [(c0[m] % p, c1[m] % p) for c0, c1 in parts] + [rhs[j * p + m]]
 
 
 def solve_pair(field, rows, ncols, tc):
@@ -170,13 +173,12 @@ def solve_pair(field, rows, ncols, tc):
     scaled to lead 1, or is dropped when it is zero; a row that reduces to
     0 = nonzero returns None.
 
-    Reading stops as soon as the rank reaches ncols: the solution is then
-    unique if one exists at all, and the rows not yet read cannot change it.
-    Those rows are not checked here, so an inconsistency among them goes
-    unnoticed by this function; the caller's substitution pass, which checks
-    every row against the solution, is what makes the result sound.  Back
-    substitution gives the solution, each free unknown set to 0 and unique
-    False when the rank stays below ncols.
+    Reading stops at the ncols-th pivot, before the next row is asked for:
+    the solution is then unique if one exists at all.  The rows not read are
+    not checked here; the caller's substitution pass, which checks every row
+    against the solution, makes the result sound.  Back substitution gives
+    the solution, each free unknown set to 0 and unique False when the rank
+    stays below ncols.
     """
     p, n = field.p, field.nonres
     zero = (0, 0)
@@ -185,8 +187,6 @@ def solve_pair(field, rows, ncols, tc):
     packed: list[tuple] = []  # (bit offset of the pivot column, b0, b1)
     basis: list[tuple] = []  # (pivot column, reduced row)
     for row in rows:
-        if len(basis) == ncols:
-            break
         r0 = _pack([x for x, _ in row], tc)
         r1 = _pack([y for _, y in row], tc)
         for shift, b0, b1 in packed:
@@ -195,10 +195,8 @@ def solve_pair(field, rows, ncols, tc):
             if f0 or f1:
                 r0 += f0 * b0 + n * f1 * b1
                 r1 += f0 * b1 + f1 * b0
-        r = [
-            (x % p, y % p)
-            for x, y in zip(_slots(r0, ncols + 1, tc), _slots(r1, ncols + 1, tc))
-        ]
+        r0s, r1s = _slots(r0, ncols + 1, tc), _slots(r1, ncols + 1, tc)
+        r = [(x % p, y % p) for x, y in zip(r0s, r1s)]
         lead = next((c for c in range(ncols) if r[c] != zero), None)
         if lead is None:
             if r[ncols] != zero:
@@ -209,6 +207,8 @@ def solve_pair(field, rows, ncols, tc):
         r = [((x0 * i0 + x1 * ni1) % p, (x0 * i1 + x1 * i0) % p) for x0, x1 in r]
         packed.append((lead * w, _pack([x for x, _ in r], tc), _pack([y for _, y in r], tc)))
         basis.append((lead, r))
+        if len(basis) == ncols:
+            break
     sol = [zero] * ncols
     for lead, r in reversed(basis):
         acc0, acc1 = r[ncols]

@@ -906,9 +906,9 @@ def _check_jacobi_reflection(p):
 # -- specialized product coefficients over F_{p^2} -------------------------------------
 #
 # Each sampled pair's system is built, solved and substituted in
-# ``pairsystem``.  An inconsistent system fails with one of two witnesses:
-# "no solution" when a row reduces to 0 = nonzero before the rank reaches p,
-# "solution fails an equation" when the bad row comes after.
+# ``pairsystem``.  The p rows read first (the last block) reach rank p for
+# every pair of the stream, so "no solution" means one of them reduces to
+# 0 = nonzero; a bad row elsewhere fails "solution fails an equation".
 
 
 def _closed_forms_p3(field, at, bt):

@@ -27,6 +27,7 @@ from trunclog.pairsystem import (
     pair_rows,
     slot_bound,
     solve_pair,
+    substitutes,
 )
 from trunclog.verify import (
     TheoremId,
@@ -1817,7 +1818,75 @@ class TestPackedColumns:
                     row[i] for row in rows
                 ], (at, bt, i)
             assert rhs == [row[p] for row in rows]
-            assert list(pair_rows(p, cols, rhs, tc)) == rows
+            # last first: j, then m, from p-1 down to 0, each row once
+            assert list(pair_rows(p, cols, rhs, tc)) == rows[::-1]
+
+    @pytest.mark.parametrize("p, budget", [
+        (3, "exhaustive"), (5, "exhaustive"), (7, "exhaustive"),
+        (11, 20), (13, 12), (19, 6), (31, 3),
+    ])
+    def test_last_block_is_triangular(self, p, budget):
+        # row (p-1, m), m >= 1, is 0 left of column p-m and holds cg[m-1]
+        # there; row (p-1, 0) holds cg[p-1] in column 0; every cg[k] != 0
+        field = ext_quadratic(p)
+        for at, bt in _c_pairs(field, budget, seed=p):
+            cg = lag_coeffs_at(field, field.add_raw(at, bt))
+            assert (0, 0) not in cg, (at, bt)
+            block = _c_pair_rows(field, at, bt)[p * (p - 1):]
+            assert block[0][0] == cg[p - 1], (at, bt)
+            for m in range(1, p):
+                assert block[m][: p - m] == [(0, 0)] * (p - m), (at, bt, m)
+                assert block[m][p - m] == cg[m - 1], (at, bt, m)
+
+    @pytest.mark.parametrize("p, budget", [
+        (3, "exhaustive"), (5, "exhaustive"), (7, "exhaustive"),
+        (11, 40), (13, 30), (19, 100), (31, 40),
+    ])
+    def test_checker_reads_p_rows_per_pair(self, monkeypatch, p, budget):
+        import trunclog.verify as v
+
+        reads = []
+
+        def counted(*args):
+            reads.append(0)
+            for row in pair_rows(*args):
+                reads[-1] += 1
+                yield row
+
+        monkeypatch.setattr(v, "pair_rows", counted)
+        r = verify_c_coefficients(p, pair_budget=budget, seed=p)
+        assert r.status == "pass"
+        assert reads == [p] * r.cases_checked
+
+    def test_rank_deficient_last_block_reads_earlier_blocks(self):
+        # column 0 loses its entry in row (p-1, 0), and that row's right side
+        # drops the term it carried, so the last block is consistent but of
+        # rank p - 1 and the elimination must go on into block p - 2
+        p = 7
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        tc = layout.typecode
+        w = 8 * array(tc).itemsize
+        for at, bt in _c_pairs(field, 10, seed=5):
+            cols, rhs = pair_columns(field, at, bt, layout)
+            true_sol, _ = solve_pair(field, pair_rows(p, cols, rhs, tc), p, tc)
+            cg = lag_coeffs_at(field, field.add_raw(at, bt))
+            k = p * (p - 1)  # row (p-1, 0)
+            cols[0] = tuple(c - ((c >> k * w) % (1 << w) << k * w) for c in cols[0])
+            rhs[k] = field.sub_raw(rhs[k], field.mul_raw(cg[p - 1], true_sol[0]))
+            read = []
+
+            def rows():
+                for row in pair_rows(p, cols, rhs, tc):
+                    read.append(row)
+                    yield row
+
+            got = solve_pair(field, rows(), p, tc)
+            assert len(read) > p, (at, bt)
+            assert read[p - 1][0] == (0, 0)
+            assert read == list(pair_rows(p, cols, rhs, tc))[: len(read)]
+            assert got == _reference_solve(field, read, p) == (true_sol, True)
+            assert substitutes(field, cols, rhs, got[0], layout)
 
     def test_layout_is_per_call(self):
         # two calls build equal tables, but not the same objects
@@ -1952,17 +2021,22 @@ class TestSolvePair:
         assert _solve(field, rows, 3) == (None, False)
 
     def test_reads_rows_only_up_to_full_rank(self):
-        field = ext_quadratic(7)
+        # the last block alone has rank p; no row past the p-th pivot is read
+        p = 7
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        cols, rhs = pair_columns(field, (2, 3), (4, 1), layout)
         read = []
 
         def rows():
-            for k, row in enumerate(_c_pair_rows(field, (2, 3), (4, 1))):
-                read.append(k)
+            for row in pair_rows(p, cols, rhs, layout.typecode):
+                read.append(row)
                 yield row
 
-        sol, unique = _solve(field, rows(), 7)
-        assert unique and len(read) < 49
-        assert _satisfies(field, _c_pair_rows(field, (2, 3), (4, 1)), sol)
+        sol, unique = solve_pair(field, rows(), p, layout.typecode)
+        oracle = _c_pair_rows(field, (2, 3), (4, 1))
+        assert unique and read == oracle[::-1][:p]
+        assert _satisfies(field, oracle, sol)
 
 
 class TestSlotBound:
@@ -2006,8 +2080,8 @@ class TestSlotBound:
 class TestCCoefficientsMutationTraps:
     @pytest.mark.parametrize("index", [-1, 0])
     def test_bumped_right_side_fails(self, monkeypatch, index):
-        # the last row comes after the rank reaches p, so the elimination
-        # never reads it; row 0 is read and yields a wrong solution
+        # the last row is read first and yields a wrong solution; row 0
+        # comes after the rank reaches p, so only the substitution reads it
         import trunclog.verify as v
 
         build = v.pair_columns
@@ -2024,7 +2098,7 @@ class TestCCoefficientsMutationTraps:
         assert r.witness["lhs"] == "solution fails an equation"
 
     def test_inconsistent_first_row_has_no_solution(self, monkeypatch):
-        # row 0 becomes 0 = 1, read before the rank can reach p
+        # row p^2 - 1, the first row read, becomes 0 = 1
         import trunclog.verify as v
 
         build = v.pair_columns
@@ -2032,8 +2106,9 @@ class TestCCoefficientsMutationTraps:
         def bad_columns(field, at, bt, layout):
             cols, rhs = build(field, at, bt, layout)
             w = 8 * array(layout.typecode).itemsize
-            cols = [(c0 >> w << w, c1 >> w << w) for c0, c1 in cols]
-            rhs[0] = (1, 0)
+            low = 1 << (field.p ** 2 - 1) * w
+            cols = [(c0 % low, c1 % low) for c0, c1 in cols]
+            rhs[-1] = (1, 0)
             return cols, rhs
 
         monkeypatch.setattr(v, "pair_columns", bad_columns)
