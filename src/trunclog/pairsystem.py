@@ -20,16 +20,19 @@ j < i) times the in-block mask (columns m + i < p).  A scale (s0, s1) maps
 parts (x0, x1) to (s0 x0 + n s1 x1, s1 x0 + s0 x1), n s1 unreduced, so a
 column slot holds at most (1+n)(p-1)^2.  The masks live in a per-call ``Layout``.
 
-``pair_rows`` yields the rows last first (j, then m, from p-1 down to 0),
-one block of p slots unpacked at a time.  Block p-1 is triangular: row
-(p-1, m) is 0 in columns i < p-m and holds cg[m-1] in column p-m for m >= 1,
-cg[p-1] in column 0 for m = 0.  Each cg[k] is nonzero, alpha + beta being
-outside F_p*, so ``solve_pair``, which stops at the p-th pivot, reads only
-those p rows; earlier blocks are read if the rank falls short.
-``substitutes`` checks all p^2 equations at once: every slot of the packed
-sum_i c_i C_i minus the right side must vanish mod p.  Packed slots stay
-nonnegative and at most ``slot_bound``, which picks the slot width; past 8
-bytes ``Layout.build`` raises OverflowError.
+``pair_rows`` yields block j = p-1 first and block 0 last, unpacking one
+block of p slots at a time, and in each block row m = 0 first, then m from
+p-1 down to 1.  Block p-1 is triangular: row (p-1, m) is 0 in columns
+i < p-m and holds cg[m-1] in column p-m for m >= 1, cg[p-1] in column 0 for
+m = 0.  Each cg[k] is nonzero, alpha + beta being outside F_p*, so each of
+the first p rows is 0 in the lead columns of the rows before it:
+``solve_pair``, which reduces a row only where it is nonzero in a pivot's
+column, reduces none of them and stops at the p-th pivot; earlier blocks are
+read if the rank falls short.  ``substitutes`` checks all p^2 equations at
+once: every slot of the packed sum_i c_i C_i minus the right side must
+vanish mod p.  Packed slots stay nonnegative and at most ``slot_bound``,
+which picks the slot width; past 8 bytes ``Layout.build`` raises
+OverflowError.
 
 Nothing here reads ``special``, ``bpoly`` or ``glog``: ``lag_coeffs_at`` is
 an independent route to the coefficients of L.
@@ -63,13 +66,11 @@ def lag_coeffs_at(field, at):
 def slot_bound(p, n):
     """The largest slot value the packed kernel can form.
 
-    A column slot is at most (1+n)(p-1)^2.  An eliminated row starts below p
-    and gains at most (1+n)(p-1)^2 per pivot row, at most p of them.  The
-    substitution sum adds p products c_i C_i, each slot at most
-    (1+n)^2 (p-1)^3, to a negated right side of at most p.
+    A column slot is at most (1+n)(p-1)^2.  The substitution sum adds p
+    products c_i C_i, each slot at most (1+n)^2 (p-1)^3, to a negated right
+    side of at most p, which bounds the column slots too.
     """
-    column = (1 + n) * (p - 1) ** 2
-    return max(column, p + p * column, p * (1 + n) * (p - 1) * column + p)
+    return p * (1 + n) ** 2 * (p - 1) ** 3 + p
 
 
 class Layout(NamedTuple):
@@ -151,71 +152,60 @@ def pair_columns(field, at, bt, layout):
 
 
 def pair_rows(p, cols, rhs, tc):
-    """The rows of the pair system, reduced, last first (j, then m, from p-1
-    down to 0); a block's p slots are unpacked when its first row is read."""
+    """The rows of the pair system, reduced: blocks j from p-1 down to 0, in
+    each m = 0 first, then m from p-1 down to 1; a block's p slots are
+    unpacked when its first row is read."""
     w = p * 8 * array(tc).itemsize
     for j in reversed(range(p)):
         parts = [[_slots((c >> j * w) & ((1 << w) - 1), p, tc) for c in col] for col in cols]
-        for m in reversed(range(p)):
+        for m in (0, *reversed(range(1, p))):
             yield [(c0[m] % p, c1[m] % p) for c0, c1 in parts] + [rhs[j * p + m]]
 
 
-def solve_pair(field, rows, ncols, tc):
+def solve_pair(field, rows, ncols):
     """Solve the pair system; returns (solution | None, unique).
 
     The rows are lists of ncols + 1 reduced pairs, the last the right side.
-    Forward elimination, one row at a time, on packed rows: the c0 parts and
-    the c1 parts of a row are two packed ints.  Each pivot row b is added as
-    r += (-x mod p) b, x the row's current entry in b's pivot column, read
-    from its slots.  Every addend is nonnegative, so nothing is reduced until
-    the row is done: its slots then hold at most p + ncols (1+n)(p-1)^2
-    (``tc`` must hold that).  The row is reduced once and becomes a pivot row
-    scaled to lead 1, or is dropped when it is zero; a row that reduces to
+    Forward elimination, one row at a time: the row is reduced against a
+    pivot row only where it is nonzero in that pivot's lead column.  A pivot
+    row is kept as it reduced, with the inverse of its lead, not scaled to
+    lead 1; a row that reduces to zero is dropped, and one that reduces to
     0 = nonzero returns None.
 
     Reading stops at the ncols-th pivot, before the next row is asked for:
     the solution is then unique if one exists at all.  The rows not read are
     not checked here; the caller's substitution pass, which checks every row
-    against the solution, makes the result sound.  Back substitution gives
-    the solution, each free unknown set to 0 and unique False when the rank
-    stays below ncols.
+    against the solution, makes the result sound.  Back substitution, last
+    pivot first, gives the solution, each free unknown set to 0 and unique
+    False when the rank stays below ncols.
     """
     p, n = field.p, field.nonres
     zero = (0, 0)
-    w = 8 * array(tc).itemsize
-    top = (1 << w) - 1
-    packed: list[tuple] = []  # (bit offset of the pivot column, b0, b1)
-    basis: list[tuple] = []  # (pivot column, reduced row)
-    for row in rows:
-        r0 = _pack([x for x, _ in row], tc)
-        r1 = _pack([y for _, y in row], tc)
-        for shift, b0, b1 in packed:
-            f0 = -(r0 >> shift & top) % p
-            f1 = -(r1 >> shift & top) % p
-            if f0 or f1:
-                r0 += f0 * b0 + n * f1 * b1
-                r1 += f0 * b1 + f1 * b0
-        r0s, r1s = _slots(r0, ncols + 1, tc), _slots(r1, ncols + 1, tc)
-        r = [(x % p, y % p) for x, y in zip(r0s, r1s)]
+    basis: list[tuple] = []  # (lead column, reduced row, inverse of its lead)
+    for r in rows:
+        for lead, b, (i0, i1) in basis:
+            x0, x1 = r[lead]
+            if x0 or x1:
+                f0, f1 = (x0 * i0 + n * x1 * i1) % p, (x0 * i1 + x1 * i0) % p
+                r = [
+                    ((r0 - f0 * b0 - n * f1 * b1) % p, (r1 - f0 * b1 - f1 * b0) % p)
+                    for (r0, r1), (b0, b1) in zip(r, b)
+                ]
         lead = next((c for c in range(ncols) if r[c] != zero), None)
         if lead is None:
             if r[ncols] != zero:
                 return None, False
             continue
-        i0, i1 = field.inv_raw(r[lead])
-        ni1 = n * i1
-        r = [((x0 * i0 + x1 * ni1) % p, (x0 * i1 + x1 * i0) % p) for x0, x1 in r]
-        packed.append((lead * w, _pack([x for x, _ in r], tc), _pack([y for _, y in r], tc)))
-        basis.append((lead, r))
+        basis.append((lead, r, field.inv_raw(r[lead])))
         if len(basis) == ncols:
             break
     sol = [zero] * ncols
-    for lead, r in reversed(basis):
+    for lead, r, (i0, i1) in reversed(basis):
         acc0, acc1 = r[ncols]
         for (x0, x1), (y0, y1) in zip(r, sol):
             acc0 -= x0 * y0 + n * x1 * y1
             acc1 -= x0 * y1 + x1 * y0
-        sol[lead] = (acc0 % p, acc1 % p)
+        sol[lead] = ((acc0 * i0 + n * acc1 * i1) % p, (acc0 * i1 + acc1 * i0) % p)
     return sol, len(basis) == ncols
 
 

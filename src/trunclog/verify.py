@@ -906,9 +906,9 @@ def _check_jacobi_reflection(p):
 # -- specialized product coefficients over F_{p^2} -------------------------------------
 #
 # Each sampled pair's system is built, solved and substituted in
-# ``pairsystem``.  The p rows read first (the last block) reach rank p for
-# every pair of the stream, so "no solution" means one of them reduces to
-# 0 = nonzero; a bad row elsewhere fails "solution fails an equation".
+# ``pairsystem``.  The p rows read first, the last block from row (p-1, 0) on,
+# reach rank p unreduced for every pair of the stream, so "no solution" means
+# one of them is broken; a bad row elsewhere fails "solution fails an equation".
 
 
 def _closed_forms_p3(field, at, bt):
@@ -978,7 +978,7 @@ def _check_c_coefficients(p, pair_budget=None, seed=0):
     for at, bt in _c_pairs(field, pair_budget, seed):
         case = {"alpha": at, "beta": bt}
         cols, rhs = pair_columns(field, at, bt, layout)
-        sol, unique = solve_pair(field, pair_rows(p, cols, rhs, tc), p, tc)
+        sol, unique = solve_pair(field, pair_rows(p, cols, rhs, tc), p)
         if sol is None:
             yield _witness(case, "no solution", "solvable system")
         if not substitutes(field, cols, rhs, sol, layout):

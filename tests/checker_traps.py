@@ -61,8 +61,8 @@ def _solve_pair_on_call(n, change):
     def wrap(orig):
         calls = []
 
-        def solve_pair(field, rows, ncols, tc):
-            sol, unique = orig(field, rows, ncols, tc)
+        def solve_pair(field, rows, ncols):
+            sol, unique = orig(field, rows, ncols)
             calls.append(1)
             return change(sol, unique, field.p) if len(calls) == n else (sol, unique)
 

@@ -1818,8 +1818,13 @@ class TestPackedColumns:
                     row[i] for row in rows
                 ], (at, bt, i)
             assert rhs == [row[p] for row in rows]
-            # last first: j, then m, from p-1 down to 0, each row once
-            assert list(pair_rows(p, cols, rhs, tc)) == rows[::-1]
+            # blocks j from p-1 down to 0; in each, m = 0 first and then m
+            # from p-1 down to 1; each row once
+            order = [
+                j * p + m for j in range(p - 1, -1, -1) for m in [0, *range(p - 1, 0, -1)]
+            ]
+            assert sorted(order) == list(range(p * p))
+            assert list(pair_rows(p, cols, rhs, tc)) == [rows[k] for k in order]
 
     @pytest.mark.parametrize("p, budget", [
         (3, "exhaustive"), (5, "exhaustive"), (7, "exhaustive"),
@@ -1837,6 +1842,26 @@ class TestPackedColumns:
             for m in range(1, p):
                 assert block[m][: p - m] == [(0, 0)] * (p - m), (at, bt, m)
                 assert block[m][p - m] == cg[m - 1], (at, bt, m)
+
+    @pytest.mark.parametrize("p, budget", [
+        (3, "exhaustive"), (5, "exhaustive"), (7, "exhaustive"),
+        (11, 20), (13, 12), (19, 6), (31, 3),
+    ])
+    def test_first_rows_are_zero_in_earlier_leads(self, p, budget):
+        # in the order of pair_rows, each of the first p rows has a lead and
+        # is 0 in the lead columns of the rows read before it, so none of
+        # them needs a reduction
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        for at, bt in _c_pairs(field, budget, seed=p):
+            cols, rhs = pair_columns(field, at, bt, layout)
+            rows = pair_rows(p, cols, rhs, layout.typecode)
+            leads = []
+            for _ in range(p):
+                row = next(rows)
+                assert all(row[c] == (0, 0) for c in leads), (at, bt, leads)
+                leads.append(next(c for c in range(p) if row[c] != (0, 0)))
+            assert sorted(leads) == list(range(p)), (at, bt)
 
     @pytest.mark.parametrize("p, budget", [
         (3, "exhaustive"), (5, "exhaustive"), (7, "exhaustive"),
@@ -1869,7 +1894,7 @@ class TestPackedColumns:
         w = 8 * array(tc).itemsize
         for at, bt in _c_pairs(field, 10, seed=5):
             cols, rhs = pair_columns(field, at, bt, layout)
-            true_sol, _ = solve_pair(field, pair_rows(p, cols, rhs, tc), p, tc)
+            true_sol, _ = solve_pair(field, pair_rows(p, cols, rhs, tc), p)
             cg = lag_coeffs_at(field, field.add_raw(at, bt))
             k = p * (p - 1)  # row (p-1, 0)
             cols[0] = tuple(c - ((c >> k * w) % (1 << w) << k * w) for c in cols[0])
@@ -1881,12 +1906,51 @@ class TestPackedColumns:
                     read.append(row)
                     yield row
 
-            got = solve_pair(field, rows(), p, tc)
+            got = solve_pair(field, rows(), p)
             assert len(read) > p, (at, bt)
             assert read[p - 1][0] == (0, 0)
             assert read == list(pair_rows(p, cols, rhs, tc))[: len(read)]
             assert got == _reference_solve(field, read, p) == (true_sol, True)
             assert substitutes(field, cols, rhs, got[0], layout)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_entry_left_of_the_lead_is_reduced(self, p, consistent):
+        # row (p-1, m), m >= 1, gets a nonzero entry x in a column c < p-m,
+        # the lead of a row read before it, so it must be reduced there.
+        # When consistent, its right side gains x times c's true value, and
+        # the true solution still satisfies every equation
+        import random
+
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        tc = layout.typecode
+        w = 8 * array(tc).itemsize
+        rng = random.Random(p)
+        for at, bt in _c_pairs(field, 2 * p, seed=p):
+            cols, rhs = pair_columns(field, at, bt, layout)
+            true_sol, _ = solve_pair(field, pair_rows(p, cols, rhs, tc), p)
+            m = rng.randrange(1, p)
+            c = rng.randrange(p - m)
+            x = (rng.randrange(1, p), rng.randrange(p))
+            k = p * (p - 1) + m  # row (p-1, m)
+            cols[c] = tuple(part + (xi << k * w) for part, xi in zip(cols[c], x))
+            if consistent:
+                rhs[k] = field.add_raw(rhs[k], field.mul_raw(x, true_sol[c]))
+            read = []
+
+            def rows():
+                for row in pair_rows(p, cols, rhs, tc):
+                    read.append(row)
+                    yield row
+
+            got = solve_pair(field, rows(), p)
+            assert read[p - m][c] == x, (at, bt, m, c)
+            assert read == list(pair_rows(p, cols, rhs, tc))[: len(read)]
+            assert got == _reference_solve(field, read, p), (at, bt, m, c)
+            if consistent:
+                assert got == (true_sol, True), (at, bt, m, c)
+                assert substitutes(field, cols, rhs, got[0], layout)
 
     def test_layout_is_per_call(self):
         # two calls build equal tables, but not the same objects
@@ -1938,8 +2002,7 @@ def _satisfies(field, rows, sol):
 
 
 def _solve(field, rows, ncols):
-    tc = _slot_typecode(slot_bound(field.p, field.nonres))
-    return solve_pair(field, rows, ncols, tc)
+    return solve_pair(field, rows, ncols)
 
 
 class TestSolvePair:
@@ -2033,9 +2096,10 @@ class TestSolvePair:
                 read.append(row)
                 yield row
 
-        sol, unique = solve_pair(field, rows(), p, layout.typecode)
+        sol, unique = solve_pair(field, rows(), p)
         oracle = _c_pair_rows(field, (2, 3), (4, 1))
-        assert unique and read == oracle[::-1][:p]
+        # rows (p-1, 0), then (p-1, m) for m from p-1 down to 1
+        assert unique and read == [oracle[p * (p - 1)], *oracle[: p * (p - 1) : -1]]
         assert _satisfies(field, oracle, sol)
 
 
@@ -2080,7 +2144,7 @@ class TestSlotBound:
 class TestCCoefficientsMutationTraps:
     @pytest.mark.parametrize("index", [-1, 0])
     def test_bumped_right_side_fails(self, monkeypatch, index):
-        # the last row is read first and yields a wrong solution; row 0
+        # the last row is read second and yields a wrong solution; row 0
         # comes after the rank reaches p, so only the substitution reads it
         import trunclog.verify as v
 
@@ -2098,7 +2162,7 @@ class TestCCoefficientsMutationTraps:
         assert r.witness["lhs"] == "solution fails an equation"
 
     def test_inconsistent_first_row_has_no_solution(self, monkeypatch):
-        # row p^2 - 1, the first row read, becomes 0 = 1
+        # row p^2 - 1, read right after row (p-1, 0), becomes 0 = 1
         import trunclog.verify as v
 
         build = v.pair_columns
