@@ -16,7 +16,9 @@ C(a - 1, .), C(s'*a - 1, .) and the weight -1/s' to C(r*a - 1, .),
 C(r*s'*a - 1, .) and -r/(r*s'), so it sends b[1, s'] to b[r, r*s'].  That
 is p - 1 sums per prime instead of (p-1)^2.  ``b_rs`` stays the polynomial
 of record: the value routes of BAltAgreement and JacobiLink use neither
-``subs_scale`` nor FpPoly arithmetic and compare every (r, s) against it.
+``subs_scale`` nor FpPoly arithmetic.  Those checkers compare row 1 against
+them and count a case (r, s) of another row only where b[r,s] of record is
+b[1, s/r](r*a); a build that breaks this identity has its cases computed.
 
 For r + s = p the family degenerates to the zero polynomial; elsewhere the
 constant term is 1 and the degree of b[1,s] is (p-1)/2 with all roots simple

@@ -24,12 +24,12 @@ c_k * L_k by the power formula and composes only what that does not prove
 with glog()'s guard).  RightInverse forms no composition L(G(X)): it follows
 from LeftInverse and L-Frobenius by the inverse-map lemma.
 
-LemmaProduct, TruncBinomialRules, JacobiLink and JacobiShift compute row
-r = 1 only: a case (r, s) with r != 1 is counted as the image of the passed
-case (1, s/r) under a -> r*a (with X -> r*X for LemmaProduct), when the
-symmetry conditions the checker's docstring states hold on the objects of
-record.  Any other case is computed, so the first failing case, its witness
-and the count are those of the direct loop over every case.
+LemmaProduct, TruncBinomialRules, BAltAgreement, JacobiLink and JacobiShift
+compute row r = 1 only: a case (r, s) with r != 1 is counted as the image of
+the passed case (1, s/r) under a -> r*a (X -> r*X for LemmaProduct) when the
+conditions in the checker's docstring hold on the objects of record, b_rs of
+record included (``_b_image``).  Every other case is computed, so the first
+failing case, its witness and the count are the direct loop's.
 
 BAltAgreement and the three Jacobi checkers compare value vectors
 [f(0), ..., f(p-1)] on F_p.  Every b[r,s] route and every Jacobi sum with
@@ -284,9 +284,8 @@ def _check_lemma_product(p):
     s1 = s/r: L_r * L_s = sigma_r(L_1 * L_s1) when sym[r], sym[s] and sym[s1]
     hold, and off the diagonal the right side sigma_r(b[1,s1] * L_{1+s1})
     is b[r,s] * L_{r+s} when also sym[r+s], sym[1+s1] and
-    b[r,s] = b[1,s1](r*a).  Such a case is counted and not recomputed;
-    every other case is computed, so the first failing case, its witness
-    and the count (p-1)^2 are those of the direct loop over every case.
+    b[r,s] = b[1,s1](r*a) (``_b_image``).  Such a case is counted and not
+    recomputed; every other case is computed.
     """
     cpoly = alpha_p_minus_alpha(p)
     w = w_poly(p)
@@ -299,8 +298,7 @@ def _check_lemma_product(p):
             s1 = s * inv_mod(r, p) % p
             if r != 1 and sym[r] and sym[s] and sym[s1] and (
                 t == 0
-                or sym[t] and sym[(1 + s1) % p]
-                and b_rs(p, r, s) == b_rs(p, 1, s1).subs_scale(r)
+                or sym[t] and sym[(1 + s1) % p] and _b_image(p, r, s)
             ):
                 yield None
                 continue
@@ -741,39 +739,42 @@ def _b_record(p, r, s):
     return base, values(base), None
 
 
+def _b_image(p, r, s):
+    """r != 1 and b[r,s] of record is b[1,s/r](r*a), as ``b_rs`` builds it."""
+    return r != 1 and b_rs(p, r, s) == b_rs(p, 1, s * inv_mod(r, p) % p).subs_scale(r)
+
+
 def _check_b_alt(p):
     """b_rs equals the coefficient route for every (r, s), is zero on the
     diagonal r + s = p, and equals the alternate route off it.
 
-    Compares value vectors on F_p: b_rs of record against
-    ``_b_coeff_values`` and ``_b_alt_values``.  Both routes are sums of
-    C(r*a - 1, p-1-k) * C(g, k) times scalars with g linear in a, so they
-    have degree at most p-1; b_rs is checked to have degree at most p-1
-    first, and two such polynomials that agree at all p points are equal.
-    A failing route's values are interpolated back to the polynomial the
-    witness shows.
+    Compares value vectors on F_p (module docstring): b_rs of record against
+    ``_b_coeff_values`` and ``_b_alt_values``.  Row r = 1 is computed.  At
+    a = t, both routes at (r, s) are row 1's at (1, s1), s1 = s/r, and
+    a = r*t, with no condition: the coefficient route's weight r^-(p-1-k) is
+    r^k, as r^(p-1) = 1, and the alternate route reads C(s*t, k) =
+    C(s1*(r*t), k); the case (r, -r) maps to (1, p-1).  When ``_b_image``
+    holds, b[r,s] of record has row 1's values permuted too and b[1,s1]'s
+    degree, as a -> r*a keeps degrees, so the case is counted.
     """
     for r in range(1, p):
         for s in range(1, p):
+            if _b_image(p, r, s):
+                yield None
+                continue
             base, vals, bad = _b_record(p, r, s)
             if bad:
                 yield bad
-            coeff_vals = _b_coeff_values(p, r, s)
-            if vals != coeff_vals:
-                yield _witness(
-                    {"r": r, "s": s, "routes": "sum vs coefficient"},
-                    base,
-                    interpolate(coeff_vals, p),
-                )
+            coeff = _b_coeff_values(p, r, s)
+            if vals != coeff:
+                case = {"r": r, "s": s, "routes": "sum vs coefficient"}
+                yield _witness(case, base, interpolate(coeff, p))
             if (r + s) % p == 0:
                 yield None if base.is_zero else _witness({"r": r, "s": s}, base, 0)
                 continue
-            alt_vals = _b_alt_values(p, r, s)
-            yield None if vals == alt_vals else _witness(
-                {"r": r, "s": s, "routes": "sum vs alternate"},
-                base,
-                interpolate(alt_vals, p),
-            )
+            alt = _b_alt_values(p, r, s)
+            case = {"r": r, "s": s, "routes": "sum vs alternate"}
+            yield None if vals == alt else _witness(case, base, interpolate(alt, p))
 
 
 # -- Jacobi connection ---------------------------------------------------------------
@@ -782,24 +783,23 @@ def _check_b_alt(p):
 def _check_jacobi_link(p):
     """The Jacobi sum at A = r*a, B = s*a, x = (s-r)/(s+r) is b[r,s].
 
-    Compares value vectors on F_p: ``_jacobi_values`` against b_rs of record.
-    The Jacobi sum C(r*a - 1, p-1-k) * C(s*a - 1, k) times scalars has degree
-    at most p-1, b_rs is checked to have degree at most p-1 first, and two
-    such polynomials that agree at all p points are equal.  ``_sum_values``
-    reads f and g only through f(t) and g(t), and x depends only on s/r, so
-    row r's sums are row 1's with t -> r*t (``_permuted``).
+    Compares value vectors on F_p (module docstring): ``_jacobi_values``
+    against b_rs of record.  Row r = 1 is computed.  ``_sum_values`` reads f
+    and g only through f(t) and g(t), and x depends only on s/r, so row r's
+    sums are row 1's with t -> r*t; when ``_b_image`` holds, so are the
+    values of b[r,s] of record, and the case is counted.
     """
-    row1 = {}
     for r in range(1, p):
         for s in range(1, p):
             if (r + s) % p == 0:
                 continue
+            if _b_image(p, r, s):
+                yield None
+                continue
             base, vals, bad = _b_record(p, r, s)
             if bad:
                 yield bad
-            if r == 1:
-                row1[s] = _jacobi_values(p, (r, 0), (s, 0), _linked_x(p, r, s))
-            jac_vals = _permuted(row1[s * inv_mod(r, p) % p], r)
+            jac_vals = _jacobi_values(p, (r, 0), (s, 0), _linked_x(p, r, s))
             yield None if jac_vals == vals else _witness(
                 {"r": r, "s": s}, interpolate(jac_vals, p), base
             )
@@ -821,10 +821,10 @@ def _check_jacobi_shift(p):
     zero and (A+B)(x+1)/2 = B, so there the recurrence would only restate the
     shift (see ``jacobi``).  It is checked at x + 1 instead, where
     p*P_p = (a - a^p)(r + s)/2 is nonzero; the witness case records that x.
-    Row r's vectors are row 1's permuted, as in JacobiLink, so the shift
-    holds at (r, s) iff at (1, s1), s1 = s/r, and the recurrence at (r, s) is
-    that at (1, s1) under a -> r*a when p*P_p(r*a, s*a; x+1) is the image of
-    the term at (1, s1); else it is computed from the permuted vectors.
+    Row r's vectors are row 1's permuted (``_permuted``; see JacobiLink), so
+    the shift holds at (r, s) iff at (1, s1), s1 = s/r, and the recurrence at
+    (r, s) is that at (1, s1) under a -> r*a when p*P_p(r*a, s*a; x+1) is the
+    image of the term at (1, s1); else it is computed from those vectors.
     """
     half = inv_mod(2, p)
     row1 = {}

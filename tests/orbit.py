@@ -1,12 +1,14 @@
 """Mutations of what the orbit checkers read, shared by the tests.
 
-The orbit checkers are TruncBinomialRules, JacobiLink and JacobiShift: each
-computes row r = 1 and counts a case (r, s) with r != 1 as an image of a
-row-1 case.  Each mutation maps names that ``trunclog.verify`` reads at call
-time to a wrapper of the original.  Most break a case off row 1 or an object
-that row 1 never reads.  ``test_verify.py`` holds each checker to its direct
-loop under every mutation; ``test_golden.py`` pins the reports byte for
-byte.
+The orbit checkers are TruncBinomialRules, JacobiLink, JacobiShift and
+BAltAgreement: each computes row r = 1 and counts a case (r, s) with r != 1
+as an image of a row-1 case.  Each mutation maps names that
+``trunclog.verify`` reads at call time to a wrapper of the original.  Most
+break a case off row 1 or an object that row 1 never reads; the two b[2,2]
+mutations break the build identity b[2,2] = b[1,1](2a) that JacobiLink and
+BAltAgreement test before they count (2, 2).  ``test_verify.py`` holds each
+checker to its direct loop under every mutation; ``test_golden.py`` pins the
+reports byte for byte.
 """
 
 from trunclog.polys import FpPoly
@@ -14,7 +16,7 @@ from trunclog.quotient import XPoly
 
 import g_side
 
-ORBIT = ("TruncBinomialRules", "JacobiLink", "JacobiShift")
+ORBIT = ("TruncBinomialRules", "JacobiLink", "JacobiShift", "BAltAgreement")
 
 
 def _series_bumped(slope, offset):

@@ -1125,10 +1125,11 @@ class TestGSideOracles:
         assert [r() for r in refs] == [None] * 20
 
 
-# TruncBinomialRules, JacobiLink and JacobiShift compute row r = 1 and count
-# a case (r, s) with r != 1 as an image of a row-1 case; the direct loops
-# over every case below are the oracles they must match under every mutation
-# of tests/orbit.py.  Each reads at call time the names those mutations patch.
+# TruncBinomialRules, JacobiLink, JacobiShift and BAltAgreement compute row
+# r = 1 and count a case (r, s) with r != 1 as an image of a row-1 case; the
+# direct loops over every case below are the oracles they must match under
+# every mutation of tests/orbit.py.  Each reads at call time the names those
+# mutations patch.
 
 
 def _trunc_binomial_rules_direct(p):
@@ -1212,10 +1213,37 @@ def _jacobi_shift_direct(p):
     return _report(None, cases)
 
 
+def _b_alt_direct(p):
+    import trunclog.verify as v
+    from trunclog.polys import interpolate
+
+    cases = 0
+    for r in range(1, p):
+        for s in range(1, p):
+            cases += 1
+            base, vals, bad = v._b_record(p, r, s)
+            if bad:
+                return _report(bad, cases)
+            coeff = v._b_coeff_values(p, r, s)
+            if vals != coeff:
+                case = {"r": r, "s": s, "routes": "sum vs coefficient"}
+                return _report(v._witness(case, base, interpolate(coeff, p)), cases)
+            if (r + s) % p == 0:
+                if not base.is_zero:
+                    return _report(v._witness({"r": r, "s": s}, base, 0), cases)
+                continue
+            alt = v._b_alt_values(p, r, s)
+            if vals != alt:
+                case = {"r": r, "s": s, "routes": "sum vs alternate"}
+                return _report(v._witness(case, base, interpolate(alt, p)), cases)
+    return _report(None, cases)
+
+
 ORBIT_ORACLES = {
     "TruncBinomialRules": _trunc_binomial_rules_direct,
     "JacobiLink": _jacobi_link_direct,
     "JacobiShift": _jacobi_shift_direct,
+    "BAltAgreement": _b_alt_direct,
 }
 
 
@@ -1307,6 +1335,30 @@ class TestOrbitOracles:
         r = verify_theorem(p, theorem)
         assert r.status == "pass" and r.cases_checked == (p - 1) * (p - 2)
         assert len(calls) == per_case * (p - 2)
+
+    @pytest.mark.parametrize("theorem, row1, cases", [
+        ("BAltAgreement", 10, 100),
+        ("JacobiLink", 9, 90),
+    ])
+    def test_b_record_values_row_one_only(self, monkeypatch, theorem, row1, cases):
+        # p = 11: values(b_rs) runs on row 1's record only, p - 1 cases for
+        # BAltAgreement and p - 2 off the diagonal for JacobiLink; every
+        # other case is an image under b[r,s] = b[1,s/r](r*a)
+        calls = _counted(monkeypatch, "values")
+        r = verify_theorem(11, theorem)
+        assert (r.status, r.cases_checked) == ("pass", cases)
+        assert len(calls) == row1
+
+    @pytest.mark.parametrize("theorem, row1", [("BAltAgreement", 10), ("JacobiLink", 9)])
+    def test_broken_build_identity_is_computed(self, monkeypatch, theorem, row1):
+        # with b[2,2] + 1 of record the identity fails at (2, 2) alone, so
+        # (2, 1) is still counted and (2, 2) is computed, and fails
+        orbit.apply(monkeypatch, "b[2,2] + 1")
+        calls = _counted(monkeypatch, "values")
+        r = verify_theorem(11, theorem)
+        assert (r.status, r.cases_checked) == ("fail", row1 + 2)
+        assert r.witness["case"]["r"] == r.witness["case"]["s"] == 2
+        assert len(calls) == row1 + 1
 
 
 # Traps for the value-vector checkers.  b_rs is the one route through
@@ -1908,7 +1960,7 @@ class TestPackedColumns:
 
             got = solve_pair(field, rows(), p)
             assert len(read) > p, (at, bt)
-            assert read[p - 1][0] == (0, 0)
+            assert read[0][0] == (0, 0)
             assert read == list(pair_rows(p, cols, rhs, tc))[: len(read)]
             assert got == _reference_solve(field, read, p) == (true_sol, True)
             assert substitutes(field, cols, rhs, got[0], layout)
