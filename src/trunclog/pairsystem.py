@@ -1,16 +1,21 @@
 """The linear systems of the CCoefficients check over F_{p^2}, on packed ints.
 
-For a pair (alpha, beta) the product coefficients c_0..c_{p-1} solve p^2
-equations over F_{p^2}, equation (j, m) in row j*p + m:
+For a pair (alpha, beta) the product coefficients c_0..c_{p-1} satisfy the
+paper's weak analogue of exp(X) exp(Y) = exp(X + Y),
 
-    sum_i C_i[j][m] c_i = ca[j] cb[m],
+    L_alpha(X) L_beta(Y) = (c_0 + sum_{i>=1} c_i X^i Y^(p-i)) L_{alpha+beta}(X+Y)
 
-with ca, cb, cg the coefficients of the exponential analogue at alpha, beta
-and alpha + beta.  Column 0 is g2[j][m] = C(j+m, j) cg[j+m] (0 for
-j + m >= p).  Column i >= 1 is g2 after a 2-D cyclic rotation, rows moved by
-+i and columns by -i, so C_i[j][m] = g2[j-i][m+i] (indices mod p), scaled
-by quadrant: uv where j < i and m + i < p, v where only m + i < p, u where
-only j < i, 1 elsewhere; u = alpha^p - alpha, v = beta^p - beta.
+in F_{p^2}[X, Y]/(X^p - u, Y^p - v), u = alpha^p - alpha, v = beta^p - beta.
+With ca, cb, cg the coefficients of L at alpha, beta and alpha + beta, its
+coefficient of X^j Y^m is equation (j, m), in row j*p + m:
+
+    sum_i C_i[j][m] c_i = ca[j] cb[m].
+
+Column 0 is L_{alpha+beta}(X+Y) itself, g2[j][m] = C(j+m, j) cg[j+m] (0 for
+j + m >= p), of total degree below p, so nothing reduces.  Column i >= 1 is
+X^i Y^(p-i) g2: the term X^j' Y^m' lands on X^(j'+i) Y^(m'+p-i), so
+C_i[j][m] = g2[j-i][m+i] (indices mod p), times u when the X exponent
+reaches p (j < i) and times v when the Y exponent does (m + i < p).
 
 Each column is two packed ints, the c0 parts and the c1 parts, entry (j, m)
 in slot j*p + m (Kronecker packing, as in ``quotient.grid_mulmod``).  Per
@@ -20,16 +25,16 @@ j < i) times the in-block mask (columns m + i < p).  A scale (s0, s1) maps
 parts (x0, x1) to (s0 x0 + n s1 x1, s1 x0 + s0 x1), n s1 unreduced, so a
 column slot holds at most (1+n)(p-1)^2.  The masks live in a per-call ``Layout``.
 
-``pair_rows`` yields block j = p-1 first and block 0 last, unpacking one
-block of p slots at a time, and in each block row m = 0 first, then m from
-p-1 down to 1.  Block p-1 is triangular: row (p-1, m) is 0 in columns
-i < p-m and holds cg[m-1] in column p-m for m >= 1, cg[p-1] in column 0 for
-m = 0.  Each cg[k] is nonzero, alpha + beta being outside F_p*, so each of
-the first p rows is 0 in the lead columns of the rows before it:
-``solve_pair``, which reduces a row only where it is nonzero in a pivot's
-column, reduces none of them and stops at the p-th pivot; earlier blocks are
-read if the rank falls short.  ``substitutes`` checks all p^2 equations at
-once: every slot of the packed sum_i c_i C_i minus the right side must
+The X^(p-1) block, j = p-1, is triangular.  No row index wraps there, and
+g2[p-1-i][m+i mod p] is nonzero only for m = 0 or i >= p-m: row (p-1, 0)
+holds cg[p-1] in column 0, and row (p-1, m), m >= 1, is 0 left of column
+p-m and holds C(m-1, m-1) cg[m-1] = cg[m-1] there.  Each cg[k] is a falling
+factorial -(alpha+beta-1)_(p-1-k), nonzero since the pair stream keeps
+alpha + beta outside F_p*.  So ``pair_rows`` yields just that block in
+lead-column order, row (p-1, 0) and then m from p-1 down to 1, and
+``solve_pair`` back-substitutes it.  Its rank p is the rank of the whole
+system, so a solution is unique.  ``substitutes`` checks all p^2 equations
+at once: every slot of the packed sum_i c_i C_i minus the right side must
 vanish mod p.  Packed slots stay nonnegative and at most ``slot_bound``,
 which picks the slot width; past 8 bytes ``Layout.build`` raises
 OverflowError.
@@ -152,61 +157,41 @@ def pair_columns(field, at, bt, layout):
 
 
 def pair_rows(p, cols, rhs, tc):
-    """The rows of the pair system, reduced: blocks j from p-1 down to 0, in
-    each m = 0 first, then m from p-1 down to 1; a block's p slots are
-    unpacked when its first row is read."""
-    w = p * 8 * array(tc).itemsize
-    for j in reversed(range(p)):
-        parts = [[_slots((c >> j * w) & ((1 << w) - 1), p, tc) for c in col] for col in cols]
-        for m in (0, *reversed(range(1, p))):
-            yield [(c0[m] % p, c1[m] % p) for c0, c1 in parts] + [rhs[j * p + m]]
+    """The p rows of the triangular block j = p-1, reduced, in lead-column
+    order: row (p-1, 0) first, then (p-1, m) for m from p-1 down to 1."""
+    shift = (p - 1) * p * 8 * array(tc).itemsize
+    parts = [[_slots(c >> shift, p, tc) for c in col] for col in cols]
+    last = (p - 1) * p
+    for m in (0, *reversed(range(1, p))):
+        yield [(c0[m] % p, c1[m] % p) for c0, c1 in parts] + [rhs[last + m]]
 
 
 def solve_pair(field, rows, ncols):
-    """Solve the pair system; returns (solution | None, unique).
+    """Back substitution on ncols rows of ncols + 1 reduced pairs, the last
+    the right side: the solution, or None unless row k is 0 left of column k
+    and nonzero at column k.  Any other row count raises ValueError.
 
-    The rows are lists of ncols + 1 reduced pairs, the last the right side.
-    Forward elimination, one row at a time: the row is reduced against a
-    pivot row only where it is nonzero in that pivot's lead column.  A pivot
-    row is kept as it reduced, with the inverse of its lead, not scaled to
-    lead 1; a row that reduces to zero is dropped, and one that reduces to
-    0 = nonzero returns None.
-
-    Reading stops at the ncols-th pivot, before the next row is asked for:
-    the solution is then unique if one exists at all.  The rows not read are
-    not checked here; the caller's substitution pass, which checks every row
-    against the solution, makes the result sound.  Back substitution, last
-    pivot first, gives the solution, each free unknown set to 0 and unique
-    False when the rank stays below ncols.
+    A triangular block with a nonzero diagonal has full rank, so the
+    solution is unique.  The other equations are not checked here; the
+    caller's substitution pass checks every one.
     """
+    rows = list(rows)
+    if len(rows) != ncols:
+        raise ValueError(f"expected {ncols} rows, got {len(rows)}")
     p, n = field.p, field.nonres
     zero = (0, 0)
-    basis: list[tuple] = []  # (lead column, reduced row, inverse of its lead)
-    for r in rows:
-        for lead, b, (i0, i1) in basis:
-            x0, x1 = r[lead]
-            if x0 or x1:
-                f0, f1 = (x0 * i0 + n * x1 * i1) % p, (x0 * i1 + x1 * i0) % p
-                r = [
-                    ((r0 - f0 * b0 - n * f1 * b1) % p, (r1 - f0 * b1 - f1 * b0) % p)
-                    for (r0, r1), (b0, b1) in zip(r, b)
-                ]
-        lead = next((c for c in range(ncols) if r[c] != zero), None)
-        if lead is None:
-            if r[ncols] != zero:
-                return None, False
-            continue
-        basis.append((lead, r, field.inv_raw(r[lead])))
-        if len(basis) == ncols:
-            break
     sol = [zero] * ncols
-    for lead, r, (i0, i1) in reversed(basis):
+    for k in reversed(range(ncols)):
+        r = rows[k]
+        if r[k] == zero or r[:k].count(zero) != k:
+            return None
         acc0, acc1 = r[ncols]
-        for (x0, x1), (y0, y1) in zip(r, sol):
+        for (x0, x1), (y0, y1) in zip(r[k + 1 : ncols], sol[k + 1 :]):
             acc0 -= x0 * y0 + n * x1 * y1
             acc1 -= x0 * y1 + x1 * y0
-        sol[lead] = ((acc0 * i0 + n * acc1 * i1) % p, (acc0 * i1 + acc1 * i0) % p)
-    return sol, len(basis) == ncols
+        i0, i1 = field.inv_raw(r[k])
+        sol[k] = ((acc0 * i0 + n * acc1 * i1) % p, (acc0 * i1 + acc1 * i0) % p)
+    return sol
 
 
 def substitutes(field, cols, rhs, sol, layout):

@@ -62,18 +62,18 @@ def _solve_pair_on_call(n, change):
         calls = []
 
         def solve_pair(field, rows, ncols):
-            sol, unique = orig(field, rows, ncols)
+            sol = orig(field, rows, ncols)
             calls.append(1)
-            return change(sol, unique, field.p) if len(calls) == n else (sol, unique)
+            return change(sol, field.p) if len(calls) == n else sol
 
         return solve_pair
 
     return wrap
 
 
-def _first_bumped(sol, unique, p):
+def _first_bumped(sol, p):
     (c0, c1), *rest = sol
-    return [((c0 + 1) % p, c1), *rest], unique
+    return [((c0 + 1) % p, c1), *rest]
 
 
 # name: {name in trunclog.verify: wrapper of the original}
@@ -89,8 +89,7 @@ MUTATIONS = {
     "Lucas flipped at (2,3)": {"b_root_lucas": _lucas_flipped(2, 3)},
     "N(X-1, X) + 1": {"_polylog_at": _polylog_at_bumped},
     "reflection link 2 bumped at s=3": {"_reflection_values": _reflection_bumped(3)},
-    "no solution at pair 3": {"solve_pair": _solve_pair_on_call(
-        3, lambda sol, unique, p: (None, False))},
+    "no solution at pair 3": {"solve_pair": _solve_pair_on_call(3, lambda sol, p: None)},
     "wrong solution at pair 3": {"solve_pair": _solve_pair_on_call(3, _first_bumped)},
 }
 

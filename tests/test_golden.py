@@ -48,6 +48,10 @@ def test_verify_symmetry_p3_matches_golden(capsys):
     [
         ("verify_p3-13.json", ["verify", "--prime", "3..13", "--format", "json"]),
         ("verify_p3-13.txt", ["verify", "--prime", "3..13"]),
+        (
+            "verify_ccoefficients_p17-23.json",
+            ["verify", "--prime", "17..23", "--theorem", "CCoefficients", "--format", "json"],
+        ),
         ("show_all_p7.txt", ["show", "all", "--prime", "7"]),
         ("show_all_p7.json", ["show", "all", "--prime", "7", "--format", "json"]),
         ("show_polylog_p7_dlog2.txt", ["show", "polylog", "--prime", "7", "--dlog", "2"]),

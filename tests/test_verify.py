@@ -1852,7 +1852,90 @@ def _c_pair_rows(field, at, bt):
     return rows
 
 
+def _ring_mul(field, f, g, u, v):
+    """f*g in F_{p^2}[X, Y]/(X^p - u, Y^p - v), on dicts {(j, m): raw pair}."""
+    p = field.p
+    out = {}
+    for (j1, m1), x in f.items():
+        for (j2, m2), y in g.items():
+            z = field.mul_raw(x, y)
+            j, m = j1 + j2, m1 + m2
+            if j >= p:
+                j, z = j - p, field.mul_raw(z, u)
+            if m >= p:
+                m, z = m - p, field.mul_raw(z, v)
+            out[j, m] = field.add_raw(out.get((j, m), (0, 0)), z)
+    return [out.get((j, m), (0, 0)) for j in range(p) for m in range(p)]
+
+
+def _ring_identity_sides(field, at, bt, c):
+    """Both sides of L_alpha(X) L_beta(Y) = D L_{alpha+beta}(X+Y), with
+    D = c_0 + sum_{i>=1} c_i X^i Y^(p-i), reduced in the ring, as coefficient
+    lists in row order."""
+    p = field.p
+    u = field.sub_raw(field.frobenius_raw(at), at)
+    v = field.sub_raw(field.frobenius_raw(bt), bt)
+    ca, cb = lag_coeffs_at(field, at), lag_coeffs_at(field, bt)
+    cg = lag_coeffs_at(field, field.add_raw(at, bt))
+    g2, power = {}, {(0, 0): (1, 0)}
+    for k in range(p):  # sum_k cg[k] (X+Y)^k, the powers by ring products
+        for key, x in power.items():
+            g2[key] = field.add_raw(g2.get(key, (0, 0)), field.mul_raw(cg[k], x))
+        grid = _ring_mul(field, power, {(1, 0): (1, 0), (0, 1): (1, 0)}, u, v)
+        power = {(j, m): grid[j * p + m] for j in range(p) for m in range(p)}
+    d = {(0, 0): c[0], **{(i, p - i): c[i] for i in range(1, p)}}
+    lhs = _ring_mul(field, {(j, 0): x for j, x in enumerate(ca)},
+                    {(0, m): y for m, y in enumerate(cb)}, u, v)
+    return lhs, _ring_mul(field, d, g2, u, v)
+
+
 class TestPackedColumns:
+    @pytest.mark.parametrize("p, budget", [
+        (3, "exhaustive"), (5, 20), (7, 10), (11, 5),
+    ])
+    def test_columns_are_the_ring_identity(self, p, budget):
+        # sum_i c_i C_i is D L_{alpha+beta}(X+Y) reduced by X^p -> u and
+        # Y^p -> v, for random c, and the right side is L_alpha(X) L_beta(Y)
+        import random
+
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        tc = layout.typecode
+        rng = random.Random(p)
+        for at, bt in _c_pairs(field, budget, seed=p):
+            cols, rhs = pair_columns(field, at, bt, layout)
+            c = [(rng.randrange(p), rng.randrange(p)) for _ in range(p)]
+            got = [(0, 0)] * (p * p)
+            for ci, col in zip(c, cols):
+                entries = zip(*(_slots(part, p * p, tc) for part in col))
+                got = [
+                    field.add_raw(g, field.mul_raw(ci, (x0 % p, x1 % p)))
+                    for g, (x0, x1) in zip(got, entries)
+                ]
+            lhs, want = _ring_identity_sides(field, at, bt, c)
+            assert got == want, (at, bt)
+            assert rhs == lhs, (at, bt)
+
+    @pytest.mark.parametrize("p, budget", [
+        (3, "exhaustive"), (5, 20), (7, 10), (11, 5),
+    ])
+    def test_solution_is_the_only_one_of_the_ring_identity(self, p, budget):
+        # the solved c makes the identity hold; bumping any one coordinate
+        # of any c_i breaks it
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        for at, bt in _c_pairs(field, budget, seed=p):
+            cols, rhs = pair_columns(field, at, bt, layout)
+            sol = solve_pair(field, pair_rows(p, cols, rhs, layout.typecode), p)
+            lhs, rhs_side = _ring_identity_sides(field, at, bt, sol)
+            assert lhs == rhs_side, (at, bt)
+            for i in range(p):
+                for step in ((1, 0), (0, 1)):
+                    c = sol[:]
+                    c[i] = field.add_raw(c[i], step)
+                    lhs, rhs_side = _ring_identity_sides(field, at, bt, c)
+                    assert lhs != rhs_side, (at, bt, i, step)
+
     @pytest.mark.parametrize("p, budget", [
         (3, "exhaustive"), (5, "exhaustive"), (7, 30), (11, 15), (13, 10),
     ])
@@ -1870,12 +1953,8 @@ class TestPackedColumns:
                     row[i] for row in rows
                 ], (at, bt, i)
             assert rhs == [row[p] for row in rows]
-            # blocks j from p-1 down to 0; in each, m = 0 first and then m
-            # from p-1 down to 1; each row once
-            order = [
-                j * p + m for j in range(p - 1, -1, -1) for m in [0, *range(p - 1, 0, -1)]
-            ]
-            assert sorted(order) == list(range(p * p))
+            # the last block only: m = 0 first, then m from p-1 down to 1
+            order = [p * (p - 1) + m for m in [0, *range(p - 1, 0, -1)]]
             assert list(pair_rows(p, cols, rhs, tc)) == [rows[k] for k in order]
 
     @pytest.mark.parametrize("p, budget", [
@@ -1935,43 +2014,41 @@ class TestPackedColumns:
         assert r.status == "pass"
         assert reads == [p] * r.cases_checked
 
-    def test_rank_deficient_last_block_reads_earlier_blocks(self):
+    def test_rank_deficient_last_block_has_no_solution(self, monkeypatch):
         # column 0 loses its entry in row (p-1, 0), and that row's right side
-        # drops the term it carried, so the last block is consistent but of
-        # rank p - 1 and the elimination must go on into block p - 2
+        # drops the term it carried: the whole system keeps its solution, but
+        # the last block has a 0 on its diagonal, which the solver rejects
         p = 7
         field = ext_quadratic(p)
         layout = Layout.build(field)
         tc = layout.typecode
         w = 8 * array(tc).itemsize
-        for at, bt in _c_pairs(field, 10, seed=5):
+        k = p * (p - 1)  # row (p-1, 0)
+
+        def emptied(field, at, bt, layout):
             cols, rhs = pair_columns(field, at, bt, layout)
-            true_sol, _ = solve_pair(field, pair_rows(p, cols, rhs, tc), p)
+            true_sol = solve_pair(field, pair_rows(p, cols, rhs, tc), p)
             cg = lag_coeffs_at(field, field.add_raw(at, bt))
-            k = p * (p - 1)  # row (p-1, 0)
             cols[0] = tuple(c - ((c >> k * w) % (1 << w) << k * w) for c in cols[0])
             rhs[k] = field.sub_raw(rhs[k], field.mul_raw(cg[p - 1], true_sol[0]))
-            read = []
+            return cols, rhs, true_sol
 
-            def rows():
-                for row in pair_rows(p, cols, rhs, tc):
-                    read.append(row)
-                    yield row
-
-            got = solve_pair(field, rows(), p)
-            assert len(read) > p, (at, bt)
-            assert read[0][0] == (0, 0)
-            assert read == list(pair_rows(p, cols, rhs, tc))[: len(read)]
-            assert got == _reference_solve(field, read, p) == (true_sol, True)
-            assert substitutes(field, cols, rhs, got[0], layout)
+        for at, bt in _c_pairs(field, 10, seed=5):
+            cols, rhs, true_sol = emptied(field, at, bt, layout)
+            read = list(pair_rows(p, cols, rhs, tc))
+            assert read[0][0] == (0, 0), (at, bt)
+            assert solve_pair(field, read, p) is None, (at, bt)
+            assert _reference_solve(field, _all_rows(p, cols, rhs, tc), p) == (true_sol, True)
+            assert substitutes(field, cols, rhs, true_sol, layout)
+        _assert_no_solution_at(monkeypatch, p, 5, lambda *args: emptied(*args)[:2])
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     @pytest.mark.parametrize("consistent", [True, False])
-    def test_entry_left_of_the_lead_is_reduced(self, p, consistent):
+    def test_entry_left_of_the_lead_has_no_solution(self, monkeypatch, p, consistent):
         # row (p-1, m), m >= 1, gets a nonzero entry x in a column c < p-m,
-        # the lead of a row read before it, so it must be reduced there.
-        # When consistent, its right side gains x times c's true value, and
-        # the true solution still satisfies every equation
+        # left of its lead, so the block is no longer triangular.  When
+        # consistent, its right side gains x times c's true value, and the
+        # true solution still satisfies every equation
         import random
 
         field = ext_quadratic(p)
@@ -1979,9 +2056,10 @@ class TestPackedColumns:
         tc = layout.typecode
         w = 8 * array(tc).itemsize
         rng = random.Random(p)
-        for at, bt in _c_pairs(field, 2 * p, seed=p):
+
+        def bumped(field, at, bt, layout):
             cols, rhs = pair_columns(field, at, bt, layout)
-            true_sol, _ = solve_pair(field, pair_rows(p, cols, rhs, tc), p)
+            true_sol = solve_pair(field, pair_rows(p, cols, rhs, tc), p)
             m = rng.randrange(1, p)
             c = rng.randrange(p - m)
             x = (rng.randrange(1, p), rng.randrange(p))
@@ -1989,26 +2067,52 @@ class TestPackedColumns:
             cols[c] = tuple(part + (xi << k * w) for part, xi in zip(cols[c], x))
             if consistent:
                 rhs[k] = field.add_raw(rhs[k], field.mul_raw(x, true_sol[c]))
-            read = []
+            return cols, rhs, true_sol, m, c, x
 
-            def rows():
-                for row in pair_rows(p, cols, rhs, tc):
-                    read.append(row)
-                    yield row
-
-            got = solve_pair(field, rows(), p)
+        for at, bt in _c_pairs(field, 2 * p, seed=p):
+            cols, rhs, true_sol, m, c, x = bumped(field, at, bt, layout)
+            read = list(pair_rows(p, cols, rhs, tc))
             assert read[p - m][c] == x, (at, bt, m, c)
-            assert read == list(pair_rows(p, cols, rhs, tc))[: len(read)]
-            assert got == _reference_solve(field, read, p), (at, bt, m, c)
+            assert solve_pair(field, read, p) is None, (at, bt, m, c)
             if consistent:
-                assert got == (true_sol, True), (at, bt, m, c)
-                assert substitutes(field, cols, rhs, got[0], layout)
+                full = _all_rows(p, cols, rhs, tc)
+                assert _reference_solve(field, full, p) == (true_sol, True)
+                assert substitutes(field, cols, rhs, true_sol, layout)
+        _assert_no_solution_at(monkeypatch, p, p, lambda *args: bumped(*args)[:2])
 
     def test_layout_is_per_call(self):
         # two calls build equal tables, but not the same objects
         field = ext_quadratic(7)
         first, second = Layout.build(field), Layout.build(field)
         assert first == second and first.pieces is not second.pieces
+
+
+def _all_rows(p, cols, rhs, tc):
+    """All p^2 rows of a packed system, reduced, in row order."""
+    parts = [[_slots(c, p * p, tc) for c in col] for col in cols]
+    return [
+        [(c0[k] % p, c1[k] % p) for c0, c1 in parts] + [rhs[k]] for k in range(p * p)
+    ]
+
+
+def _assert_no_solution_at(monkeypatch, p, seed, broken, at_pair=3):
+    """The checker reports "no solution" at the at_pair-th pair when only
+    that pair's system is built by broken(field, at, bt, layout)."""
+    import trunclog.verify as v
+
+    calls = []
+
+    def columns(*args):
+        calls.append(args[1:3])
+        return (broken if len(calls) == at_pair else pair_columns)(*args)
+
+    monkeypatch.setattr(v, "pair_columns", columns)
+    r = verify_c_coefficients(p, pair_budget=2 * at_pair, seed=seed)
+    at, bt = calls[at_pair - 1]
+    assert r.status == "fail" and r.cases_checked == at_pair
+    assert r.witness == {
+        "case": {"alpha": at, "beta": bt}, "lhs": "no solution", "rhs": "solvable system",
+    }
 
 
 def _reference_solve(field, rows, ncols):
@@ -2053,78 +2157,73 @@ def _satisfies(field, rows, sol):
     return True
 
 
-def _solve(field, rows, ncols):
-    return solve_pair(field, rows, ncols)
+def _triangular_system(field, rng, ncols):
+    """Random rows k = 0..ncols-1: 0 left of column k, nonzero at column k,
+    dense to its right and in the right side."""
+    p = field.p
+
+    def rand():
+        return (rng.randrange(p), rng.randrange(p))
+
+    return [
+        [(0, 0)] * k + [(rng.randrange(1, p), rng.randrange(p))]
+        + [rand() for _ in range(ncols - k)]
+        for k in range(ncols)
+    ]
 
 
 class TestSolvePair:
     @pytest.mark.parametrize("p", [7, 11])
     def test_matches_full_elimination(self, p):
+        # the last block's solution is the one of all p^2 equations
         field = ext_quadratic(p)
+        layout = Layout.build(field)
         for at, bt in _c_pairs(field, 20, seed=p):
-            rows = _c_pair_rows(field, at, bt)
-            assert _solve(field, rows, p) == _reference_solve(field, rows, p)
+            cols, rhs = pair_columns(field, at, bt, layout)
+            sol = solve_pair(field, pair_rows(p, cols, rhs, layout.typecode), p)
+            assert (sol, True) == _reference_solve(field, _c_pair_rows(field, at, bt), p)
 
     @pytest.mark.parametrize("p", [3, 7, 31])
     def test_random_systems_match_full_elimination(self, p):
-        # dense rows couple later pivot columns, so back substitution counts;
-        # rank-deficient and inconsistent systems come up among them too.
-        # Rows after full rank are not read, so the reference gets only the
-        # rows up to the first inconsistency or the one that completes the rank
+        # dense rows couple every later column, so each step of the back
+        # substitution counts
         import random
 
         field = ext_quadratic(p)
         rng = random.Random(p)
-        kinds = set()
         for _ in range(60):
-            ncols = rng.randrange(1, 6)
-            nrows = rng.randrange(1, 9)
-            rank = rng.randrange(1, ncols + 1)
-            gens = [
-                [(rng.randrange(p), rng.randrange(p)) for _ in range(ncols)]
-                for _ in range(rank)
-            ]
-            x = [(rng.randrange(p), rng.randrange(p)) for _ in range(ncols)]
-            rows = []
-            for _ in range(nrows):
-                f = [(rng.randrange(p), rng.randrange(p)) for _ in range(rank)]
-                row = [(0, 0)] * ncols
-                for fk, g in zip(f, gens):
-                    row = [field.add_raw(a, field.mul_raw(fk, b)) for a, b in zip(row, g)]
-                rhs = (0, 0)
-                for a, b in zip(row, x):
-                    rhs = field.add_raw(rhs, field.mul_raw(a, b))
-                if rng.random() < 0.2:
-                    rhs = field.add_raw(rhs, (1, 0))
-                rows.append(row + [rhs])
-            # the rows the solver reads: up to an inconsistency or full rank
-            for k in range(1, nrows + 1):
-                want = _reference_solve(field, rows[:k], ncols)
-                if want[0] is None or want[1]:
-                    break
-            got = _solve(field, rows, ncols)
-            assert got == want
-            kinds.add("none" if got[0] is None else got[1])
-        assert kinds == {"none", True, False}
+            ncols = rng.randrange(1, 7)
+            rows = _triangular_system(field, rng, ncols)
+            sol = solve_pair(field, iter(rows), ncols)
+            assert (sol, True) == _reference_solve(field, rows, ncols)
+            assert _satisfies(field, rows, sol)
 
-    def test_rank_deficient_system_is_not_unique(self):
-        # rank 2 in 3 unknowns: row 1 is 2 * row 0, row 3 is a combination
+    @pytest.mark.parametrize("p", [3, 7, 31])
+    def test_shape_violations_have_no_solution(self, p):
+        # a 0 on the diagonal, or a nonzero entry left of it, gives None
+        import random
+
+        field = ext_quadratic(p)
+        rng = random.Random(p)
+        for _ in range(60):
+            ncols = rng.randrange(1, 7)
+            k = rng.randrange(ncols)
+            rows = _triangular_system(field, rng, ncols)
+            rows[k][k] = (0, 0)
+            assert solve_pair(field, rows, ncols) is None, (ncols, k)
+            if k:
+                rows = _triangular_system(field, rng, ncols)
+                rows[k][rng.randrange(k)] = (rng.randrange(p), rng.randrange(1, p))
+                assert solve_pair(field, rows, ncols) is None, (ncols, k)
+
+    def test_row_count_other_than_ncols_raises(self):
+        import random
+
         field = ext_quadratic(7)
-        rows = [
-            [(1, 0), (2, 0), (0, 0), (3, 0)],
-            [(2, 0), (4, 0), (0, 0), (6, 0)],
-            [(0, 0), (0, 0), (1, 1), (2, 5)],
-        ]
-        rows.append(
-            [
-                field.add_raw(field.mul_raw((3, 1), x), field.mul_raw((2, 2), y))
-                for x, y in zip(rows[0], rows[2])
-            ]
-        )
-        sol, unique = _solve(field, rows, 3)
-        assert unique is False
-        assert _satisfies(field, rows, sol)
-        assert (sol, unique) == _reference_solve(field, rows, 3)
+        rows = _triangular_system(field, random.Random(0), 4)
+        for bad in (rows[:3], rows + [rows[0]], []):
+            with pytest.raises(ValueError, match="expected 4 rows"):
+                solve_pair(field, iter(bad), 4)
 
     def test_inconsistent_before_full_rank_has_no_solution(self):
         field = ext_quadratic(7)
@@ -2133,10 +2232,10 @@ class TestSolvePair:
             [(2, 0), (4, 0), (0, 0), (5, 0)],
             [(0, 0), (0, 0), (1, 1), (2, 5)],
         ]
-        assert _solve(field, rows, 3) == (None, False)
+        assert solve_pair(field, rows, 3) is None
 
     def test_reads_rows_only_up_to_full_rank(self):
-        # the last block alone has rank p; no row past the p-th pivot is read
+        # the last block alone has rank p; no row outside it is read
         p = 7
         field = ext_quadratic(p)
         layout = Layout.build(field)
@@ -2148,10 +2247,10 @@ class TestSolvePair:
                 read.append(row)
                 yield row
 
-        sol, unique = solve_pair(field, rows(), p)
+        sol = solve_pair(field, rows(), p)
         oracle = _c_pair_rows(field, (2, 3), (4, 1))
         # rows (p-1, 0), then (p-1, m) for m from p-1 down to 1
-        assert unique and read == [oracle[p * (p - 1)], *oracle[: p * (p - 1) : -1]]
+        assert read == [oracle[p * (p - 1)], *oracle[: p * (p - 1) : -1]]
         assert _satisfies(field, oracle, sol)
 
 
@@ -2196,8 +2295,8 @@ class TestSlotBound:
 class TestCCoefficientsMutationTraps:
     @pytest.mark.parametrize("index", [-1, 0])
     def test_bumped_right_side_fails(self, monkeypatch, index):
-        # the last row is read second and yields a wrong solution; row 0
-        # comes after the rank reaches p, so only the substitution reads it
+        # the last row is read second and yields a wrong solution; row 0 is
+        # outside the last block, so only the substitution reads it
         import trunclog.verify as v
 
         build = v.pair_columns
