@@ -158,22 +158,34 @@ def power_formula_failure(lag: XPoly, scaled: tuple, pre: tuple, bs: tuple):
     L_j mod X^p - (a^p - a), or None; scaled = (L_1 ..), pre[k] = prod_{s<=k}
     b[1,s], bs = (b[1,1] ..).  The last run is kept for glog()'s guard and the
     checkers.  Case j >= 2 follows from case j-1 and the step lag * L_(j-1) =
-    b[1,j-1] * L_j, pre[j-1] = pre[j-2] * b[1,j-1]; where a step fails, case j
-    is compared directly on lag^j = pre[j-2] * (lag * L_(j-1)).
+    b[1,j-1] * L_j (``_power_steps``), pre[j-1] = pre[j-2] * b[1,j-1]; where
+    either fails, the step product is formed again and case j is compared
+    directly on lag^j = pre[j-2] * (lag * L_(j-1)).
     """
     p, cpoly = lag.p, alpha_p_minus_alpha(lag.p)
-    base, prev = xpoly_to_grid(lag), xpoly_to_grid(scaled[0])
-    if base != [pre[0] * x for x in prev]:
+    base = xpoly_to_grid(lag)
+    if base != [pre[0] * x for x in xpoly_to_grid(scaled[0])]:
         return 1, base
-    for j in range(2, p):
-        grid, b = xpoly_to_grid(scaled[j - 1]), bs[j - 2]
-        step = grid_mulmod(base, prev, cpoly, p)
-        if pre[j - 1] != pre[j - 2] * b or step != [b * x for x in grid]:
+    for j, held in enumerate(_power_steps(lag, scaled, bs), 2):
+        if not held or pre[j - 1] != pre[j - 2] * bs[j - 2]:
+            step = grid_mulmod(base, xpoly_to_grid(scaled[j - 2]), cpoly, p)
             power = [pre[j - 2] * x for x in step]
-            if power != [pre[j - 1] * x for x in grid]:
+            if power != [pre[j - 1] * x for x in xpoly_to_grid(scaled[j - 1])]:
                 return j, power
-        prev = grid
     return None
+
+
+@functools.lru_cache(maxsize=1)
+def _power_steps(lag: XPoly, scaled: tuple, bs: tuple) -> tuple:
+    """One flag per j = 2..p-1: lag * L_(j-1) = b[1,j-1] * L_j mod X^p - (a^p
+    - a), for ``power_formula_failure`` and, with lag = L_1, LemmaProduct's
+    cases (1, j-1).  Only the last run's flags are kept, not its grids."""
+    p, cpoly = lag.p, alpha_p_minus_alpha(lag.p)
+    base, grids = xpoly_to_grid(lag), [xpoly_to_grid(x) for x in scaled]
+    return tuple(
+        grid_mulmod(base, prev, cpoly, p) == [b * x for x in grid]
+        for prev, grid, b in zip(grids[:-1], grids[1:], bs, strict=True)
+    )
 
 
 def glog_coeff_normal(p: int, k: int):

@@ -21,8 +21,9 @@ sides rendered.  Case counts per checker:
 PowerFormula runs by induction on the product lemma, LeftInverse sums
 c_k * L_k by the power formula and composes only what that does not prove
 (``glog.power_formula_failure`` and ``left_inverse_by_powers``, one run shared
-with glog()'s guard).  RightInverse forms no composition L(G(X)): it follows
-from LeftInverse and L-Frobenius by the inverse-map lemma.
+with glog()'s guard, whose step flags also count LemmaProduct's row 1).
+RightInverse forms no composition L(G(X)): it follows from LeftInverse and
+L-Frobenius by the inverse-map lemma.
 
 LemmaProduct, TruncBinomialRules, BAltAgreement, JacobiLink and JacobiShift
 compute row r = 1 only: a case (r, s) with r != 1 is counted as the image of
@@ -92,8 +93,8 @@ from .bpoly import (
 )
 from .errors import NonSplitError, TheoremViolationError
 from .fields import check_odd_prime, ext_quadratic, inv_mod
-from .glog import _reciprocal_terms, glog, left_inverse_by_powers, left_inverse_lhs
-from .glog import power_formula_failure, reciprocal_rhs
+from .glog import _power_steps, _reciprocal_terms, glog, left_inverse_by_powers
+from .glog import left_inverse_lhs, power_formula_failure, reciprocal_rhs
 from .jacobi import p_times_jacobi_p
 from .pairsystem import Layout, pair_columns, pair_rows, solve_pair, substitutes
 from .polys import FpPoly, interpolate, roots_and_split, values
@@ -188,7 +189,7 @@ def _is_x(got, **case):
 
 
 def _power_inputs(p):
-    """The power formula's (L_1 .. L_(p-1)), prefix products and b[1,s]."""
+    """The power route's records: (L_1 .. L_(p-1)), prefix products, b[1,s]."""
     scaled = tuple(laguerre_scaled(p, j) for j in range(1, p))
     return scaled, b_prefix_products(p), tuple(b_rs(p, 1, s) for s in range(1, p - 1))
 
@@ -279,23 +280,31 @@ def _check_lemma_product(p):
     sends X^p - (a^p - a) to t * (X^p - (a^p - a)), since t^p = t, so it
     keeps the ideal and maps a reduced product to the reduced product of the
     images; sigma_r o sigma_u = sigma_{r*u}, and sigma_r fixes 1 - a^(p-1).
-    Row r = 1 is computed.  With sym[t] meaning L_t = sigma_t(L_1), a case
-    (r, s) with r != 1 is the sigma_r image of the passed case (1, s1),
-    s1 = s/r: L_r * L_s = sigma_r(L_1 * L_s1) when sym[r], sym[s] and sym[s1]
-    hold, and off the diagonal the right side sigma_r(b[1,s1] * L_{1+s1})
-    is b[r,s] * L_{r+s} when also sym[r+s], sym[1+s1] and
-    b[r,s] = b[1,s1](r*a) (``_b_image``).  Such a case is counted and not
-    recomputed; every other case is computed.
+    Row r = 1: a case (1, s), s <= p-2, is the power formula's step, counted
+    where ``_power_steps`` (one run shared with glog()'s guard) says it held
+    on the records read here, ``_power_inputs``; a failing step's case and
+    (1, p-1) are computed.  With sym[t] meaning
+    L_t = sigma_t(L_1), a case (r, s) with r != 1 is the sigma_r image of
+    the passed case (1, s1), s1 = s/r: L_r * L_s = sigma_r(L_1 * L_s1) when
+    sym[r], sym[s] and sym[s1] hold, and off the diagonal the right side
+    sigma_r(b[1,s1] * L_{1+s1}) is b[r,s] * L_{r+s} when also sym[r+s],
+    sym[1+s1] and b[r,s] = b[1,s1](r*a) (``_b_image``).  Such a case is
+    counted and not recomputed; every other case is computed.
     """
     cpoly = alpha_p_minus_alpha(p)
     w = w_poly(p)
     zero = FpPoly.zero(p)
-    grids = {r: xpoly_to_grid(laguerre_scaled(p, r)) for r in range(1, p)}
+    scaled, _, bs = _power_inputs(p)
+    steps = _power_steps(scaled[0], scaled, bs)
+    grids = {r: xpoly_to_grid(x) for r, x in enumerate(scaled, 1)}
     sym = {t: grids[t] == _sigma(grids[1], t, p) for t in range(1, p)}
     for r in range(1, p):
         for s in range(1, p):
             t = (r + s) % p
             s1 = s * inv_mod(r, p) % p
+            if r == 1 and t != 0 and steps[s - 1]:
+                yield None
+                continue
             if r != 1 and sym[r] and sym[s] and sym[s1] and (
                 t == 0
                 or sym[t] and sym[(1 + s1) % p] and _b_image(p, r, s)

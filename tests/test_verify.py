@@ -569,7 +569,42 @@ LEMMA_PRODUCT_MUTATIONS = {
     "lag at r=p-1": (_bumped_scaled(lambda p: p - 1), None),
     "b at (2,2)": (None, _bumped_b(lambda p: (2, 2))),
     "b at (1,p-2)": (None, _bumped_b(lambda p: (1, p - 2))),
+    # a middle step of the power formula; at p = 3, (1, 2) reads no b and
+    # the one step is (1, 1)
+    "b at (1,2)": (None, _bumped_b(lambda p: (1, min(2, p - 2)))),
 }
+
+
+def _fill_shared_run(p):
+    """Run glog()'s guard afresh on the records of record, so that the
+    shared run of the power formula's steps holds them."""
+    import trunclog.verify as v
+
+    gl = sys.modules["trunclog.glog"]
+    gl.power_formula_failure.cache_clear()
+    gl._power_steps.cache_clear()
+    assert gl.left_inverse_by_powers(glog(p), laguerre_pm1(p), *v._power_inputs(p))
+
+
+def _grid_products(monkeypatch, p):
+    """Count grid_mulmod in verify and glog: the list gets (module, r, s) for
+    each product of L_r by L_s of record."""
+    import trunclog.verify as v
+    from trunclog.quotient import xpoly_to_grid
+    from trunclog.special import laguerre_scaled
+
+    gl = sys.modules["trunclog.glog"]
+    index = {
+        tuple(xpoly_to_grid(laguerre_scaled(p, r))): r for r in range(1, p)
+    }
+    products = []
+    for mod in (v, gl):
+        def counted(a, b, cpoly, pp, orig=mod.grid_mulmod, name=mod.__name__):
+            products.append((name.rsplit(".", 1)[1], index[tuple(a)], index[tuple(b)]))
+            return orig(a, b, cpoly, pp)
+
+        monkeypatch.setattr(mod, "grid_mulmod", counted)
+    return products
 
 
 class TestLemmaProductOracle:
@@ -632,21 +667,48 @@ class TestLemmaProductOracle:
         r = verify_theorem(p, TheoremId.LemmaProduct)
         assert (r.status, r.cases_checked, r.witness) == want
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("mutation", sorted(LEMMA_PRODUCT_MUTATIONS))
+    def test_matches_the_direct_loop_after_the_guard(self, monkeypatch, p, mutation):
+        # glog()'s guard leaves the step flags of the records of record; a
+        # LemmaProduct on mutated records must not read them
+        _fill_shared_run(p)
+        self.test_matches_the_direct_loop(monkeypatch, p, mutation)
+
     def test_skips_grid_products_off_row_one(self, monkeypatch):
-        # p - 1 products for row 1; every other case is a sigma_r image
-        import trunclog.verify as v
-
-        calls = []
-        orig = v.grid_mulmod
-
-        def counted(*args):
-            calls.append(1)
-            return orig(*args)
-
-        monkeypatch.setattr(v, "grid_mulmod", counted)
+        # glog()'s guard has run the power formula's steps, the cases (1, s)
+        # with s <= p - 2; (1, p - 1) is the one product left, and every
+        # other case is a sigma_r image
+        _fill_shared_run(7)
+        products = _grid_products(monkeypatch, 7)
         r = verify_theorem(7, TheoremId.LemmaProduct)
         assert r.status == "pass" and r.cases_checked == 36
-        assert len(calls) == 6
+        assert products == [("verify", 1, 6)]
+
+    def test_a_failing_step_is_computed(self, monkeypatch):
+        # with b[1,2] bumped, the steps run once on these records, and row 1
+        # multiplies exactly the failing step's case and (1, p - 1)
+        import itertools
+
+        import trunclog.verify as v
+        from trunclog.special import laguerre_scaled
+
+        p = 7
+        _fill_shared_run(p)
+        b_fn = _bumped_b(lambda pp: (1, 2))
+        monkeypatch.setattr(v, "b_rs", b_fn)
+        want = _lemma_product_direct(p, laguerre_scaled, b_fn)
+        assert want[:2] == ("fail", 2)
+        products = _grid_products(monkeypatch, p)
+        r = verify_theorem(p, TheoremId.LemmaProduct)
+        assert (r.status, r.cases_checked, r.witness) == want
+        steps = [("glog", 1, s) for s in range(1, p - 1)]
+        assert products == steps + [("verify", 1, 2)]
+        products.clear()
+        row_one = list(itertools.islice(v._check_lemma_product(p), p - 1))
+        assert products == [("verify", 1, 2), ("verify", 1, p - 1)]
+        assert row_one[1] == want[2]
+        assert all(x is None for i, x in enumerate(row_one) if i != 1)
 
 
 # PowersFunctional compares split forms, a lead times an exponent vector over
@@ -2369,7 +2431,7 @@ class TestCCoefficientsMutationTraps:
 
 
 # A fresh interpreter, so that no earlier test has filled the caches; every
-# module that imported compose_mod gets the counting wrapper.
+# module that imported compose_mod or grid_mulmod gets a counting wrapper.
 _COUNT_SHARED_WORK = """
 import json, sys
 import trunclog
@@ -2382,14 +2444,26 @@ def counted(*args):
     calls.append(1)
     return orig(*args)
 
+grid_orig = quotient.grid_mulmod
+pairs = []
+
+def grid_counted(a, b, cpoly, p):
+    pairs.append((tuple(a), tuple(b), cpoly))
+    return grid_orig(a, b, cpoly, p)
+
 for name, mod in list(sys.modules.items()):
-    if name.startswith("trunclog") and vars(mod).get("compose_mod") is orig:
-        setattr(mod, "compose_mod", counted)
+    if name.startswith("trunclog"):
+        if vars(mod).get("compose_mod") is orig:
+            setattr(mod, "compose_mod", counted)
+        if vars(mod).get("grid_mulmod") is grid_orig:
+            setattr(mod, "grid_mulmod", grid_counted)
 reports = trunclog.verify_all(7)
-power_runs = sys.modules["trunclog.glog"].power_formula_failure.cache_info().misses
+glog = sys.modules["trunclog.glog"]
 print(json.dumps({
     "compose_mod": len(calls),
-    "power_formula_runs": power_runs,
+    "grid_mulmod_repeats": len(pairs) - len(set(pairs)),
+    "power_formula_runs": glog.power_formula_failure.cache_info().misses,
+    "power_step_runs": glog._power_steps.cache_info().misses,
     "routes_built": special.laguerre_const_routes.cache_info().misses,
     "statuses": sorted({r.status for r in reports}),
 }))
@@ -2399,9 +2473,10 @@ print(json.dumps({
 class TestSharedResults:
     def test_each_identity_computed_once(self):
         # glog's guard, LeftInverse, RightInverse and PowerFormula share one
-        # run of the power formula, and a passing run composes nothing;
-        # laguerre_const and LFactorization share the routes to the modulus
-        # constant
+        # run of the power formula, LemmaProduct reads its steps for row 1,
+        # no grid product is formed twice, and a passing run composes
+        # nothing; laguerre_const and LFactorization share the routes to the
+        # modulus constant
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -2413,6 +2488,6 @@ class TestSharedResults:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
-            "compose_mod": 0, "power_formula_runs": 1, "routes_built": 1,
-            "statuses": ["pass"],
+            "compose_mod": 0, "grid_mulmod_repeats": 0, "power_formula_runs": 1,
+            "power_step_runs": 1, "routes_built": 1, "statuses": ["pass"],
         }
