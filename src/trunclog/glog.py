@@ -10,9 +10,12 @@ term, the coefficient of X is -1, and at a = 0 the whole thing collapses to
 minus the truncated logarithm.
 
 ``glog`` verifies the defining inverse identity at construction as
-G(L) = sum_k c_k * L_k by the power formula (``left_inverse_by_powers``), and
-caches the result per prime.  The raw ``GLog`` constructor performs no check,
-which is what the mutation tests use to build deliberately broken twins.
+G(L) = sum_k c_k * L_k by the power formula (``left_inverse_by_powers``, on
+``power_route``'s one run, which the checkers share), and caches the result
+per prime.  The raw ``GLog`` constructor performs no check, which is what the
+mutation tests use to build deliberately broken twins.  ``trunclog.glog`` is
+that function, re-exported over this module's name; the module itself is
+``importlib.import_module("trunclog.glog")``.
 
 In normal form the k-th coefficient is N_k(a) / (1 - a^(p-1))^(k-1) with
 N_k = -(1/k) * prod_{s<k} b[1,s](-a); ``glog_coeff_normal`` returns that pair
@@ -136,10 +139,11 @@ def left_inverse_lhs(g: GLog, lag: XPoly) -> XPoly:
 
 def left_inverse_by_powers(g: GLog, lag: XPoly, scaled, pre, bs) -> bool:
     """True when G(L(X)) = X mod X^p - (a^p - a) follows from the power
-    formula lag^k = pre[k-1] * L_k (``power_formula_failure``): if each
-    G_k * pre[k-1] is a constant c_k, G(L) = sum_k c_k * L_k."""
+    formula lag^k = pre[k-1] * L_k (``power_route``): if each G_k * pre[k-1]
+    is a constant c_k, G(L) = sum_k c_k * L_k.  Only lag = scaled[0], L_1 of
+    record, is read on the route; a twin lag is left to composition."""
     p = g.p
-    if any(not c.den.is_one for x in (lag, *scaled) for c in x.coeffs):
+    if lag != scaled[0] or any(not c.den.is_one for x in scaled for c in x.coeffs):
         return False
     total = [FpPoly.zero(p)] * p
     for gk, q, x in zip(g.coeffs, pre, scaled, strict=True):
@@ -149,43 +153,33 @@ def left_inverse_by_powers(g: GLog, lag: XPoly, scaled, pre, bs) -> bool:
             return False
         total = [t + r.num * c for t, r in zip(total, x.coeffs)]
     x_grid = xpoly_to_grid(XPoly.x_power(p, 1))
-    return total == x_grid and power_formula_failure(lag, scaled, pre, bs) is None
+    return total == x_grid and power_route(scaled, pre, bs)[1] is None
 
 
 @functools.lru_cache(maxsize=1)
-def power_formula_failure(lag: XPoly, scaled: tuple, pre: tuple, bs: tuple):
-    """(j, lag^j as a grid) for the first j in 1..p-1 with lag^j != pre[j-1] *
-    L_j mod X^p - (a^p - a), or None; scaled = (L_1 ..), pre[k] = prod_{s<=k}
-    b[1,s], bs = (b[1,1] ..).  The last run is kept for glog()'s guard and the
-    checkers.  Case j >= 2 follows from case j-1 and the step lag * L_(j-1) =
-    b[1,j-1] * L_j (``_power_steps``), pre[j-1] = pre[j-2] * b[1,j-1]; where
-    either fails, the step product is formed again and case j is compared
-    directly on lag^j = pre[j-2] * (lag * L_(j-1)).
+def power_route(scaled: tuple, pre: tuple, bs: tuple):
+    """(steps, failure) of the power formula L_1^j = pre[j-1] * L_j mod X^p -
+    (a^p - a), scaled = (L_1 ..), pre[k] = prod_{s<=k} b[1,s], bs = (b[1,1]
+    ..); the last run is kept for glog()'s guard and the checkers.  steps
+    flags, for every j = 2..p-1, the step L_1 * L_(j-1) = b[1,j-1] * L_j,
+    LemmaProduct's case (1, j-1).  failure is (j, L_1^j as a grid) for the
+    first failing j, or None: case j >= 2 follows from case j-1, the step and
+    pre[j-1] = pre[j-2] * b[1,j-1], and where either fails it is compared on
+    L_1^j = pre[j-2] * (L_1 * L_(j-1)), the step's own product.
     """
-    p, cpoly = lag.p, alpha_p_minus_alpha(lag.p)
-    base = xpoly_to_grid(lag)
-    if base != [pre[0] * x for x in xpoly_to_grid(scaled[0])]:
-        return 1, base
-    for j, held in enumerate(_power_steps(lag, scaled, bs), 2):
-        if not held or pre[j - 1] != pre[j - 2] * bs[j - 2]:
-            step = grid_mulmod(base, xpoly_to_grid(scaled[j - 2]), cpoly, p)
+    p, cpoly = scaled[0].p, alpha_p_minus_alpha(scaled[0].p)
+    grids = [xpoly_to_grid(x) for x in scaled]
+    base = grids[0]
+    failure = None if base == [pre[0] * x for x in base] else (1, base)
+    steps = []
+    for j in range(2, p):
+        step = grid_mulmod(base, grids[j - 2], cpoly, p)
+        steps.append(step == [bs[j - 2] * x for x in grids[j - 1]])
+        if failure is None and not (steps[-1] and pre[j - 1] == pre[j - 2] * bs[j - 2]):
             power = [pre[j - 2] * x for x in step]
-            if power != [pre[j - 1] * x for x in xpoly_to_grid(scaled[j - 1])]:
-                return j, power
-    return None
-
-
-@functools.lru_cache(maxsize=1)
-def _power_steps(lag: XPoly, scaled: tuple, bs: tuple) -> tuple:
-    """One flag per j = 2..p-1: lag * L_(j-1) = b[1,j-1] * L_j mod X^p - (a^p
-    - a), for ``power_formula_failure`` and, with lag = L_1, LemmaProduct's
-    cases (1, j-1).  Only the last run's flags are kept, not its grids."""
-    p, cpoly = lag.p, alpha_p_minus_alpha(lag.p)
-    base, grids = xpoly_to_grid(lag), [xpoly_to_grid(x) for x in scaled]
-    return tuple(
-        grid_mulmod(base, prev, cpoly, p) == [b * x for x in grid]
-        for prev, grid, b in zip(grids[:-1], grids[1:], bs, strict=True)
-    )
+            if power != [pre[j - 1] * x for x in grids[j - 1]]:
+                failure = j, power
+    return tuple(steps), failure
 
 
 def glog_coeff_normal(p: int, k: int):

@@ -20,8 +20,9 @@ sides rendered.  Case counts per checker:
 
 PowerFormula runs by induction on the product lemma, LeftInverse sums
 c_k * L_k by the power formula and composes only what that does not prove
-(``glog.power_formula_failure`` and ``left_inverse_by_powers``, one run shared
-with glog()'s guard, whose step flags also count LemmaProduct's row 1).
+(``glog.power_route`` and ``left_inverse_by_powers``: one run per set of
+records, shared with glog()'s guard, whose step flags also count
+LemmaProduct's row 1).
 RightInverse forms no composition L(G(X)): it follows from LeftInverse and
 L-Frobenius by the inverse-map lemma.
 
@@ -93,8 +94,8 @@ from .bpoly import (
 )
 from .errors import NonSplitError, TheoremViolationError
 from .fields import check_odd_prime, ext_quadratic, inv_mod
-from .glog import _power_steps, _reciprocal_terms, glog, left_inverse_by_powers
-from .glog import left_inverse_lhs, power_formula_failure, reciprocal_rhs
+from .glog import _reciprocal_terms, glog, left_inverse_by_powers
+from .glog import left_inverse_lhs, power_route, reciprocal_rhs
 from .jacobi import p_times_jacobi_p
 from .pairsystem import Layout, pair_columns, pair_rows, solve_pair, substitutes
 from .polys import FpPoly, interpolate, roots_and_split, values
@@ -281,7 +282,7 @@ def _check_lemma_product(p):
     keeps the ideal and maps a reduced product to the reduced product of the
     images; sigma_r o sigma_u = sigma_{r*u}, and sigma_r fixes 1 - a^(p-1).
     Row r = 1: a case (1, s), s <= p-2, is the power formula's step, counted
-    where ``_power_steps`` (one run shared with glog()'s guard) says it held
+    where ``power_route`` (one run shared with glog()'s guard) says it held
     on the records read here, ``_power_inputs``; a failing step's case and
     (1, p-1) are computed.  With sym[t] meaning
     L_t = sigma_t(L_1), a case (r, s) with r != 1 is the sigma_r image of
@@ -294,8 +295,8 @@ def _check_lemma_product(p):
     cpoly = alpha_p_minus_alpha(p)
     w = w_poly(p)
     zero = FpPoly.zero(p)
-    scaled, _, bs = _power_inputs(p)
-    steps = _power_steps(scaled[0], scaled, bs)
+    scaled, pre, bs = _power_inputs(p)
+    steps, _ = power_route(scaled, pre, bs)
     grids = {r: xpoly_to_grid(x) for r, x in enumerate(scaled, 1)}
     sym = {t: grids[t] == _sigma(grids[1], t, p) for t in range(1, p)}
     for r in range(1, p):
@@ -324,9 +325,10 @@ def _check_lemma_product(p):
 
 def _check_power_formula(p):
     """L_1^j = pre[j-1] * L_j by induction on the product lemma
-    (``power_formula_failure``), with the direct loop's count and witness."""
+    (``power_route``, the run LemmaProduct and glog()'s guard read), with the
+    direct loop's count and witness."""
     scaled, pre, bs = _power_inputs(p)
-    failure = power_formula_failure(scaled[0], scaled, pre, bs)
+    _, failure = power_route(scaled, pre, bs)
     if failure is None:
         yield from [None] * (p - 1)
         return
@@ -702,11 +704,6 @@ def _sum_values(p, f, g, alpha, beta):
     return out
 
 
-def _permuted(vals, r):
-    """[vals[r*t] for t in F_p]: the values of f(r*a) from those of f."""
-    return [vals[r * t % len(vals)] for t in range(len(vals))]
-
-
 def _b_alt_values(p, r, s):
     """Values of ``b_rs_alt``: C(r*a - 1, p-1-k) C(s*a, k) (-r/s)^k."""
     return _sum_values(p, (r, -1), (s, 0), 1, -r * inv_mod(s, p))
@@ -830,10 +827,11 @@ def _check_jacobi_shift(p):
     zero and (A+B)(x+1)/2 = B, so there the recurrence would only restate the
     shift (see ``jacobi``).  It is checked at x + 1 instead, where
     p*P_p = (a - a^p)(r + s)/2 is nonzero; the witness case records that x.
-    Row r's vectors are row 1's permuted (``_permuted``; see JacobiLink), so
-    the shift holds at (r, s) iff at (1, s1), s1 = s/r, and the recurrence at
+    Row r's vectors are row 1's at permuted points (see JacobiLink), so the
+    shift holds at (r, s) iff at (1, s1), s1 = s/r, and the recurrence at
     (r, s) is that at (1, s1) under a -> r*a when p*P_p(r*a, s*a; x+1) is the
-    image of the term at (1, s1); else it is computed from those vectors.
+    image of the term at (1, s1).  Such a case is counted; any other case is
+    computed as row 1's are, shift and recurrence.
     """
     half = inv_mod(2, p)
     row1 = {}
@@ -845,23 +843,23 @@ def _check_jacobi_shift(p):
             a_poly = FpPoly([0, r], p)
             b_poly = FpPoly([0, s], p)
             term = p_times_jacobi_p(p, a_poly, b_poly, x + 1)
-            s1 = s * inv_mod(r, p) % p
             if r == 1:
-                plain_vals = _jacobi_values(p, (r, 0), (s, 0), x)
-                shifted_vals = _jacobi_values(p, (r, 0), (s, 1), x)
-                if shifted_vals != plain_vals:
-                    yield _witness(
-                        {"r": r, "s": s},
-                        interpolate(shifted_vals, p),
-                        interpolate(plain_vals, p),
-                    )
-                vecs = [_jacobi_values(p, (r, 0), (s, b), x + 1) for b in (0, 1)]
-                row1[s] = vecs, term
-            elif term == row1[s1][1].subs_scale(r):
+                row1[s] = term
+            elif term == row1[s * inv_mod(r, p) % p].subs_scale(r):
                 yield None
                 continue
+            plain_vals = _jacobi_values(p, (r, 0), (s, 0), x)
+            shifted_vals = _jacobi_values(p, (r, 0), (s, 1), x)
+            if shifted_vals != plain_vals:
+                yield _witness(
+                    {"r": r, "s": s},
+                    interpolate(shifted_vals, p),
+                    interpolate(plain_vals, p),
+                )
             x = (x + 1) % p
-            plain, shifted = (interpolate(_permuted(v, r), p) for v in row1[s1][0])
+            plain, shifted = (
+                interpolate(_jacobi_values(p, (r, 0), (s, b), x), p) for b in (0, 1)
+            )
             lhs = (a_poly + b_poly) * ((x + 1) * half % p) * shifted
             rhs = b_poly * plain + term
             yield None if lhs == rhs else _witness(

@@ -581,8 +581,7 @@ def _fill_shared_run(p):
     import trunclog.verify as v
 
     gl = sys.modules["trunclog.glog"]
-    gl.power_formula_failure.cache_clear()
-    gl._power_steps.cache_clear()
+    gl.power_route.cache_clear()
     assert gl.left_inverse_by_powers(glog(p), laguerre_pm1(p), *v._power_inputs(p))
 
 
@@ -709,6 +708,21 @@ class TestLemmaProductOracle:
         assert products == [("verify", 1, 2), ("verify", 1, p - 1)]
         assert row_one[1] == want[2]
         assert all(x is None for i, x in enumerate(row_one) if i != 1)
+
+    def test_steps_are_flagged_past_a_failing_case(self, monkeypatch):
+        # with pre[2] + 1 the power formula fails at j = 3 while every step
+        # holds; the route still forms and flags each step once, so
+        # LemmaProduct passes on them and multiplies only (1, p - 1)
+        p = 7
+        sys.modules["trunclog.glog"].power_route.cache_clear()
+        g_side.apply(monkeypatch, "pre[2] + 1")
+        products = _grid_products(monkeypatch, p)
+        r = verify_theorem(p, TheoremId.PowerFormula)
+        assert (r.status, r.cases_checked) == ("fail", 3)
+        r = verify_theorem(p, TheoremId.LemmaProduct)
+        assert (r.status, r.cases_checked) == ("pass", 36)
+        steps = [("glog", 1, s) for s in range(1, p - 1)]
+        assert products == steps + [("verify", 1, p - 1)]
 
 
 # PowersFunctional compares split forms, a lead times an exponent vector over
@@ -1007,12 +1021,12 @@ class TestRightInverseTraps:
 
         def run(route=None):
             if route is not None:
-                monkeypatch.setattr(glog_mod, "power_formula_failure", route)
-                monkeypatch.setattr(v, "power_formula_failure", route)
+                monkeypatch.setattr(glog_mod, "power_route", route)
+                monkeypatch.setattr(v, "power_route", route)
             return [verify_theorem(p, t) for t in theorems]
 
         fake = [FpPoly.zero(p)] * p
-        denied = run(lambda *args: (2, fake))
+        denied = run(lambda *args: ((), (2, fake)))
         assert [r.status for r in denied] == ["pass", "pass", "fail"]
         assert denied[2].cases_checked == 2 and denied[2].witness["case"] == {"j": 2}
         monkeypatch.undo()
@@ -1030,7 +1044,7 @@ class TestRightInverseTraps:
             _left_inverse_direct(p), _right_inverse_direct(p), _power_formula_direct(p),
         ]
         assert [r.status for r in honest] == ["fail"] * 3
-        assert [r.status for r in run(lambda *args: None)] == ["pass"] * 3
+        assert [r.status for r in run(lambda *args: ((), None))] == ["pass"] * 3
 
 
 # The G-side checkers prove their identities from the power formula.  The
@@ -1142,6 +1156,29 @@ class TestGSideOracles:
         b = v.b_rs(p, 1, 1)
         assert grid_mulmod(l1, l1, alpha_p_minus_alpha(p), p) != [b * x for x in l2]
         assert verify_theorem(p, TheoremId.PowerFormula).status == "pass"
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_a_twin_l_runs_no_route(self, monkeypatch, p):
+        # the power route is read only for L_1 of record, so a twin
+        # laguerre_pm1 goes to composition and leaves the one cached run
+        # of the records in place for the checkers after it
+        import trunclog.verify as v
+
+        route = sys.modules["trunclog.glog"].power_route
+        _fill_shared_run(p)
+        runs = route.cache_info().misses
+        monkeypatch.setattr(v, "laguerre_pm1", _lag_twin)
+        for theorem, direct in [
+            (TheoremId.LeftInverse, _left_inverse_direct),
+            (TheoremId.RightInverse, _right_inverse_direct),
+        ]:
+            r = verify_theorem(p, theorem)
+            assert (r.status, r.cases_checked, r.witness) == direct(p)
+            assert r.status == "fail"
+        assert route.cache_info().misses == runs
+        for theorem in (TheoremId.LemmaProduct, TheoremId.PowerFormula):
+            assert verify_theorem(p, theorem).status == "pass"
+        assert route.cache_info().misses == runs
 
     @pytest.mark.parametrize("mutation, composed", [
         ("none", 0), ("G twin", 1), ("G without the c_k shape", 1), ("L twin", 1),
@@ -2462,8 +2499,7 @@ glog = sys.modules["trunclog.glog"]
 print(json.dumps({
     "compose_mod": len(calls),
     "grid_mulmod_repeats": len(pairs) - len(set(pairs)),
-    "power_formula_runs": glog.power_formula_failure.cache_info().misses,
-    "power_step_runs": glog._power_steps.cache_info().misses,
+    "power_route_runs": glog.power_route.cache_info().misses,
     "routes_built": special.laguerre_const_routes.cache_info().misses,
     "statuses": sorted({r.status for r in reports}),
 }))
@@ -2488,6 +2524,6 @@ class TestSharedResults:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
-            "compose_mod": 0, "grid_mulmod_repeats": 0, "power_formula_runs": 1,
-            "power_step_runs": 1, "routes_built": 1, "statuses": ["pass"],
+            "compose_mod": 0, "grid_mulmod_repeats": 0, "power_route_runs": 1,
+            "routes_built": 1, "statuses": ["pass"],
         }
