@@ -118,7 +118,7 @@ def _gcd_tuples(a, b, p):
 class FpPoly:
     """Dense polynomial over F_p, lowest-degree coefficient first."""
 
-    __slots__ = ("coeffs", "p", "var")
+    __slots__ = ("coeffs", "p", "var", "_hash")
 
     def __init__(self, coeffs, p, var="a"):
         check_odd_prime(p)
@@ -327,7 +327,12 @@ class FpPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.coeffs, self.p))
+        # cached: lru_cache keys hold long polynomials and hash on every read
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.coeffs, self.p)))
+            return self._hash
 
     def __bool__(self):
         return bool(self.coeffs)

@@ -44,7 +44,7 @@ def _coerce_ratfn(v, p):
 class XPoly:
     """Polynomial of degree < p in X with RatFn coefficients in the parameter."""
 
-    __slots__ = ("coeffs", "p", "modulus")
+    __slots__ = ("coeffs", "p", "modulus", "_hash")
 
     def __init__(self, coeffs, p, modulus=None):
         coeffs = [_coerce_ratfn(c, p) for c in coeffs]
@@ -144,7 +144,12 @@ class XPoly:
         )
 
     def __hash__(self):
-        return hash((self.coeffs, self.p, self.modulus))
+        # cached, as FpPoly's: an lru_cache key hashes on every read
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.coeffs, self.p, self.modulus)))
+            return self._hash
 
     def __str__(self):
         terms = []

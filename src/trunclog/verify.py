@@ -97,7 +97,7 @@ from .fields import check_odd_prime, ext_quadratic, inv_mod
 from .glog import _reciprocal_terms, glog, left_inverse_by_powers
 from .glog import left_inverse_lhs, power_route, reciprocal_rhs
 from .jacobi import p_times_jacobi_p
-from .pairsystem import Layout, pair_columns, pair_rows, solve_pair, substitutes
+from .pairsystem import Layout, pair_columns, solve_pair, substitutes
 from .polys import FpPoly, interpolate, roots_and_split, values
 from .quotient import common_denominator, grid_mulmod, grid_to_xpoly, xpoly_to_grid
 from .special import (
@@ -984,7 +984,7 @@ def _check_c_coefficients(p, pair_budget=None, seed=0):
     for at, bt in _c_pairs(field, pair_budget, seed):
         case = {"alpha": at, "beta": bt}
         cols, rhs = pair_columns(field, at, bt, layout)
-        sol = solve_pair(field, pair_rows(p, cols, rhs, layout.typecode), p)
+        sol = solve_pair(field, cols, rhs, layout)
         if sol is None:
             yield _witness(case, "no solution", "solvable system")
         if not substitutes(field, cols, rhs, sol, layout):

@@ -61,8 +61,8 @@ def _solve_pair_on_call(n, change):
     def wrap(orig):
         calls = []
 
-        def solve_pair(field, rows, ncols):
-            sol = orig(field, rows, ncols)
+        def solve_pair(field, cols, rhs, layout):
+            sol = orig(field, cols, rhs, layout)
             calls.append(1)
             return change(sol, field.p) if len(calls) == n else sol
 

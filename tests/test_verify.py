@@ -17,14 +17,13 @@ from trunclog.bpoly import b_roots_predicted, b_rs
 from trunclog.errors import TheoremViolationError
 from trunclog.fields import ext_quadratic
 from trunclog.glog import glog
-from trunclog.polys import FpPoly, RatFn, _slot_typecode, _slots
+from trunclog.polys import FpPoly, RatFn, _pack, _slot_typecode, _slots
 from trunclog.quotient import XPoly, common_denominator, compose_mod
 from trunclog.special import alpha_p_minus_alpha, laguerre_const, laguerre_pm1
 from trunclog.pairsystem import (
     Layout,
     lag_coeffs_at,
     pair_columns,
-    pair_rows,
     slot_bound,
     solve_pair,
     substitutes,
@@ -1988,6 +1987,29 @@ def _ring_identity_sides(field, at, bt, c):
     return lhs, _ring_mul(field, d, g2, u, v)
 
 
+def _width(layout):
+    return 8 * array(layout.typecode).itemsize
+
+
+def _reduced(p, packed, tc):
+    """The p^2 slots of a packed (c0 part, c1 part), reduced, in row order."""
+    x0, x1 = (_slots(x, p * p, tc) for x in packed)
+    return [(a % p, b % p) for a, b in zip(x0, x1)]
+
+
+def _packed(pairs, tc):
+    """(c0 part, c1 part) with pairs[k] in slot k."""
+    return tuple(_pack(part, tc) for part in zip(*pairs))
+
+
+def _with_slot(packed, k, x, w):
+    """packed with slot k of each part replaced by the pair x."""
+    return tuple(
+        part - (((part >> k * w) & ((1 << w) - 1)) << k * w) + (xi << k * w)
+        for part, xi in zip(packed, x)
+    )
+
+
 class TestPackedColumns:
     @pytest.mark.parametrize("p, budget", [
         (3, "exhaustive"), (5, 20), (7, 10), (11, 5),
@@ -2006,14 +2028,13 @@ class TestPackedColumns:
             c = [(rng.randrange(p), rng.randrange(p)) for _ in range(p)]
             got = [(0, 0)] * (p * p)
             for ci, col in zip(c, cols):
-                entries = zip(*(_slots(part, p * p, tc) for part in col))
                 got = [
-                    field.add_raw(g, field.mul_raw(ci, (x0 % p, x1 % p)))
-                    for g, (x0, x1) in zip(got, entries)
+                    field.add_raw(g, field.mul_raw(ci, x))
+                    for g, x in zip(got, _reduced(p, col, tc))
                 ]
             lhs, want = _ring_identity_sides(field, at, bt, c)
             assert got == want, (at, bt)
-            assert rhs == lhs, (at, bt)
+            assert _reduced(p, rhs, tc) == lhs, (at, bt)
 
     @pytest.mark.parametrize("p, budget", [
         (3, "exhaustive"), (5, 20), (7, 10), (11, 5),
@@ -2025,7 +2046,7 @@ class TestPackedColumns:
         layout = Layout.build(field)
         for at, bt in _c_pairs(field, budget, seed=p):
             cols, rhs = pair_columns(field, at, bt, layout)
-            sol = solve_pair(field, pair_rows(p, cols, rhs, layout.typecode), p)
+            sol = solve_pair(field, cols, rhs, layout)
             lhs, rhs_side = _ring_identity_sides(field, at, bt, sol)
             assert lhs == rhs_side, (at, bt)
             for i in range(p):
@@ -2045,16 +2066,21 @@ class TestPackedColumns:
         for at, bt in _c_pairs(field, budget, seed=p):
             cols, rhs = pair_columns(field, at, bt, layout)
             rows = _c_pair_rows(field, at, bt)
-            assert len(cols) == p and len(rhs) == p * p
-            for i, (c0, c1) in enumerate(cols):
-                entries = zip(_slots(c0, p * p, tc), _slots(c1, p * p, tc))
-                assert [(x0 % p, x1 % p) for x0, x1 in entries] == [
-                    row[i] for row in rows
-                ], (at, bt, i)
-            assert rhs == [row[p] for row in rows]
+            assert len(cols) == p and len(rhs) == 2
+            for i, col in enumerate(cols):
+                assert _reduced(p, col, tc) == [row[i] for row in rows], (at, bt, i)
+            assert _reduced(p, rhs, tc) == [row[p] for row in rows]
+            # the outer product leaves every right-side slot unreduced, and
+            # no slot spills into the next
+            ca, cb = lag_coeffs_at(field, at), lag_coeffs_at(field, bt)
+            n = field.nonres
+            assert [list(_slots(part, p * p, tc)) for part in rhs] == [
+                [x0 * y0 + n * x1 * y1 for x0, x1 in ca for y0, y1 in cb],
+                [x0 * y1 + x1 * y0 for x0, x1 in ca for y0, y1 in cb],
+            ]
             # the last block only: m = 0 first, then m from p-1 down to 1
             order = [p * (p - 1) + m for m in [0, *range(p - 1, 0, -1)]]
-            assert list(pair_rows(p, cols, rhs, tc)) == [rows[k] for k in order]
+            assert list(_row_pair_rows(p, cols, rhs, tc)) == [rows[k] for k in order]
 
     @pytest.mark.parametrize("p, budget", [
         (3, "exhaustive"), (5, "exhaustive"), (7, "exhaustive"),
@@ -2078,14 +2104,14 @@ class TestPackedColumns:
         (11, 20), (13, 12), (19, 6), (31, 3),
     ])
     def test_first_rows_are_zero_in_earlier_leads(self, p, budget):
-        # in the order of pair_rows, each of the first p rows has a lead and
-        # is 0 in the lead columns of the rows read before it, so none of
-        # them needs a reduction
+        # in the solve's lead order, each of the last block's p rows has a
+        # lead and is 0 in the lead columns of the rows before it, so none
+        # of them needs a reduction
         field = ext_quadratic(p)
         layout = Layout.build(field)
         for at, bt in _c_pairs(field, budget, seed=p):
             cols, rhs = pair_columns(field, at, bt, layout)
-            rows = pair_rows(p, cols, rhs, layout.typecode)
+            rows = _row_pair_rows(p, cols, rhs, layout.typecode)
             leads = []
             for _ in range(p):
                 row = next(rows)
@@ -2098,20 +2124,31 @@ class TestPackedColumns:
         (11, 40), (13, 30), (19, 100), (31, 40),
     ])
     def test_checker_reads_p_rows_per_pair(self, monkeypatch, p, budget):
+        # the solve reads only the last block, the top p slots: with every
+        # slot below it garbage, in the columns and the right side, each
+        # pair's solution is the same
+        import random
+
         import trunclog.verify as v
 
-        reads = []
+        rng = random.Random(p)
+        same = []
 
-        def counted(*args):
-            reads.append(0)
-            for row in pair_rows(*args):
-                reads[-1] += 1
-                yield row
+        def garbled(field, cols, rhs, layout):
+            top = (p - 1) * p * _width(layout)
 
-        monkeypatch.setattr(v, "pair_rows", counted)
+            def garble(x):
+                return (x >> top << top) | rng.getrandbits(top)
+
+            sol = solve_pair(field, cols, rhs, layout)
+            cols = [tuple(map(garble, col)) for col in cols]
+            same.append(solve_pair(field, cols, tuple(map(garble, rhs)), layout) == sol)
+            return sol
+
+        monkeypatch.setattr(v, "solve_pair", garbled)
         r = verify_c_coefficients(p, pair_budget=budget, seed=p)
         assert r.status == "pass"
-        assert reads == [p] * r.cases_checked
+        assert same == [True] * r.cases_checked
 
     def test_rank_deficient_last_block_has_no_solution(self, monkeypatch):
         # column 0 loses its entry in row (p-1, 0), and that row's right side
@@ -2121,22 +2158,22 @@ class TestPackedColumns:
         field = ext_quadratic(p)
         layout = Layout.build(field)
         tc = layout.typecode
-        w = 8 * array(tc).itemsize
+        w = _width(layout)
         k = p * (p - 1)  # row (p-1, 0)
 
         def emptied(field, at, bt, layout):
             cols, rhs = pair_columns(field, at, bt, layout)
-            true_sol = solve_pair(field, pair_rows(p, cols, rhs, tc), p)
+            true_sol = solve_pair(field, cols, rhs, layout)
             cg = lag_coeffs_at(field, field.add_raw(at, bt))
-            cols[0] = tuple(c - ((c >> k * w) % (1 << w) << k * w) for c in cols[0])
-            rhs[k] = field.sub_raw(rhs[k], field.mul_raw(cg[p - 1], true_sol[0]))
-            return cols, rhs, true_sol
+            cols[0] = _with_slot(cols[0], k, (0, 0), w)
+            r = field.sub_raw(_reduced(p, rhs, tc)[k], field.mul_raw(cg[p - 1], true_sol[0]))
+            return cols, _with_slot(rhs, k, r, w), true_sol
 
         for at, bt in _c_pairs(field, 10, seed=5):
             cols, rhs, true_sol = emptied(field, at, bt, layout)
-            read = list(pair_rows(p, cols, rhs, tc))
+            read = list(_row_pair_rows(p, cols, rhs, tc))
             assert read[0][0] == (0, 0), (at, bt)
-            assert solve_pair(field, read, p) is None, (at, bt)
+            assert solve_pair(field, cols, rhs, layout) is None, (at, bt)
             assert _reference_solve(field, _all_rows(p, cols, rhs, tc), p) == (true_sol, True)
             assert substitutes(field, cols, rhs, true_sol, layout)
         _assert_no_solution_at(monkeypatch, p, 5, lambda *args: emptied(*args)[:2])
@@ -2153,26 +2190,27 @@ class TestPackedColumns:
         field = ext_quadratic(p)
         layout = Layout.build(field)
         tc = layout.typecode
-        w = 8 * array(tc).itemsize
+        w = _width(layout)
         rng = random.Random(p)
 
         def bumped(field, at, bt, layout):
             cols, rhs = pair_columns(field, at, bt, layout)
-            true_sol = solve_pair(field, pair_rows(p, cols, rhs, tc), p)
+            true_sol = solve_pair(field, cols, rhs, layout)
             m = rng.randrange(1, p)
             c = rng.randrange(p - m)
             x = (rng.randrange(1, p), rng.randrange(p))
             k = p * (p - 1) + m  # row (p-1, m)
             cols[c] = tuple(part + (xi << k * w) for part, xi in zip(cols[c], x))
             if consistent:
-                rhs[k] = field.add_raw(rhs[k], field.mul_raw(x, true_sol[c]))
+                r = field.add_raw(_reduced(p, rhs, tc)[k], field.mul_raw(x, true_sol[c]))
+                rhs = _with_slot(rhs, k, r, w)
             return cols, rhs, true_sol, m, c, x
 
         for at, bt in _c_pairs(field, 2 * p, seed=p):
             cols, rhs, true_sol, m, c, x = bumped(field, at, bt, layout)
-            read = list(pair_rows(p, cols, rhs, tc))
+            read = list(_row_pair_rows(p, cols, rhs, tc))
             assert read[p - m][c] == x, (at, bt, m, c)
-            assert solve_pair(field, read, p) is None, (at, bt, m, c)
+            assert solve_pair(field, cols, rhs, layout) is None, (at, bt, m, c)
             if consistent:
                 full = _all_rows(p, cols, rhs, tc)
                 assert _reference_solve(field, full, p) == (true_sol, True)
@@ -2188,15 +2226,70 @@ class TestPackedColumns:
 
 def _all_rows(p, cols, rhs, tc):
     """All p^2 rows of a packed system, reduced, in row order."""
-    parts = [[_slots(c, p * p, tc) for c in col] for col in cols]
-    return [
-        [(c0[k] % p, c1[k] % p) for c0, c1 in parts] + [rhs[k]] for k in range(p * p)
-    ]
+    entries = [_reduced(p, col, tc) for col in (*cols, rhs)]
+    return [[col[k] for col in entries] for k in range(p * p)]
+
+
+def _row_pair_rows(p, cols, rhs, tc):
+    """Oracle, the solve's input in row form: the p rows of the triangular
+    block j = p-1, reduced, in lead-column order: row (p-1, 0) first, then
+    (p-1, m) for m from p-1 down to 1."""
+    shift = (p - 1) * p * 8 * array(tc).itemsize
+    parts = [[_slots(c >> shift, p, tc) for c in col] for col in (*cols, rhs)]
+    for m in (0, *reversed(range(1, p))):
+        yield [(c0[m] % p, c1[m] % p) for c0, c1 in parts]
+
+
+def _row_solve_pair(field, rows, ncols):
+    """Oracle: back substitution on ncols rows of ncols + 1 reduced pairs,
+    the last the right side: the solution, or None unless row k is 0 left of
+    column k and nonzero at column k.  Any other row count raises
+    ValueError."""
+    rows = list(rows)
+    if len(rows) != ncols:
+        raise ValueError(f"expected {ncols} rows, got {len(rows)}")
+    p, n = field.p, field.nonres
+    zero = (0, 0)
+    sol = [zero] * ncols
+    for k in reversed(range(ncols)):
+        r = rows[k]
+        if r[k] == zero or r[:k].count(zero) != k:
+            return None
+        acc0, acc1 = r[ncols]
+        for (x0, x1), (y0, y1) in zip(r[k + 1 : ncols], sol[k + 1 :]):
+            acc0 -= x0 * y0 + n * x1 * y1
+            acc1 -= x0 * y1 + x1 * y0
+        i0, i1 = field.inv_raw(r[k])
+        sol[k] = ((acc0 * i0 + n * acc1 * i1) % p, (acc0 * i1 + acc1 * i0) % p)
+    return sol
+
+
+def _packed_block(field, rows, layout, rng):
+    """Columns and right side whose last block holds the p rows, given in
+    the solve's lead order, as unreduced slots up to (1+n)(p-1)^2; every
+    slot below the block is random."""
+    p, tc = field.p, layout.typecode
+    top = (p - 1) * p * _width(layout)
+    most = (1 + field.nonres) * (p - 1) ** 2
+
+    def unreduced(x):
+        return x + p * rng.randrange((most - x) // p + 1)
+
+    packed = []
+    for c in range(p + 1):
+        block = [None] * p
+        for k, row in enumerate(rows):
+            block[(p - k) % p] = tuple(map(unreduced, row[c]))
+        packed.append(tuple(
+            (_pack(part, tc) << top) | rng.getrandbits(top) for part in zip(*block)
+        ))
+    return packed[:p], packed[p]
 
 
 def _assert_no_solution_at(monkeypatch, p, seed, broken, at_pair=3):
     """The checker reports "no solution" at the at_pair-th pair when only
-    that pair's system is built by broken(field, at, bt, layout)."""
+    that pair's system, columns and packed right side, is built by
+    broken(field, at, bt, layout)."""
     import trunclog.verify as v
 
     calls = []
@@ -2279,22 +2372,24 @@ class TestSolvePair:
         layout = Layout.build(field)
         for at, bt in _c_pairs(field, 20, seed=p):
             cols, rhs = pair_columns(field, at, bt, layout)
-            sol = solve_pair(field, pair_rows(p, cols, rhs, layout.typecode), p)
+            sol = solve_pair(field, cols, rhs, layout)
             assert (sol, True) == _reference_solve(field, _c_pair_rows(field, at, bt), p)
 
     @pytest.mark.parametrize("p", [3, 7, 31])
     def test_random_systems_match_full_elimination(self, p):
         # dense rows couple every later column, so each step of the back
-        # substitution counts
+        # substitution counts; the slots are unreduced, zeros among them
+        # as multiples of p, and the slots below the block random
         import random
 
         field = ext_quadratic(p)
+        layout = Layout.build(field)
         rng = random.Random(p)
-        for _ in range(60):
-            ncols = rng.randrange(1, 7)
-            rows = _triangular_system(field, rng, ncols)
-            sol = solve_pair(field, iter(rows), ncols)
-            assert (sol, True) == _reference_solve(field, rows, ncols)
+        for _ in range(12):
+            rows = _triangular_system(field, rng, p)
+            sol = solve_pair(field, *_packed_block(field, rows, layout, rng), layout)
+            assert (sol, True) == _reference_solve(field, rows, p)
+            assert sol == _row_solve_pair(field, iter(rows), p)
             assert _satisfies(field, rows, sol)
 
     @pytest.mark.parametrize("p", [3, 7, 31])
@@ -2303,78 +2398,183 @@ class TestSolvePair:
         import random
 
         field = ext_quadratic(p)
+        layout = Layout.build(field)
         rng = random.Random(p)
-        for _ in range(60):
-            ncols = rng.randrange(1, 7)
-            k = rng.randrange(ncols)
-            rows = _triangular_system(field, rng, ncols)
+        for _ in range(30):
+            k = rng.randrange(p)
+            rows = _triangular_system(field, rng, p)
             rows[k][k] = (0, 0)
-            assert solve_pair(field, rows, ncols) is None, (ncols, k)
+            assert _row_solve_pair(field, rows, p) is None, k
+            assert solve_pair(field, *_packed_block(field, rows, layout, rng), layout) is None, k
             if k:
-                rows = _triangular_system(field, rng, ncols)
+                rows = _triangular_system(field, rng, p)
                 rows[k][rng.randrange(k)] = (rng.randrange(p), rng.randrange(1, p))
-                assert solve_pair(field, rows, ncols) is None, (ncols, k)
+                assert _row_solve_pair(field, rows, p) is None, k
+                packed = _packed_block(field, rows, layout, rng)
+                assert solve_pair(field, *packed, layout) is None, k
 
     def test_row_count_other_than_ncols_raises(self):
+        # the row-form oracle reads exactly ncols rows
         import random
 
         field = ext_quadratic(7)
         rows = _triangular_system(field, random.Random(0), 4)
         for bad in (rows[:3], rows + [rows[0]], []):
             with pytest.raises(ValueError, match="expected 4 rows"):
-                solve_pair(field, iter(bad), 4)
+                _row_solve_pair(field, iter(bad), 4)
 
     def test_inconsistent_before_full_rank_has_no_solution(self):
-        field = ext_quadratic(7)
+        # row 1 is twice row 0 with another right side
+        import random
+
+        field = ext_quadratic(3)
         rows = [
-            [(1, 0), (2, 0), (0, 0), (3, 0)],
-            [(2, 0), (4, 0), (0, 0), (5, 0)],
-            [(0, 0), (0, 0), (1, 1), (2, 5)],
+            [(1, 0), (2, 0), (0, 0), (0, 0)],
+            [(2, 0), (1, 0), (0, 0), (2, 0)],
+            [(0, 0), (0, 0), (1, 1), (2, 2)],
         ]
-        assert solve_pair(field, rows, 3) is None
+        assert _row_solve_pair(field, rows, 3) is None
+        layout = Layout.build(field)
+        packed = _packed_block(field, rows, layout, random.Random(3))
+        assert solve_pair(field, *packed, layout) is None
 
     def test_reads_rows_only_up_to_full_rank(self):
-        # the last block alone has rank p; no row outside it is read
+        # the last block alone has rank p; no slot below it is read
+        import random
+
         p = 7
         field = ext_quadratic(p)
         layout = Layout.build(field)
         cols, rhs = pair_columns(field, (2, 3), (4, 1), layout)
-        read = []
-
-        def rows():
-            for row in pair_rows(p, cols, rhs, layout.typecode):
-                read.append(row)
-                yield row
-
-        sol = solve_pair(field, rows(), p)
+        rows = list(_row_pair_rows(p, cols, rhs, layout.typecode))
         oracle = _c_pair_rows(field, (2, 3), (4, 1))
         # rows (p-1, 0), then (p-1, m) for m from p-1 down to 1
-        assert read == [oracle[p * (p - 1)], *oracle[: p * (p - 1) : -1]]
+        assert rows == [oracle[p * (p - 1)], *oracle[: p * (p - 1) : -1]]
+        sol = solve_pair(field, cols, rhs, layout)
+        packed = _packed_block(field, rows, layout, random.Random(p))
+        assert solve_pair(field, *packed, layout) == sol == _row_solve_pair(field, rows, p)
         assert _satisfies(field, oracle, sol)
+
+
+def _zero_test(field, layout, x0, x1):
+    """substitutes on a system whose two accumulators are x0 and x1: zero
+    columns and solution, and the pad less x as the right side."""
+    zeros = [(0, 0)] * field.p
+    return substitutes(field, zeros, (layout.pad - x0, layout.pad - x1), zeros, layout)
+
+
+class TestPackedZeroTest:
+    @pytest.mark.parametrize("p", [5, 7, 19])
+    def test_divisible_int_with_nonzero_slots_fails(self, p):
+        # slots (x, y) with x + y 2^w divisible by p and x, y in [1, p), at
+        # every pair of neighbouring slots: divisibility of the whole int
+        # passes, the quotient mask does not
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        w = _width(layout)
+        for x in range(1, p):
+            y = -x * pow(2, -w, p) % p
+            for k in range(p * p - 1):
+                acc = (x + (y << w)) << k * w
+                assert acc % p == 0 and x % p and y % p
+                assert not _zero_test(field, layout, acc, 0), (x, k)
+                assert not _zero_test(field, layout, 0, acc), (x, k)
+
+    @pytest.mark.parametrize("p", [5, 7, 19])
+    def test_one_bumped_slot_fails(self, p):
+        # every slot at the bound, a multiple of p, but one moved off it, in
+        # either part
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        w = _width(layout)
+        bound = slot_bound(p, field.nonres)
+        assert bound % p == 0
+        full = _pack([bound] * (p * p), layout.typecode)
+        for k in range(p * p):
+            for value in (1, bound - 1):
+                bumped = full + ((value - bound) << k * w)
+                assert not _zero_test(field, layout, bumped, full), (k, value)
+                assert not _zero_test(field, layout, full, bumped), (k, value)
+
+    @pytest.mark.parametrize("p", [5, 7, 19])
+    def test_multiples_of_p_up_to_the_bound_pass(self, p):
+        import random
+
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        top = slot_bound(p, field.nonres) // p
+        rng = random.Random(p)
+        cases = [[0] * (p * p), [top * p] * (p * p)]
+        cases += [[p * rng.randrange(top + 1) for _ in range(p * p)] for _ in range(20)]
+        for slots in cases:
+            x = _pack(slots, layout.typecode)
+            assert _zero_test(field, layout, x, x)
+            assert _zero_test(field, layout, x, 0) and _zero_test(field, layout, 0, x)
 
 
 class TestSlotBound:
     @pytest.mark.parametrize("p, budget", [(3, "exhaustive"), (19, 20), (31, 8)])
     def test_largest_raw_slot_within_bound(self, monkeypatch, p, budget):
         # 8-byte slots hold far more than the bound at these primes, so a
-        # wrong bound would show as a larger slot instead of wrapping
+        # wrong bound would show as a larger slot instead of wrapping, and a
+        # negative one raises; seen are the columns, the right side and
+        # every int the zero test reads, the substitution's accumulators
+        # among them, which bound the solve's accumulator too
         import trunclog.pairsystem as ps
+        import trunclog.verify as v
 
         seen = [0]
-        orig_slots = ps._slots
 
-        def recording(n, length, tc):
-            slots = orig_slots(n, length, tc)
-            seen[0] = max(seen[0], max(slots))
-            return slots
+        def record(x):
+            seen[0] = max(seen[0], max(_slots(x, p * p, "Q")))
+
+        def columns(*args):
+            cols, rhs = pair_columns(*args)
+            for part in (*rhs, *(x for col in cols for x in col)):
+                record(part)
+            return cols, rhs
+
+        orig_vanishes = ps._vanishes
+
+        def recording(x, q, high):
+            record(x)
+            return orig_vanishes(x, q, high)
 
         monkeypatch.setattr(ps, "_slot_typecode", lambda bound: "Q")
-        monkeypatch.setattr(ps, "_slots", recording)
+        monkeypatch.setattr(ps, "_vanishes", recording)
+        monkeypatch.setattr(v, "pair_columns", columns)
         r = verify_c_coefficients(p, pair_budget=budget, seed=1)
         assert r.status == "pass"
         bound = slot_bound(p, ext_quadratic(p).nonres)
         assert 0 < seen[0] <= bound
         assert _slot_typecode(bound) == "I"
+
+    @pytest.mark.parametrize("p", [3, 19, 43])
+    def test_pad_and_quotient_mask_slots(self, p):
+        # every pad slot is the least multiple of p that no right-side slot,
+        # at most (1+n)(p-1)^2, exceeds, so no slot of the zero test goes
+        # negative; every high slot masks the bits from b up
+        field = ext_quadratic(p)
+        layout = Layout.build(field)
+        tc, w = layout.typecode, _width(layout)
+        most = (1 + field.nonres) * (p - 1) ** 2
+        (pad,) = set(_slots(layout.pad, p * p, tc))
+        assert pad % p == 0 and most <= pad < most + p
+        b = (slot_bound(p, field.nonres) // p).bit_length()
+        assert set(_slots(layout.high, p * p, tc)) == {(1 << w) - (1 << b)}
+
+    @pytest.mark.parametrize("p", [19, 43, 71, 97])
+    def test_four_byte_slots_up_to_97(self, p):
+        # the width holds the bound and p (2^b - 1), not twice the bound
+        assert Layout.build(ext_quadratic(p)).typecode == "I"
+
+    def test_width_holds_the_quotient_bits(self, monkeypatch):
+        # a bound below 2^32 whose quotient by p needs b bits, with
+        # p (2^b - 1) >= 2^32, takes 8-byte slots
+        import trunclog.pairsystem as ps
+
+        monkeypatch.setattr(ps, "slot_bound", lambda p, n: (1 << 32) - 1)
+        assert Layout.build(ext_quadratic(5)).typecode == "Q"
 
     def test_bound_too_wide_raises(self, monkeypatch):
         import trunclog.pairsystem as ps
@@ -2394,16 +2594,17 @@ class TestSlotBound:
 class TestCCoefficientsMutationTraps:
     @pytest.mark.parametrize("index", [-1, 0])
     def test_bumped_right_side_fails(self, monkeypatch, index):
-        # the last row is read second and yields a wrong solution; row 0 is
-        # outside the last block, so only the substitution reads it
+        # the last row is in the last block and yields a wrong solution;
+        # row 0 is outside it, so only the substitution reads it
         import trunclog.verify as v
 
         build = v.pair_columns
 
         def bad_columns(field, at, bt, layout):
             cols, rhs = build(field, at, bt, layout)
-            rhs[index] = field.add_raw(rhs[index], (1, 0))
-            return cols, rhs
+            k = index % field.p ** 2
+            r = field.add_raw(_reduced(field.p, rhs, layout.typecode)[k], (1, 0))
+            return cols, _with_slot(rhs, k, r, _width(layout))
 
         monkeypatch.setattr(v, "pair_columns", bad_columns)
         r = verify_c_coefficients(7, pair_budget=5, seed=0)
@@ -2412,18 +2613,17 @@ class TestCCoefficientsMutationTraps:
         assert r.witness["lhs"] == "solution fails an equation"
 
     def test_inconsistent_first_row_has_no_solution(self, monkeypatch):
-        # row p^2 - 1, read right after row (p-1, 0), becomes 0 = 1
+        # row p^2 - 1, the lead row of column 1, becomes 0 = 1
         import trunclog.verify as v
 
         build = v.pair_columns
 
         def bad_columns(field, at, bt, layout):
             cols, rhs = build(field, at, bt, layout)
-            w = 8 * array(layout.typecode).itemsize
+            w = _width(layout)
             low = 1 << (field.p ** 2 - 1) * w
             cols = [(c0 % low, c1 % low) for c0, c1 in cols]
-            rhs[-1] = (1, 0)
-            return cols, rhs
+            return cols, _with_slot(rhs, field.p ** 2 - 1, (1, 0), w)
 
         monkeypatch.setattr(v, "pair_columns", bad_columns)
         r = verify_c_coefficients(7, pair_budget=5, seed=0)
@@ -2446,18 +2646,14 @@ class TestCCoefficientsMutationTraps:
             target = _closed_forms_p3(field, at, bt)
             target[0] = field.add_raw(target[0], (1, 0))
             bumped.append(target)
-            parts = [
-                list(zip(_slots(c0, p * p, tc), _slots(c1, p * p, tc)))
-                for c0, c1 in cols
-            ]
+            parts = [_reduced(p, col, tc) for col in cols]
             rhs = []
             for k in range(p * p):
                 acc = (0, 0)
                 for part, s in zip(parts, target):
-                    x = (part[k][0] % p, part[k][1] % p)
-                    acc = field.add_raw(acc, field.mul_raw(x, s))
+                    acc = field.add_raw(acc, field.mul_raw(part[k], s))
                 rhs.append(acc)
-            return cols, rhs
+            return cols, _packed(rhs, tc)
 
         monkeypatch.setattr(v, "pair_columns", wrong_system)
         r = verify_c_coefficients(3, pair_budget=5, seed=0)
