@@ -6,12 +6,15 @@ is purely informational ("a" for the parameter, "X" for the main variable);
 arithmetic never inspects it and mixing tags is permitted; binary operations
 keep the left operand's tag.
 
-Multiplication switches to Kronecker substitution (coefficients packed into a
-single Python int) once the schoolbook cost would exceed a small threshold.
+Multiplication has one path.  A constant operand, on either side, scales the
+other's coefficients; every other product is Kronecker substitution: both
+operands packed into one Python int each, one big-int product, one unpack.
 Packing and unpacking are one bulk ``array`` conversion each.  The slot width
 comes from a proven bound on the largest slot value, min(la, lb)·(p−1)² for
-one product: 4-byte slots below 2^32, 8-byte slots below 2^64, and
-OverflowError beyond that, so a packed product never overflows its slots.
+one product: 4-byte slots below 2^32 and 8-byte slots below 2^64, so a packed
+product never overflows its slots.  A non-constant product whose bound
+reaches 2^64 raises OverflowError before anything is packed; for 2×2
+products that starts above p ≈ 3.04·10^9, for 45×45 above p ≈ 6.4·10^8.
 
 ``values`` and ``interpolate`` pass between a polynomial and its value
 vector on F_p; they are inverse to each other on degrees at most p-1, where
@@ -33,8 +36,6 @@ from array import array
 
 from .errors import NonSplitError, PoleError
 from .fields import check_odd_prime, inv_mod
-
-_SCHOOLBOOK_LIMIT = 2048  # product size (len_a * len_b) below which naive wins
 
 
 def _trim(coeffs):
@@ -71,20 +72,17 @@ def _unpack(n, length, p, typecode):
 
 
 def _mul_tuples(a, b, p):
-    la, lb = len(a), len(b)
-    if not la or not lb:
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
         return ()
-    if la * lb <= _SCHOOLBOOK_LIMIT:
-        out = [0] * (la + lb - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return _trim([c % p for c in out])
+    if len(b) == 1:
+        s = b[0]
+        return a if s == 1 else tuple(c * s % p for c in a)
     # Kronecker substitution: one big-int product of the packed operands.  A
-    # slot of the product holds a convolution entry, at most min(la, lb)·(p-1)².
-    tc = _slot_typecode(min(la, lb) * (p - 1) * (p - 1))
-    return _unpack(_pack(a, tc) * _pack(b, tc), la + lb - 1, p, tc)
+    # slot of the product holds a convolution entry, at most len(b)·(p-1)².
+    tc = _slot_typecode(len(b) * (p - 1) * (p - 1))
+    return _unpack(_pack(a, tc) * _pack(b, tc), len(a) + len(b) - 1, p, tc)
 
 
 def _divmod_tuples(a, b, p):
@@ -157,6 +155,8 @@ class FpPoly:
 
     @classmethod
     def monomial(cls, c, e, p, var="a"):
+        if e < 0:
+            raise ValueError("negative exponent")
         c = int(c) % p
         if c == 0:
             return cls.zero(p, var)
@@ -239,11 +239,6 @@ class FpPoly:
         oc = self._other_coeffs(other)
         if oc is None:
             return NotImplemented
-        if len(oc) == 1:
-            s, p = oc[0], self.p
-            if s == 1:
-                return self
-            return FpPoly._raw(tuple(c * s % p for c in self.coeffs), p, self.var)
         return FpPoly._raw(_mul_tuples(self.coeffs, oc, self.p), self.p, self.var)
 
     __rmul__ = __mul__

@@ -7,7 +7,9 @@ A stdlib ``ast`` scan in place of a linter: a name bound by ``import`` or
 else in the module.  ``__init__.py`` imports in order to re-export, so it is
 left out; instead each name in its ``__all__`` must be bound on the package.
 A top-level function or class must be named somewhere in the package, as a
-name or an imported name, apart from its own definition.
+name or an imported name, apart from its own definition.  A name bound by a
+top-level assignment (dunders aside) must be read somewhere in the package,
+as a name in load context, so a constant nothing reads any more fails.
 """
 
 import ast
@@ -32,7 +34,7 @@ def imported_names(tree):
 
 # quotient._compose_horner has no caller in the library: it is the test
 # oracle for compose_mod, and perfbench/tracer.py still looks it up in
-# trunclog.quotient by name until it moves into the tests (ROADMAP item 4)
+# trunclog.quotient by name until it moves into the tests (ROADMAP item 5)
 UNREFERENCED = [("quotient", "_compose_horner")]
 
 
@@ -58,8 +60,27 @@ def test_every_exported_name_is_bound():
     assert [n for n in trunclog.__all__ if not hasattr(trunclog, n)] == []
 
 
+def package_trees():
+    return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+
+
+def assigned_names(tree):
+    """The names bound by assignment statements at the module's top level."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id
+
+
 def test_every_definition_is_referenced():
-    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    trees = package_trees()
     used = {name for tree in trees.values() for name in referenced_names(tree)}
     defined = [
         (module, node.name)
@@ -68,6 +89,23 @@ def test_every_definition_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     ]
     assert sorted(d for d in defined if d[1] not in used) == UNREFERENCED
+
+
+def test_every_top_level_assignment_is_read():
+    trees = package_trees()
+    read = {
+        node.id
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    bound = [
+        (module, name)
+        for module, tree in trees.items()
+        for name in assigned_names(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert sorted(b for b in bound if b[1] not in read) == []
 
 
 def test_trunclog_glog_is_the_constructor():

@@ -6,7 +6,7 @@ import pytest
 
 from trunclog.errors import NonSplitError, PoleError
 from trunclog.polys import FpPoly, RatFn, interpolate, roots_and_split, values
-from trunclog.polys import _SCHOOLBOOK_LIMIT, _pack, _slot_typecode, _unpack
+from trunclog.polys import _pack, _slot_typecode, _unpack
 
 
 def rand_poly(rng, p, max_deg):
@@ -36,6 +36,13 @@ class TestFpPolyBasics:
         with pytest.raises(ValueError):
             FpPoly([1], 5) + FpPoly([1], 7)
 
+    def test_monomial(self):
+        assert FpPoly.monomial(3, 2, 7) == FpPoly([0, 0, 3], 7)
+        assert FpPoly.monomial(10, 0, 7) == FpPoly([3], 7)
+        assert FpPoly.monomial(7, 4, 7).is_zero
+        with pytest.raises(ValueError):
+            FpPoly.monomial(3, -1, 7)
+
     def test_str_rendering(self):
         assert str(FpPoly([1, 0, 2], 3)) == "2*a^2 + 1"
         assert str(FpPoly([2, 1], 3)) == "a + 2"
@@ -45,15 +52,20 @@ class TestFpPolyBasics:
     @pytest.mark.parametrize(
         "la, lb",
         [
-            (45, 45),  # la * lb just below the schoolbook threshold
-            (46, 46),  # just above it
+            (1, 1),
+            (1, 7),  # constants scale, on either side
+            (7, 1),
+            (2, 2),
+            (3, 3),
+            (2, 50),
+            (45, 45),
+            (46, 46),
             (80, 70),
-            (_SCHOOLBOOK_LIMIT + 1, 2),  # lopsided
+            (2049, 2),  # lopsided
         ],
     )
-    def test_kronecker_path_matches_schoolbook(self, p, la, lb):
-        # both sides of the schoolbook threshold against a naive product; the
-        # top coefficients are p - 1 so the largest slot values occur
+    def test_product_matches_naive(self, p, la, lb):
+        # the top coefficients are p - 1 so the largest slot values occur
         rng = random.Random(3)
         a = [rng.randrange(p) for _ in range(la - 1)] + [p - 1]
         b = [rng.randrange(p) for _ in range(lb - 1)] + [p - 1]
@@ -62,6 +74,40 @@ class TestFpPolyBasics:
             for j, bj in enumerate(b):
                 naive[i + j] = (naive[i + j] + ai * bj) % p
         assert FpPoly(a, p) * FpPoly(b, p) == FpPoly(naive, p)
+
+    @pytest.mark.parametrize("p", [3, 13, 31])
+    def test_products_with_ints(self, p):
+        f = FpPoly([1, p - 1, 0, 2], p, "X")
+        scaled = FpPoly([2, 2 * (p - 1), 0, 4], p)
+        for g in (2 * f, f * 2, f * (p + 2), (2 - p) * f):
+            assert g == scaled and g.var == "X"
+        assert (0 * f).is_zero and (f * p).is_zero
+        assert f * 1 == f and (f * 1).var == "X"
+        assert FpPoly.zero(p) * 3 == 0
+
+
+class TestProductSlotLimit:
+    """A non-constant product packs min(len)·(p−1)² into 8-byte slots at
+    most, and raises before packing beyond that; constants only scale."""
+
+    def test_at_a_billion_and_seven(self):
+        p = 10**9 + 7
+        assert 45 * (p - 1) ** 2 >= 2**64 > 2 * (p - 1) ** 2
+        f = FpPoly([p - 1] * 45, p)
+        with pytest.raises(OverflowError):
+            f * f
+        g = FpPoly([1, p - 1], p)
+        assert g * g == FpPoly([1, -2, 1], p)
+        assert f * (p - 1) == -f == (p - 1) * f
+
+    def test_above_2_to_the_32(self):
+        p = 4_294_967_311
+        assert 2 * (p - 1) ** 2 >= 2**64
+        g = FpPoly([1, p - 1], p)
+        with pytest.raises(OverflowError):
+            g * g
+        assert g * 2 == FpPoly([2, -2], p) == 2 * g
+        assert g * FpPoly.one(p) == g
 
 
 class TestPackedSlots:

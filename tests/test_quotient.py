@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from trunclog.polys import FpPoly, RatFn, _SCHOOLBOOK_LIMIT
+from trunclog.polys import FpPoly, RatFn
 from trunclog.quotient import XPoly, compose_mod, grid_mulmod, xpoly_to_grid
 from trunclog.quotient import _compose_horner
 from trunclog.special import (
@@ -41,14 +41,13 @@ def random_grid(rng, p, length):
 
 def uneven_grid(rng, p, length, long_row=None):
     """Rows of 0 to 2p random coefficients, so some rows are zero and the
-    rest differ in length; row long_row, if given, is longer than the
-    Kronecker threshold of a single polynomial product."""
+    rest differ in length; row long_row, if given, has 2049 coefficients."""
     rows = [
         FpPoly([rng.randrange(p) for _ in range(rng.randrange(2 * p + 1))], p)
         for _ in range(length)
     ]
     if long_row is not None:
-        coeffs = [rng.randrange(p) for _ in range(_SCHOOLBOOK_LIMIT)]
+        coeffs = [rng.randrange(p) for _ in range(2048)]
         rows[long_row] = FpPoly(coeffs + [1], p)
     return rows
 
