@@ -28,17 +28,16 @@ exactly when a + a' < p, where a' is the representative of s*a in (0, p).
 coefficient C(a + s*a, a).
 
 Indices r, s are read as elements of F_p*, so b[r,s] for r + s > p means the
-reduction mod p throughout.  Results are memoized per (p, r, s): the family
-is reused heavily by the truncated-logarithm coefficients and the verifier,
+reduction mod p throughout.  Results are memoized for one prime at a time
+(``fields.per_prime``): the glog coefficients and the verifier reuse them,
 and entries are immutable, so concurrent duplicate inserts are harmless.
 """
 
 from __future__ import annotations
 
-import functools
-
 from .errors import TheoremViolationError
-from .fields import binom_lucas, check_odd_prime, inv_mod
+from .fields import binom_lucas, check_odd_prime, inv_mod, per_prime
+from .fields import per_prime_clears, switch_prime
 from .polys import FpPoly, roots_and_split
 from .special import binomial_sum, laguerre_const, trunc_binomial, w_poly
 
@@ -51,15 +50,16 @@ def _check_indices(p: int, r: int, s: int) -> None:
 
 
 _B_CACHE: dict[tuple[int, int, int], FpPoly] = {}
+per_prime_clears.append(lambda: _B_CACHE.clear())  # whichever dict is bound
 
 
 def b_rs(p: int, r: int, s: int) -> FpPoly:
     """The defining sum b[r,s] over F_p."""
-    _check_indices(p, r, s)
+    switch_prime(p)
     cached = _B_CACHE.get((p, r, s))
     if cached is None:
-        cached = _b_rs_build(p, r, s)
-        _B_CACHE[(p, r, s)] = cached
+        _check_indices(p, r, s)
+        cached = _B_CACHE[(p, r, s)] = _b_rs_build(p, r, s)
     return cached
 
 
@@ -115,14 +115,13 @@ def b_root_lucas(p: int, s: int, a: int) -> bool:
     return binom_lucas(a + s * a, a, p) != 0
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def b_prefix_products(p: int, negate: bool = False):
     """Prefix products (1, b[1,1], b[1,1]*b[1,2], ...) of length p-1.
 
     Entry j is the product over s <= j; with negate=True each factor is
     evaluated at -a instead.
     """
-    check_odd_prime(p)
     out = [FpPoly.one(p)]
     for s in range(1, p - 1):
         f = b_rs(p, 1, s)
@@ -132,12 +131,11 @@ def b_prefix_products(p: int, negate: bool = False):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def product_all_b(p: int) -> FpPoly:
     """The full product prod_{s=1}^{p-2} b[1,s](a), computed three ways that
     must agree: the last prefix product, and the two routes below, each its
     own function so that the three can be audited apart."""
-    check_odd_prime(p)
     r1 = b_prefix_products(p)[p - 2]
     r2 = _product_by_linear_factors(p)
     r3 = _product_by_modulus_constant(p)

@@ -38,6 +38,37 @@ def check_odd_prime(p) -> int:
     return p
 
 
+per_prime_clears = []  # the clear of every per-prime cache
+_prime = None  # the prime whose objects they hold
+
+
+def switch_prime(p) -> None:
+    """Check p, then empty the per-prime caches unless they hold p's objects."""
+    global _prime
+    if p != _prime or type(p) is not int:  # 7.0 == 7, but is no prime
+        check_odd_prime(p)
+        if p != _prime:
+            for clear in per_prime_clears:
+                clear()
+            _prime = p
+
+
+def per_prime(fn):
+    """``lru_cache(maxsize=None)`` for fn(p, ...) under the package's one cache
+    rule: every cache keyed by a prime holds one prime's objects.  p goes
+    through ``switch_prime`` before the lookup counts a hit or a miss."""
+    cached = functools.lru_cache(maxsize=None)(fn)
+    per_prime_clears.append(cached.cache_clear)
+
+    @functools.wraps(fn)
+    def lookup(p, *args, **kwargs):
+        switch_prime(p)
+        return cached(p, *args, **kwargs)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
+
+
 def inv_mod(a: int, p: int) -> int:
     """Inverse of a modulo p via extended Euclid (deterministic)."""
     a %= p
@@ -51,7 +82,7 @@ def inv_mod(a: int, p: int) -> int:
     return s0 % p
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def _factorials(p: int):
     """(k!, (k!)^-1) tables for 0 <= k < p."""
     fact = [1] * p
@@ -146,7 +177,7 @@ class Ext2Field:
         return f"Ext2Field(p={self.p}, t^2 = {self.nonres})"
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def ext_quadratic(p: int) -> Ext2Field:
     """F_{p^2} as F_p[t]/(t^2 - n), n the smallest quadratic non-residue."""
     check_odd_prime(p)

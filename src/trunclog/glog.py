@@ -28,11 +28,9 @@ reports the offending (k, a) pairs and asserts nothing.
 
 from __future__ import annotations
 
-import functools
-
 from .errors import TheoremViolationError
 from .bpoly import b_prefix_products, b_rs
-from .fields import check_odd_prime, inv_mod
+from .fields import check_odd_prime, inv_mod, per_prime
 from .polys import FpPoly, RatFn
 from .quotient import XPoly, compose_mod, grid_mulmod, xpoly_to_grid
 from .special import alpha_p_minus_alpha, laguerre_pm1, laguerre_scaled, w_poly
@@ -113,10 +111,9 @@ class GLog:
         return f"GLog(p={self.p}, {self.render_text()})"
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def glog(p: int) -> GLog:
     """Build G(X) and assert the left-inverse identity before returning."""
-    check_odd_prime(p)
     pre = b_prefix_products(p)
     coeffs = [
         RatFn(FpPoly.const(-inv_mod(k, p), p), pre[k - 1]) for k in range(1, p)
@@ -153,21 +150,21 @@ def left_inverse_by_powers(g: GLog, lag: XPoly, scaled, pre, bs) -> bool:
             return False
         total = [t + r.num * c for t, r in zip(total, x.coeffs)]
     x_grid = xpoly_to_grid(XPoly.x_power(p, 1))
-    return total == x_grid and power_route(scaled, pre, bs)[1] is None
+    return total == x_grid and power_route(p, scaled, pre, bs)[1] is None
 
 
-@functools.lru_cache(maxsize=1)
-def power_route(scaled: tuple, pre: tuple, bs: tuple):
+@per_prime
+def power_route(p: int, scaled: tuple, pre: tuple, bs: tuple):
     """(steps, failure) of the power formula L_1^j = pre[j-1] * L_j mod X^p -
     (a^p - a), scaled = (L_1 ..), pre[k] = prod_{s<=k} b[1,s], bs = (b[1,1]
-    ..); the last run is kept for glog()'s guard and the checkers.  steps
-    flags, for every j = 2..p-1, the step L_1 * L_(j-1) = b[1,j-1] * L_j,
+    ..); one run per set of records, for glog()'s guard and the checkers.
+    steps flags, for every j = 2..p-1, the step L_1 * L_(j-1) = b[1,j-1] * L_j,
     LemmaProduct's case (1, j-1).  failure is (j, L_1^j as a grid) for the
     first failing j, or None: case j >= 2 follows from case j-1, the step and
     pre[j-1] = pre[j-2] * b[1,j-1], and where either fails it is compared on
     L_1^j = pre[j-2] * (L_1 * L_(j-1)), the step's own product.
     """
-    p, cpoly = scaled[0].p, alpha_p_minus_alpha(scaled[0].p)
+    cpoly = alpha_p_minus_alpha(p)
     grids = [xpoly_to_grid(x) for x in scaled]
     base = grids[0]
     failure = None if base == [pre[0] * x for x in base] else (1, base)

@@ -29,13 +29,12 @@ Everything is immutable and pure, hence freely shareable across threads.
 
 from __future__ import annotations
 
-import functools
 import operator
 import sys
 from array import array
 
 from .errors import NonSplitError, PoleError
-from .fields import check_odd_prime, inv_mod
+from .fields import check_odd_prime, inv_mod, per_prime
 
 
 def _trim(coeffs):
@@ -383,13 +382,13 @@ def roots_and_split(f: FpPoly):
     return f.lead, roots
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def _power_rows(p):
     """Row t holds t^0, ..., t^(p-1) mod p, for each t in F_p."""
     return tuple(tuple(pow(t, k, p) for k in range(p)) for t in range(p))
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def _lagrange_columns(p):
     """Entry [k][t]: coefficient of var^k in the Lagrange basis polynomial of t.
 

@@ -25,10 +25,8 @@ the same pair, so the factorization identity is a permanent check.
 
 from __future__ import annotations
 
-import functools
-
 from .errors import TheoremViolationError
-from .fields import check_odd_prime, inv_mod
+from .fields import check_odd_prime, inv_mod, per_prime
 from .polys import FpPoly, RatFn
 from .quotient import XPoly, _coerce_ratfn
 
@@ -76,10 +74,9 @@ def laguerre_pm1(p: int) -> XPoly:
     return laguerre_scaled(p, 1)
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def laguerre_scaled(p: int, r: int) -> XPoly:
     """Substitution a -> r*a, X -> r*X: coefficient of X^k is -(ra-1)_(p-1-k) * r^k."""
-    check_odd_prime(p)
     if r % p == 0:
         raise ValueError("scale r must be nonzero mod p")
     r %= p
@@ -137,10 +134,9 @@ def w_poly(p: int) -> FpPoly:
     return FpPoly.one(p) - FpPoly.monomial(1, p - 1, p)
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def laguerre_const_routes(p: int):
     """Both routes to the modulus constant: (substitution, product formula)."""
-    check_odd_prime(p)
     return _lc_by_substitution(p), _lc_by_product(p)
 
 

@@ -78,7 +78,6 @@ in the declaration order of ``TheoremId`` regardless of execution schedule.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 import random
@@ -93,7 +92,7 @@ from .bpoly import (
     product_all_b,
 )
 from .errors import NonSplitError, TheoremViolationError
-from .fields import check_odd_prime, ext_quadratic, inv_mod
+from .fields import check_odd_prime, ext_quadratic, inv_mod, per_prime
 from .glog import _reciprocal_terms, glog, left_inverse_by_powers
 from .glog import left_inverse_lhs, power_route, reciprocal_rhs
 from .jacobi import p_times_jacobi_p
@@ -296,7 +295,7 @@ def _check_lemma_product(p):
     w = w_poly(p)
     zero = FpPoly.zero(p)
     scaled, pre, bs = _power_inputs(p)
-    steps, _ = power_route(scaled, pre, bs)
+    steps, _ = power_route(p, scaled, pre, bs)
     grids = {r: xpoly_to_grid(x) for r, x in enumerate(scaled, 1)}
     sym = {t: grids[t] == _sigma(grids[1], t, p) for t in range(1, p)}
     for r in range(1, p):
@@ -328,7 +327,7 @@ def _check_power_formula(p):
     (``power_route``, the run LemmaProduct and glog()'s guard read), with the
     direct loop's count and witness."""
     scaled, pre, bs = _power_inputs(p)
-    _, failure = power_route(scaled, pre, bs)
+    _, failure = power_route(p, scaled, pre, bs)
     if failure is None:
         yield from [None] * (p - 1)
         return
@@ -669,7 +668,7 @@ def _check_trunc_binomial_rules(p):
 # values are compared, since values cannot tell f from f + (a^p - a).
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def _binomial_table(p):
     """Row x holds C(x, 0), ..., C(x, p-1) mod p, for 0 <= x < p.
 
@@ -680,7 +679,7 @@ def _binomial_table(p):
     return tuple(tuple(math.comb(x, m) % p for m in range(p)) for x in range(p))
 
 
-@functools.lru_cache(maxsize=None)
+@per_prime
 def _weights(p, alpha, beta):
     """alpha^(p-1-k) * beta^k mod p for k < p; the checkers repeat each
     (alpha, beta) across many cases."""

@@ -10,6 +10,8 @@ A top-level function or class must be named somewhere in the package, as a
 name or an imported name, apart from its own definition.  A name bound by a
 top-level assignment (dunders aside) must be read somewhere in the package,
 as a name in load context, so a constant nothing reads any more fails.
+Every cache goes under ``fields.per_prime``'s one-prime rule: ``lru_cache``
+and ``cache`` appear only inside ``per_prime`` and on ``_is_prime``.
 """
 
 import ast
@@ -106,6 +108,28 @@ def test_every_top_level_assignment_is_read():
         if not (name.startswith("__") and name.endswith("__"))
     ]
     assert sorted(b for b in bound if b[1] not in read) == []
+
+
+CACHE_NAMES = {"lru_cache", "cache"}
+# the lru_cache that per_prime wraps, and _is_prime's: its key is any integer
+# the CLI parses, not a prime
+UNRULED_CACHES = {("fields", "per_prime"), ("fields", "_is_prime")}
+
+
+def test_every_cache_holds_one_prime():
+    found = []
+    for module, tree in package_trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):  # the name imported, whatever its alias
+                    name = node.name
+                else:
+                    name = getattr(node, "id", None)
+                if name in CACHE_NAMES:
+                    found.append((module, getattr(top, "name", type(top).__name__)))
+    assert sorted(set(found) - UNRULED_CACHES) == []
 
 
 def test_trunclog_glog_is_the_constructor():
