@@ -2,6 +2,8 @@
 
 Thin shell over the library; results go to stdout, diagnostics to stderr.
 Exit codes: 0 all requested checks pass, 1 any failure, 2 usage error.
+``main`` parses with one parser per process, built by its first call;
+``build_parser`` builds a fresh one.
 The parameter variable renders as "a" and fractions as "num / den" with a
 monic denominator, so textual output is stable across runs.
 """
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import sys
 
 from .bpoly import CSV_HEADER, b_roots_csv_rows, b_rs
@@ -48,7 +52,7 @@ def _parse_primes(spec: str):
         lo, hi = int(lo_s), int(hi_s)
         if lo < 3 or hi < lo:
             raise ValueError(f"bad prime range {spec!r}")
-        primes = [q for q in range(lo | 1, hi + 1, 2) if _is_prime(q)]
+        primes = _odd_primes(lo, hi)
         if not primes:
             raise ValueError(f"no odd primes in range {spec!r}")
         return primes
@@ -56,6 +60,20 @@ def _parse_primes(spec: str):
     if p < 3 or p % 2 == 0 or not _is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     return [p]
+
+
+def _odd_primes(lo: int, hi: int):
+    """The primes in [lo, hi], 3 <= lo <= hi, by a sieve of the range with
+    the primes up to isqrt(hi); nothing is kept."""
+    root = math.isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    seg = bytearray([1]) * (hi - lo + 1)
+    for q in range(2, root + 1):
+        if base[q]:
+            base[q * q::q] = bytes(len(range(q * q, root + 1, q)))
+            start = max(q * q, -(-lo // q) * q)
+            seg[start - lo::q] = bytes(len(range(start, hi + 1, q)))
+    return list(itertools.compress(range(lo, hi + 1), seg))
 
 
 @_usage_error
@@ -181,11 +199,17 @@ def _run_verify(args) -> int:
     return 0 if all(r.status != "fail" for r in reports) else 1
 
 
+_parser = None  # main's parser, built by its first call
+
+
 def main(argv=None) -> int:
     """Every argument is checked by its argparse type before any
     computation; a bad one is a usage error, exit 2."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     run = {"show": _run_show, "table": _run_table, "verify": _run_verify}

@@ -12,9 +12,12 @@ minus the truncated logarithm.
 ``glog`` verifies the defining inverse identity at construction as
 G(L) = sum_k c_k * L_k by the power formula (``left_inverse_by_powers``, on
 ``power_route``'s one run, which the checkers share), and caches the result
-per prime.  The raw ``GLog`` constructor performs no check, which is what the
-mutation tests use to build deliberately broken twins.  ``trunclog.glog`` is
-that function, re-exported over this module's name; the module itself is
+per prime.  The sum is packed: each L_k grid is one int with entry (e, d) in
+slot e * width + d, so sum_k c_k * L_k is one big-int sum, checked slot by
+slot mod p; a slot holds at most (p-1)^2 * (p-1), which sets its width.  The
+raw ``GLog`` constructor performs no check, which is what the mutation tests
+use to build deliberately broken twins.  ``trunclog.glog`` is that function,
+re-exported over this module's name; the module itself is
 ``importlib.import_module("trunclog.glog")``.
 
 In normal form the k-th coefficient is N_k(a) / (1 - a^(p-1))^(k-1) with
@@ -31,7 +34,7 @@ from __future__ import annotations
 from .errors import TheoremViolationError
 from .bpoly import b_prefix_products, b_rs
 from .fields import check_odd_prime, inv_mod, per_prime
-from .polys import FpPoly, RatFn
+from .polys import FpPoly, RatFn, _pack, _slot_typecode, _slots
 from .quotient import XPoly, compose_mod, grid_mulmod, xpoly_to_grid
 from .special import alpha_p_minus_alpha, laguerre_pm1, laguerre_scaled, w_poly
 
@@ -138,19 +141,39 @@ def left_inverse_by_powers(g: GLog, lag: XPoly, scaled, pre, bs) -> bool:
     """True when G(L(X)) = X mod X^p - (a^p - a) follows from the power
     formula lag^k = pre[k-1] * L_k (``power_route``): if each G_k * pre[k-1]
     is a constant c_k, G(L) = sum_k c_k * L_k.  Only lag = scaled[0], L_1 of
-    record, is read on the route; a twin lag is left to composition."""
+    record, is read on the route; a twin lag is left to composition.
+
+    The sum is packed: entry (e, d), the a^d coefficient of X^e, of every L_k
+    sits in slot e * width + d of one int, width the longest entry of record,
+    and sum_k c_k * L_k is one big-int sum, compared slot by slot mod p with
+    X's grid.  A slot sums at most p - 1 products of two residues, so it
+    holds at most (p-1)^2 * (p-1); that fixes the slot width.
+    """
     p = g.p
     if lag != scaled[0] or any(not c.den.is_one for x in scaled for c in x.coeffs):
         return False
-    total = [FpPoly.zero(p)] * p
+    terms = []
     for gk, q, x in zip(g.coeffs, pre, scaled, strict=True):
         num, den = gk.num * q, gk.den
         c = num.lead * inv_mod(den.lead, p) if num.degree == den.degree else 0
         if num != den * c:
             return False
-        total = [t + r.num * c for t, r in zip(total, x.coeffs)]
-    x_grid = xpoly_to_grid(XPoly.x_power(p, 1))
-    return total == x_grid and power_route(p, scaled, pre, bs)[1] is None
+        if c:
+            terms.append((c, x))
+    # all-zero records leave width 0; one slot per entry still holds X's 1
+    width = max(len(c.num.coeffs) for x in scaled for c in x.coeffs) or 1
+    tc = _slot_typecode(len(terms) * (p - 1) * (p - 1))
+    pad = (0,) * width
+    total = 0
+    for c, x in terms:
+        flat = []
+        for entry in x.coeffs:
+            flat += entry.num.coeffs
+            flat += pad[len(entry.num.coeffs):]
+        total += c * _pack(flat, tc)
+    sums = [s % p for s in _slots(total, p * width, tc)]
+    x_grid = [int(i == width) for i in range(p * width)]  # X: slot (1, 0) is 1
+    return sums == x_grid and power_route(p, scaled, pre, bs)[1] is None
 
 
 @per_prime

@@ -15,6 +15,10 @@ one product: 4-byte slots below 2^32 and 8-byte slots below 2^64, so a packed
 product never overflows its slots.  A non-constant product whose bound
 reaches 2^64 raises OverflowError before anything is packed; for 2×2
 products that starts above p ≈ 3.04·10^9, for 45×45 above p ≈ 6.4·10^8.
+The packing helpers (``_slot_typecode``, ``_pack``, ``_slots``, ``_unpack``)
+also pack the sums of ``quotient.grid_mulmod``, ``special.binomial_sum``,
+``glog.left_inverse_by_powers`` and ``pairsystem``, each under its own
+slot bound.
 
 ``values`` and ``interpolate`` pass between a polynomial and its value
 vector on F_p; they are inverse to each other on degrees at most p-1, where

@@ -11,9 +11,10 @@ X -> r*X.  The truncated logarithm and its higher relatives are the finite
 polylogarithms sum_{k=1}^{p-1} X^k / k^d.
 
 ``binomial_sum`` is the alternating sum
-sum_k C(f, p-1-k) C(g, k) alpha^(p-1-k) beta^k as a polynomial in a, the one
-FpPoly loop behind b[r,s], its alternate route and the reduced Jacobi
-polynomial.
+sum_k C(f, p-1-k) C(g, k) alpha^(p-1-k) beta^k as a polynomial in a, behind
+b[r,s], its alternate route and the reduced Jacobi polynomial.  It is one
+packed dot product: every binomial Kronecker-packed once, the weighted
+products summed as big ints and unpacked once.
 
 ``laguerre_const`` is the constant obtained by substituting a -> a^p in the
 coefficients and X -> a^p - a.  ``laguerre_const_routes`` computes it by that
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from .errors import TheoremViolationError
 from .fields import check_odd_prime, inv_mod, per_prime
-from .polys import FpPoly, RatFn
+from .polys import FpPoly, RatFn, _pack, _slot_typecode, _unpack
 from .quotient import XPoly, _coerce_ratfn
 
 
@@ -53,16 +54,31 @@ def binomials_of(f, p: int):
 def binomial_sum(f: FpPoly, g: FpPoly, alpha: int, beta: int) -> FpPoly:
     """sum_{k<p} C(f, p-1-k) * C(g, k) * alpha^(p-1-k) * beta^k over F_p,
     for f and g polynomials in a; terms whose scalar weight is zero are
-    skipped."""
+    skipped.
+
+    One packed dot product: each binomial is packed once into one int, and
+    sum_k w_k * A_k * B_k is one big-int sum, unpacked once.  A slot sums,
+    for every term, one convolution entry of at most min(len A_k, len B_k)
+    products times a weight, each at most (p-1)^2 and p-1; that bounds the
+    slot width.
+    """
     p = f.p
+    if g.p != p:
+        raise ValueError(f"mixed moduli: {p} and {g.p}")
     bin_f = binomials_of(f, p)
     bin_g = binomials_of(g, p)
-    acc = FpPoly.zero(p)
+    terms = []
     for k in range(p):
         w = pow(alpha, p - 1 - k, p) * pow(beta, k, p) % p
-        if w:
-            acc = acc + bin_f[p - 1 - k] * bin_g[k] * w
-    return acc
+        a, b = bin_f[p - 1 - k].coeffs, bin_g[k].coeffs
+        if w and a and b:
+            terms.append((w, a, b))
+    if not terms:
+        return FpPoly.zero(p)
+    tc = _slot_typecode(sum(min(len(a), len(b)) for _, a, b in terms) * (p - 1) ** 3)
+    total = sum(w * _pack(a, tc) * _pack(b, tc) for w, a, b in terms)
+    length = max(len(a) + len(b) - 1 for _, a, b in terms)
+    return FpPoly._raw(_unpack(total, length, p, tc), p, "a")
 
 
 def laguerre_pm1(p: int) -> XPoly:

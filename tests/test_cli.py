@@ -214,3 +214,81 @@ class TestUsageErrors:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "--prime", "2..3")
         assert code == 2
+
+
+def _trial_division_primes(lo, hi):
+    return [q for q in range(lo, hi + 1) if q % 2 and all(q % d for d in range(3, q, 2))]
+
+
+class TestPrimeRanges:
+    """A range is sieved; nothing is kept per integer it holds."""
+
+    def test_long_range_keeps_no_entry(self):
+        from trunclog.cli import _parse_primes
+        from trunclog.fields import _is_prime
+
+        before = _is_prime.cache_info().currsize
+        primes = _parse_primes("3..200000")
+        assert _is_prime.cache_info().currsize == before
+        assert len(primes) == 17983 and primes[-1] == 199999
+
+    def test_matches_trial_division(self):
+        from trunclog.cli import _parse_primes
+
+        assert _parse_primes("3..3000") == _trial_division_primes(3, 3000)
+        for lo, hi in [(3, 3), (4, 5), (8, 11), (24, 29), (90, 100), (121, 127)]:
+            assert _parse_primes(f"{lo}..{hi}") == _trial_division_primes(lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("2..3", "bad prime range"),
+        ("7..5", "bad prime range"),
+        ("24..28", "no odd primes in range"),
+        ("8..8", "no odd primes in range"),
+    ])
+    def test_errors(self, capsys, spec, message):
+        code, out, err = run(capsys, "verify", "--prime", spec)
+        assert code == 2 and out == ""
+        assert message in err and "usage:" in err
+
+
+class TestOneParser:
+    """main keeps the parser its first call builds; every output is the one
+    a freshly built parser gives, apart from elapsed_ms."""
+
+    COMMANDS = [
+        ("verify", "--prime", "7", "--theorem", "Bogus"),
+        ("verify", "--prime", "7", "--theorem", "all", "--format", "json"),
+        ("show", "all", "--prime", "5"),
+    ]
+
+    @staticmethod
+    def _output(capsys, argv):
+        code, out, err = run(capsys, *argv)
+        if argv[0] == "verify" and code != 2:
+            objs = json.loads(out)
+            for o in objs:
+                o["elapsed_ms"] = 0
+            out = objs
+        return code, out, err
+
+    def test_kept_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        import trunclog.cli as cli_mod
+
+        built = []
+
+        def counted():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli_mod, "build_parser", counted)
+        monkeypatch.setattr(cli_mod, "_parser", None)
+        kept = [self._output(capsys, argv) for argv in self.COMMANDS]
+        assert len(built) == 1 and cli_mod._parser is built[0]
+        fresh = []
+        for argv in self.COMMANDS:
+            monkeypatch.setattr(cli_mod, "_parser", build_parser())
+            fresh.append(self._output(capsys, argv))
+        assert len(built) == 1
+        assert [code for code, _, _ in kept] == [2, 0, 0]
+        assert "unknown theorem id" in kept[0][2]
+        assert kept == fresh

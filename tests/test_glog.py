@@ -4,6 +4,7 @@ import importlib
 
 import pytest
 
+from trunclog.bpoly import b_prefix_products
 from trunclog.errors import PoleError, TheoremViolationError
 from trunclog.fields import inv_mod
 from trunclog.glog import (
@@ -15,13 +16,17 @@ from trunclog.glog import (
     reciprocal_rhs,
 )
 from trunclog.polys import FpPoly, RatFn
-from trunclog.quotient import XPoly, compose_mod
+from trunclog.quotient import XPoly, compose_mod, xpoly_to_grid
 from trunclog.special import (
     alpha_p_minus_alpha,
     finite_polylog,
     laguerre_const,
     laguerre_pm1,
+    laguerre_scaled,
 )
+from trunclog.verify import _power_inputs
+
+GLOG_MOD = importlib.import_module("trunclog.glog")
 
 
 class TestConstruction:
@@ -118,6 +123,116 @@ class TestInverseIdentities:
             bad = glog(p).with_coeff(k, glog(p).coeff(k) + 1)
             got = compose_mod(bad.as_xpoly(), laguerre_pm1(p), c)
             assert got != want
+
+
+def _left_inverse_oracle(g, lag, scaled, pre, bs):
+    """``left_inverse_by_powers`` with the sum taken entry by entry: p FpPoly
+    sums of c_k * L_k, compared with X's grid.  The packed sum must agree."""
+    p = g.p
+    if lag != scaled[0] or any(not c.den.is_one for x in scaled for c in x.coeffs):
+        return False
+    total = [FpPoly.zero(p)] * p
+    for gk, q, x in zip(g.coeffs, pre, scaled, strict=True):
+        num, den = gk.num * q, gk.den
+        c = num.lead * inv_mod(den.lead, p) if num.degree == den.degree else 0
+        if num != den * c:
+            return False
+        total = [t + r.num * c for t, r in zip(total, x.coeffs)]
+    x_grid = xpoly_to_grid(XPoly.x_power(p, 1))
+    return total == x_grid and GLOG_MOD.power_route(p, scaled, pre, bs)[1] is None
+
+
+def _entry_changed(x, changes):
+    """A twin of the XPoly x with changes[e] added to its X^e entry."""
+    coeffs = list(x.coeffs)
+    for e, delta in changes.items():
+        coeffs[e] = RatFn.from_poly(coeffs[e].num + delta)
+    return XPoly(coeffs, x.p)
+
+
+class TestPackedLeftInverse:
+    """The packed sum of ``left_inverse_by_powers`` against the entry-by-entry
+    oracle, on the records and on twins of L_k and G.  On the twins the power
+    route is made to vouch for every input, so that the sum alone decides."""
+
+    @staticmethod
+    def _agree(g, scaled, p):
+        pre, bs = _power_inputs(p)[1:]
+        args = (g, scaled[0], scaled, pre, bs)
+        got = GLOG_MOD.left_inverse_by_powers(*args)
+        assert got == _left_inverse_oracle(*args)
+        return got
+
+    @staticmethod
+    def _records(monkeypatch, p):
+        """(G, L_1 .. L_(p-1)) of record, then a power route that vouches for
+        every input and lists its reads, which are returned third."""
+        g, records, reads = glog(p), tuple(laguerre_scaled(p, j) for j in range(1, p)), []
+        monkeypatch.setattr(GLOG_MOD, "power_route", lambda *a: reads.append(a) or ((), None))
+        return g, records, reads
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+    def test_records(self, p):
+        scaled = tuple(laguerre_scaled(p, j) for j in range(1, p))
+        assert self._agree(glog(p), scaled, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_top_coefficient_twins(self, monkeypatch, p):
+        # every entry of L_k, the longest (X^0, degree p - 1) included, with
+        # its top coefficient moved; k = 1 moves lag with it
+        g, records, reads = self._records(monkeypatch, p)
+        for k in sorted({1, 2, p - 1}):
+            x = records[k - 1]
+            for e in range(p):
+                top = FpPoly.monomial(1, x.coeffs[e].num.degree, p)
+                scaled = records[:k - 1] + (_entry_changed(x, {e: top}),) + records[k:]
+                assert not self._agree(g, scaled, p), (k, e)
+        assert reads == []
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_entries_of_degree_p(self, monkeypatch, p):
+        # a^p added to the X^e entry of L_k and taken back, times c_k / c_j,
+        # from that of L_j: the sum stays X, and only a width read from the
+        # records (p + 1 here) packs the longer entries without shifting
+        g, records, reads = self._records(monkeypatch, p)
+        pre = b_prefix_products(p)
+        c = [(gk.num * q).lead * inv_mod(gk.den.lead, p) for gk, q in zip(g.coeffs, pre)]
+        j, k = 1, p - 1
+        for e in (0, 1, p - 1):
+            scaled = list(records)
+            scaled[k - 1] = _entry_changed(records[k - 1], {e: FpPoly.monomial(1, p, p)})
+            scaled[j - 1] = _entry_changed(
+                records[j - 1], {e: FpPoly.monomial(-c[k - 1] * inv_mod(c[j - 1], p), p, p)}
+            )
+            assert self._agree(g, tuple(scaled), p), e
+            scaled[j - 1] = records[j - 1]
+            assert not self._agree(g, tuple(scaled), p), e
+        assert len(reads) == 6
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_g_twins(self, monkeypatch, p):
+        g, records, reads = self._records(monkeypatch, p)
+        for k in range(1, p):
+            # c_k = 0: the term of L_k is left out of the sum
+            assert not self._agree(g.with_coeff(k, RatFn.zero(p)), records, p), k
+        assert reads == []
+        # G_k doubled beside L_k halved keeps the sum at X, and only then is
+        # the power route read
+        for k in range(1, p):
+            twin = g.with_coeff(k, g.coeff(k) * 2)
+            half = XPoly([c * inv_mod(2, p) for c in records[k - 1].coeffs], p)
+            assert self._agree(twin, records[:k - 1] + (half,) + records[k:], p), k
+        assert len(reads) == 2 * (p - 1)
+
+    def test_the_route_decides_a_matching_sum(self):
+        # the same twin, on the honest route, fails there: the halved L_k
+        # breaks the power formula
+        p, k = 7, 3
+        records = tuple(laguerre_scaled(p, j) for j in range(1, p))
+        g = glog(p)
+        twin = g.with_coeff(k, g.coeff(k) * 2)
+        half = XPoly([c * inv_mod(2, p) for c in records[k - 1].coeffs], p)
+        assert not self._agree(twin, records[:k - 1] + (half,) + records[k:], p)
 
 
 class TestSpecialization:

@@ -227,3 +227,59 @@ class TestLaguerreConst:
         assert f == FpPoly([0, -1, 0, 0, 0, 1], 5)
         for a in range(5):
             assert f.eval_int(a) == 0  # Fermat
+
+
+def _binomial_sum_oracle(f, g, alpha, beta):
+    """``binomial_sum`` as an FpPoly loop: one product and one sum per term."""
+    p = f.p
+    bin_f, bin_g = special.binomials_of(f, p), special.binomials_of(g, p)
+    acc = FpPoly.zero(p)
+    for k in range(p):
+        w = pow(alpha, p - 1 - k, p) * pow(beta, k, p) % p
+        if w:
+            acc = acc + bin_f[p - 1 - k] * bin_g[k] * w
+    return acc
+
+
+class TestBinomialSum:
+    """The packed dot product against the FpPoly loop."""
+
+    @staticmethod
+    def _agree(f, g, alpha, beta):
+        got = special.binomial_sum(f, g, alpha, beta)
+        assert got == _binomial_sum_oracle(f, g, alpha, beta), (f, g, alpha, beta)
+        assert got.var == "a"
+        return got
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 31, 109, 113])
+    def test_random_linear_operands(self, p):
+        rng = random.Random(p)
+        for _ in range(2 if p > 100 else 8):
+            f = FpPoly([rng.randrange(p), rng.randrange(p)], p, "X")
+            g = FpPoly([rng.randrange(p), rng.randrange(p)], p)
+            self._agree(f, g, rng.randrange(p), rng.randrange(p))
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 31])
+    def test_zero_weights_and_empty_operands(self, p):
+        f, g, zero = FpPoly([2, 1], p), FpPoly([1, 3], p), FpPoly.zero(p)
+        for alpha, beta in [(0, 2), (2, 0), (0, 0)]:
+            self._agree(f, g, alpha, beta)
+        for a, b in [(zero, g), (f, zero), (zero, zero), (FpPoly.one(p), zero)]:
+            self._agree(a, b, 1, p - 1)
+        assert self._agree(zero, zero, 1, 1).is_zero
+        assert self._agree(f, g, 0, 0).is_zero
+
+    @pytest.mark.parametrize("p, typecode", [(109, "I"), (113, "Q")])
+    def test_slot_switch(self, monkeypatch, p, typecode):
+        # linear f, g and every weight nonzero: the slot bound sums
+        # min(p - k, k + 1) * (p-1)^3 over k, just under 2^32 at p = 109
+        # and over it at p = 113
+        chosen = []
+        pick = special._slot_typecode
+        monkeypatch.setattr(special, "_slot_typecode", lambda b: chosen.append(pick(b)) or chosen[-1])
+        self._agree(FpPoly([p - 1, 1], p), FpPoly([p - 1, 5], p), 1, p - inv_mod(5, p))
+        assert chosen == [typecode]
+
+    def test_mixed_moduli_rejected(self):
+        with pytest.raises(ValueError, match="mixed moduli"):
+            special.binomial_sum(FpPoly([1, 1], 5), FpPoly([1, 1], 7), 1, 1)
