@@ -120,14 +120,14 @@ def b_prefix_products(p: int, negate: bool = False):
     """Prefix products (1, b[1,1], b[1,1]*b[1,2], ...) of length p-1.
 
     Entry j is the product over s <= j; with negate=True each factor is
-    evaluated at -a instead.
+    evaluated at -a instead.  a -> -a is a ring automorphism, so those are
+    the a-products rescaled by ``subs_scale(p - 1)``.
     """
+    if negate:
+        return tuple(f.subs_scale(p - 1) for f in b_prefix_products(p))
     out = [FpPoly.one(p)]
     for s in range(1, p - 1):
-        f = b_rs(p, 1, s)
-        if negate:
-            f = f.subs_scale(p - 1)
-        out.append(out[-1] * f)
+        out.append(out[-1] * b_rs(p, 1, s))
     return tuple(out)
 
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import math
 import sys
 
 from .bpoly import CSV_HEADER, b_roots_csv_rows, b_rs
@@ -46,34 +44,21 @@ def _usage_error(parse):
 
 @_usage_error
 def _parse_primes(spec: str):
-    """A single odd prime "p" or an inclusive range "a..b" of odd primes."""
+    """A single odd prime "p" or an inclusive range "a..b" of odd primes,
+    each integer of the range tested by trial division (``fields._is_prime``)."""
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
         if lo < 3 or hi < lo:
             raise ValueError(f"bad prime range {spec!r}")
-        primes = _odd_primes(lo, hi)
+        primes = [q for q in range(lo, hi + 1) if _is_prime(q)]
         if not primes:
             raise ValueError(f"no odd primes in range {spec!r}")
         return primes
     p = int(spec)
-    if p < 3 or p % 2 == 0 or not _is_prime(p):
+    if p < 3 or not _is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     return [p]
-
-
-def _odd_primes(lo: int, hi: int):
-    """The primes in [lo, hi], 3 <= lo <= hi, by a sieve of the range with
-    the primes up to isqrt(hi); nothing is kept."""
-    root = math.isqrt(hi)
-    base = bytearray([1]) * (root + 1)
-    seg = bytearray([1]) * (hi - lo + 1)
-    for q in range(2, root + 1):
-        if base[q]:
-            base[q * q::q] = bytes(len(range(q * q, root + 1, q)))
-            start = max(q * q, -(-lo // q) * q)
-            seg[start - lo::q] = bytes(len(range(start, hi + 1, q)))
-    return list(itertools.compress(range(lo, hi + 1), seg))
 
 
 @_usage_error

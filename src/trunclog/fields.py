@@ -1,10 +1,10 @@
 """Prime-field scalars, a quadratic extension field, and binomials mod p.
 
 An element of F_p is a plain int in [0, p), the modulus a runtime argument:
-one build serves every odd prime, with primality checked once per modulus by
-trial division (desk-scale p).  ``ext_quadratic(p)`` constructs F_{p^2} as
-F_p[t]/(t^2 - n) with n the smallest quadratic non-residue mod p; any
-irreducible quadratic would do, this choice makes outputs reproducible.
+one build serves every odd prime, with primality checked by trial division
+on each call, with no cache (desk-scale p).  ``ext_quadratic(p)`` constructs
+F_{p^2} as F_p[t]/(t^2 - n) with n the smallest quadratic non-residue mod p;
+any irreducible quadratic would do, this choice makes outputs reproducible.
 ``binom_lucas`` is the integer binomial mod p; binomials of a polynomial
 argument are built in ``special`` (``binomials_of``).
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 
 
-@functools.lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

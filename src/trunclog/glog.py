@@ -12,12 +12,13 @@ minus the truncated logarithm.
 ``glog`` verifies the defining inverse identity at construction as
 G(L) = sum_k c_k * L_k by the power formula (``left_inverse_by_powers``, on
 ``power_route``'s one run, which the checkers share), and caches the result
-per prime.  The sum is packed: each L_k grid is one int with entry (e, d) in
-slot e * width + d, so sum_k c_k * L_k is one big-int sum, checked slot by
-slot mod p; a slot holds at most (p-1)^2 * (p-1), which sets its width.  The
-raw ``GLog`` constructor performs no check, which is what the mutation tests
-use to build deliberately broken twins.  ``trunclog.glog`` is that function,
-re-exported over this module's name; the module itself is
+per prime.  Each c_k = G_k * pre[k-1] is read off G_k's canonical form with
+no product (``_times_to_constant``).  The sum is packed: each L_k grid is one
+int with entry (e, d) in slot e * width + d, so sum_k c_k * L_k is one big-int
+sum, checked slot by slot mod p; a slot holds at most (p-1)^2 * (p-1), which
+sets its width.  The raw ``GLog`` constructor performs no check, which is what
+the mutation tests use to build deliberately broken twins.  ``trunclog.glog``
+is that function, re-exported over this module's name; the module itself is
 ``importlib.import_module("trunclog.glog")``.
 
 In normal form the k-th coefficient is N_k(a) / (1 - a^(p-1))^(k-1) with
@@ -154,9 +155,8 @@ def left_inverse_by_powers(g: GLog, lag: XPoly, scaled, pre, bs) -> bool:
         return False
     terms = []
     for gk, q, x in zip(g.coeffs, pre, scaled, strict=True):
-        num, den = gk.num * q, gk.den
-        c = num.lead * inv_mod(den.lead, p) if num.degree == den.degree else 0
-        if num != den * c:
+        c = _times_to_constant(gk, q)
+        if c is None:
             return False
         if c:
             terms.append((c, x))
@@ -174,6 +174,19 @@ def left_inverse_by_powers(g: GLog, lag: XPoly, scaled, pre, bs) -> bool:
     sums = [s % p for s in _slots(total, p * width, tc)]
     x_grid = [int(i == width) for i in range(p * width)]  # X: slot (1, 0) is 1
     return sums == x_grid and power_route(p, scaled, pre, bs)[1] is None
+
+
+def _times_to_constant(gk: RatFn, q: FpPoly):
+    """c = G_k * q when that is a constant, else None.  Exact on the canonical
+    form G_k = n/d, d monic and coprime to n: n*q = c*d with c != 0 forces d
+    to divide q, say q = m*d; then n*m = c makes n and m constants, and
+    m = lead(q) as d is monic."""
+    n, d = gk.num, gk.den
+    if q.is_zero or n.is_zero:
+        return 0
+    if n.degree == 0 and d == q.monic():
+        return n.lead * q.lead % q.p
+    return None
 
 
 @per_prime

@@ -16,6 +16,10 @@ b[r,s], its alternate route and the reduced Jacobi polynomial.  It is one
 packed dot product: every binomial Kronecker-packed once, the weighted
 products summed as big ints and unpacked once.
 
+``trunc_binomial`` is the series (1 + b*X)^f cut before degree p: its
+coefficient of X^k is C(f, k) * b^k, a polynomial in a when f and b are, with
+no fraction arithmetic unless f or b is a fraction.
+
 ``laguerre_const`` is the constant obtained by substituting a -> a^p in the
 coefficients and X -> a^p - a.  ``laguerre_const_routes`` computes it by that
 substitution and by the product formula prod_{k=1}^{p-1} (1 + a/k)^k, once
@@ -29,7 +33,7 @@ from __future__ import annotations
 from .errors import TheoremViolationError
 from .fields import check_odd_prime, inv_mod, per_prime
 from .polys import FpPoly, RatFn, _pack, _slot_typecode, _unpack
-from .quotient import XPoly, _coerce_ratfn
+from .quotient import XPoly
 
 
 def _falling_factorials(f: FpPoly, upto: int):
@@ -129,14 +133,7 @@ def trunc_binomial(f, b=1, p=None) -> XPoly:
     check_odd_prime(p)
     if isinstance(f, int):
         f = FpPoly.const(f, p)
-    bins = binomials_of(f, p)
-    br = _coerce_ratfn(b, p)
-    bk = br ** 0
-    out = []
-    for k in range(p):
-        out.append(_coerce_ratfn(bins[k], p) * bk)
-        bk = bk * br
-    return XPoly(out, p)
+    return XPoly([c * b ** k for k, c in enumerate(binomials_of(f, p))], p)
 
 
 def alpha_p_minus_alpha(p: int) -> FpPoly:

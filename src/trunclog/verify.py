@@ -407,17 +407,18 @@ def _check_symmetry(p):
 
 
 def _check_product_formula(p):
+    """prod_s b[1,s] splits with root a of multiplicity p-1-a for a = 1 .. p-1
+    and none at a = 0; every a in F_p is compared."""
     try:
         prod = product_all_b(p)
     except TheoremViolationError as exc:
         yield _witness({}, str(exc), "three equal routes")
     _, roots = yield from _split(prod, {})
-    for a in range(1, p):
-        if roots.get(a, 0) != p - 1 - a:
+    for a in range(p):
+        want = p - 1 - a if a else 0
+        if roots.get(a, 0) != want:
             yield _witness(
-                {"root": a},
-                f"multiplicity {roots.get(a, 0)}",
-                f"multiplicity {p - 1 - a}",
+                {"root": a}, f"multiplicity {roots.get(a, 0)}", f"multiplicity {want}"
             )
     yield None
 

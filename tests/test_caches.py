@@ -30,8 +30,7 @@ def per_prime_caches():
         for name, mod in list(sys.modules.items())
         if name.startswith("trunclog.")
         for attr, fn in vars(mod).items()
-        if hasattr(fn, "cache_info") and fn is not fields._is_prime
-        and getattr(fn, "__module__", None) == name
+        if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == name
     }
 
 

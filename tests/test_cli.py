@@ -221,15 +221,26 @@ def _trial_division_primes(lo, hi):
 
 
 class TestPrimeRanges:
-    """A range is sieved; nothing is kept per integer it holds."""
+    """Each integer of a range goes through trial division; nothing is kept
+    per integer it holds."""
 
-    def test_long_range_keeps_no_entry(self):
+    def test_long_range_keeps_nothing(self):
+        import tracemalloc
+
         from trunclog.cli import _parse_primes
         from trunclog.fields import _is_prime
 
-        before = _is_prime.cache_info().currsize
+        assert not hasattr(_is_prime, "cache_info")
+        # a kept entry per odd integer would be hundreds of kB here
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(_parse_primes("3..20000")) == 2261
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024
         primes = _parse_primes("3..200000")
-        assert _is_prime.cache_info().currsize == before
         assert len(primes) == 17983 and primes[-1] == 199999
 
     def test_matches_trial_division(self):

@@ -1,8 +1,11 @@
 """The generalized truncated logarithm: construction, normal form, equations."""
 
 import importlib
+import random
 
 import pytest
+
+import g_side
 
 from trunclog.bpoly import b_prefix_products
 from trunclog.errors import PoleError, TheoremViolationError
@@ -125,6 +128,14 @@ class TestInverseIdentities:
             assert got != want
 
 
+def _constant_by_products(gk, q):
+    """The constant c = G_k * q, or None, by two products: num = n*q against
+    d*c, c read off the leads.  ``_times_to_constant`` must agree."""
+    num, den = gk.num * q, gk.den
+    c = num.lead * inv_mod(den.lead, q.p) if num.degree == den.degree else 0
+    return c if num == den * c else None
+
+
 def _left_inverse_oracle(g, lag, scaled, pre, bs):
     """``left_inverse_by_powers`` with the sum taken entry by entry: p FpPoly
     sums of c_k * L_k, compared with X's grid.  The packed sum must agree."""
@@ -133,9 +144,8 @@ def _left_inverse_oracle(g, lag, scaled, pre, bs):
         return False
     total = [FpPoly.zero(p)] * p
     for gk, q, x in zip(g.coeffs, pre, scaled, strict=True):
-        num, den = gk.num * q, gk.den
-        c = num.lead * inv_mod(den.lead, p) if num.degree == den.degree else 0
-        if num != den * c:
+        c = _constant_by_products(gk, q)
+        if c is None:
             return False
         total = [t + r.num * c for t, r in zip(total, x.coeffs)]
     x_grid = xpoly_to_grid(XPoly.x_power(p, 1))
@@ -233,6 +243,53 @@ class TestPackedLeftInverse:
         twin = g.with_coeff(k, g.coeff(k) * 2)
         half = XPoly([c * inv_mod(2, p) for c in records[k - 1].coeffs], p)
         assert not self._agree(twin, records[:k - 1] + (half,) + records[k:], p)
+
+
+class TestConstantShape:
+    """``_times_to_constant`` reads G_k * q's shape off G_k's canonical form;
+    the two products of ``_constant_by_products`` are its oracle."""
+
+    @staticmethod
+    def _agree(gk, q):
+        got = GLOG_MOD._times_to_constant(gk, q)
+        assert got == _constant_by_products(gk, q), (gk, q)
+        return got
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("name", list(g_side.MUTATIONS))
+    def test_g_side_twins(self, monkeypatch, p, name):
+        import trunclog.verify as v
+
+        g_side.apply(monkeypatch, name)
+        g, pre = v.glog(p), v.b_prefix_products(p)
+        for gk, q in zip(g.coeffs, pre, strict=True):
+            self._agree(gk, q)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_random_canonical_fractions(self, p):
+        rng = random.Random(p)
+
+        def poly(deg):
+            return FpPoly([rng.randrange(p) for _ in range(deg + 1)], p)
+
+        seen = set()
+        for _ in range(400):
+            q = poly(rng.randrange(4)) if rng.randrange(5) else FpPoly.zero(p)
+            n = poly(rng.randrange(3)) if rng.randrange(5) else FpPoly.zero(p)
+            d = q if rng.randrange(2) and not q.is_zero else poly(rng.randrange(3))
+            gk = RatFn(n, d if not d.is_zero else FpPoly.one(p))
+            got = self._agree(gk, q)
+            if q.is_zero:
+                seen.add("q = 0")
+            elif gk.is_zero:
+                seen.add("n = 0")
+            elif gk.num.degree > 0 and gk.den == q.monic():
+                seen.add("non-constant n over q")
+            elif got is None:
+                seen.add("no constant")
+            else:
+                seen.add("constant")
+        assert len(seen) == 5, seen
 
 
 class TestSpecialization:

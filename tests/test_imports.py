@@ -11,7 +11,7 @@ name or an imported name, apart from its own definition.  A name bound by a
 top-level assignment (dunders aside) must be read somewhere in the package,
 as a name in load context, so a constant nothing reads any more fails.
 Every cache goes under ``fields.per_prime``'s one-prime rule: ``lru_cache``
-and ``cache`` appear only inside ``per_prime`` and on ``_is_prime``.
+and ``cache`` appear only inside ``per_prime``.
 """
 
 import ast
@@ -111,9 +111,8 @@ def test_every_top_level_assignment_is_read():
 
 
 CACHE_NAMES = {"lru_cache", "cache"}
-# the lru_cache that per_prime wraps, and _is_prime's: its key is any integer
-# the CLI parses, not a prime
-UNRULED_CACHES = {("fields", "per_prime"), ("fields", "_is_prime")}
+# the lru_cache that per_prime wraps
+UNRULED_CACHES = {("fields", "per_prime")}
 
 
 def test_every_cache_holds_one_prime():

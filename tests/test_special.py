@@ -9,7 +9,7 @@ from trunclog import special
 from trunclog.errors import TheoremViolationError
 from trunclog.fields import inv_mod
 from trunclog.polys import FpPoly, RatFn
-from trunclog.quotient import XPoly
+from trunclog.quotient import XPoly, _coerce_ratfn
 from trunclog.special import (
     alpha_p_minus_alpha,
     finite_polylog,
@@ -140,7 +140,35 @@ def top_term(p, c):
     return XPoly([0] * (p - 1) + [c], p)
 
 
+def _trunc_binomial_by_ratfn(f, b, p):
+    """``trunc_binomial`` as a RatFn product loop: every binomial and every
+    power of b coerced to a fraction first."""
+    if isinstance(f, int):
+        f = FpPoly.const(f, p)
+    br = _coerce_ratfn(b, p)
+    bk, out = br ** 0, []
+    for c in special.binomials_of(f, p):
+        out.append(_coerce_ratfn(c, p) * bk)
+        bk = bk * br
+    return XPoly(out, p)
+
+
 class TestTruncBinomial:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_matches_the_ratfn_loop(self, p):
+        exponents = [
+            0, 3 % p, p - 2, FpPoly([-1, 2], p), FpPoly([1, 3, 1], p),
+            RatFn(FpPoly([1], p), FpPoly([1, 1], p)),
+        ]
+        scales = [
+            0, 1, p - 1, FpPoly([0, 1], p), FpPoly([2, 0, 1], p),
+            RatFn(FpPoly([1], p), FpPoly([1, 1], p)),
+        ]
+        for f in exponents:
+            for b in scales:
+                got = trunc_binomial(f, b, p)
+                assert got == _trunc_binomial_by_ratfn(f, b, p), (f, b)
+
     def test_f_zero(self):
         assert trunc_binomial(0, 1, 5) == XPoly.constant(1, 5)
 

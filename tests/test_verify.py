@@ -406,6 +406,10 @@ def _times_a_minus_1(orig):
     return lambda p: orig(p) * FpPoly([-1, 1], p)
 
 
+def _times_a(orig):
+    return lambda p: orig(p) * FpPoly.x(p)
+
+
 def _product_route_plus_1(orig):
     def routes(p):
         sub_route, prod_route = orig(p)
@@ -442,6 +446,9 @@ CHECKER_MUTATIONS = [
                  None, id="ProductFormula-routes-disagree"),
     pytest.param(TheoremId.ProductFormula, "product_all_b", _times_a_minus_1,
                  None, id="ProductFormula-times-a-minus-1"),
+    pytest.param(TheoremId.ProductFormula, "product_all_b", _times_a,
+                 {"case": {"root": 0}, "lhs": "multiplicity 1", "rhs": "multiplicity 0"},
+                 id="ProductFormula-times-a"),
     pytest.param(TheoremId.ProductFormula, "product_all_b", _zero_product,
                  {"case": {}, "lhs": "0", "rhs": "nonzero"},
                  id="ProductFormula-zero"),
@@ -474,6 +481,17 @@ class TestEveryCheckerCanFail:
         assert r.witness is not None and "case" in r.witness
         if witness is not None:
             assert r.witness == witness
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_product_formula_wants_no_root_at_zero(monkeypatch, p):
+    # the stated form has roots a = 1 .. p-1 only; p = 7 is in CHECKER_MUTATIONS
+    import trunclog.verify as v
+
+    monkeypatch.setattr(v, "product_all_b", _times_a(v.product_all_b))
+    r = verify_theorem(p, TheoremId.ProductFormula)
+    assert r.status == "fail"
+    assert r.witness == {"case": {"root": 0}, "lhs": "multiplicity 1", "rhs": "multiplicity 0"}
 
 
 class TestCheckerSurface:
