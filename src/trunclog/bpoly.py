@@ -9,9 +9,12 @@ Three construction routes are provided:
   * ``b_rs_coeff`` is the coefficient of X^(p-1) in the product of the two
                      truncated binomials (1 + X/r)^(r*a-1) (1 - X/s)^(s*a-1).
 
-The two sums are one call each to ``special.binomial_sum``.  ``b_rs`` runs
-that sum only for row r = 1; row r != 1 is b[1, s/r](r*a), read through the
-cache and rescaled by ``subs_scale``.  The map sigma_r: a -> r*a sends
+The two sums are one packed dot product each (``special.binomial_dot``).
+``b_rs`` runs that sum only for row r = 1, and row 1 reads one binomial
+table per prime, C(a - 1, k) for k < p (``_a_minus_1_binomials``): it is the
+f side, and its image under a -> s*a (``subs_scale``) is the g side
+C(s*a - 1, k).  Row r != 1 is b[1, s/r](r*a), read through the cache and
+rescaled by ``subs_scale``.  The map sigma_r: a -> r*a sends
 C(a - 1, .), C(s'*a - 1, .) and the weight -1/s' to C(r*a - 1, .),
 C(r*s'*a - 1, .) and -r/(r*s'), so it sends b[1, s'] to b[r, r*s'].  That
 is p - 1 sums per prime instead of (p-1)^2.  ``b_rs`` stays the polynomial
@@ -39,7 +42,8 @@ from .errors import TheoremViolationError
 from .fields import binom_lucas, check_odd_prime, inv_mod, per_prime
 from .fields import per_prime_clears, switch_prime
 from .polys import FpPoly, roots_and_split
-from .special import binomial_sum, laguerre_const, trunc_binomial, w_poly
+from .special import binomial_dot, binomial_sum, binomials_of, laguerre_const
+from .special import trunc_binomial, w_poly
 
 
 def _check_indices(p: int, r: int, s: int) -> None:
@@ -66,7 +70,14 @@ def b_rs(p: int, r: int, s: int) -> FpPoly:
 def _b_rs_build(p: int, r: int, s: int) -> FpPoly:
     if r != 1:
         return b_rs(p, 1, s * inv_mod(r, p) % p).subs_scale(r)
-    return binomial_sum(FpPoly([-1, 1], p), FpPoly([-1, s], p), 1, -inv_mod(s, p) % p)
+    table = _a_minus_1_binomials(p)
+    return binomial_dot(table, [c.subs_scale(s) for c in table], 1, -inv_mod(s, p) % p)
+
+
+@per_prime
+def _a_minus_1_binomials(p: int):
+    """(C(a - 1, 0), ..., C(a - 1, p-1)): both sides of row 1 of ``b_rs``."""
+    return tuple(binomials_of(FpPoly([-1, 1], p), p))
 
 
 def b_rs_alt(p: int, r: int, s: int) -> FpPoly:

@@ -6,15 +6,18 @@ The central object is the degree-(p-1) parametric exponential analogue
 
 whose coefficient of X^k is minus the falling factorial of a - 1 of length
 p-1-k.  At a = 0 it collapses to the truncated exponential
-E(X) = sum_{k<p} X^k / k!.  Its scaled companions substitute a -> r*a and
-X -> r*X.  The truncated logarithm and its higher relatives are the finite
-polylogarithms sum_{k=1}^{p-1} X^k / k^d.
+E(X) = sum_{k<p} X^k / k!.  Its scaled companions are L_r = sigma_r(L_1)
+under sigma_r: a -> r*a, X -> r*X; only L_1 runs the falling-factorial
+chain, and every other L_r is read off the cached L_1.  The truncated
+logarithm and its higher relatives are the finite polylogarithms
+sum_{k=1}^{p-1} X^k / k^d.
 
 ``binomial_sum`` is the alternating sum
 sum_k C(f, p-1-k) C(g, k) alpha^(p-1-k) beta^k as a polynomial in a, behind
 b[r,s], its alternate route and the reduced Jacobi polynomial.  It is one
-packed dot product: every binomial Kronecker-packed once, the weighted
-products summed as big ints and unpacked once.
+packed dot product (``binomial_dot``): every binomial Kronecker-packed once,
+the weighted products summed as big ints and unpacked once.  Row 1 of b[r,s]
+runs the same dot product on binomial tables it already holds.
 
 ``trunc_binomial`` is the series (1 + b*X)^f cut before degree p: its
 coefficient of X^k is C(f, k) * b^k, a polynomial in a when f and b are, with
@@ -57,7 +60,15 @@ def binomials_of(f, p: int):
 
 def binomial_sum(f: FpPoly, g: FpPoly, alpha: int, beta: int) -> FpPoly:
     """sum_{k<p} C(f, p-1-k) * C(g, k) * alpha^(p-1-k) * beta^k over F_p,
-    for f and g polynomials in a; terms whose scalar weight is zero are
+    for f and g polynomials in a: ``binomial_dot`` of their binomials."""
+    if g.p != f.p:
+        raise ValueError(f"mixed moduli: {f.p} and {g.p}")
+    return binomial_dot(binomials_of(f, f.p), binomials_of(g, f.p), alpha, beta)
+
+
+def binomial_dot(bin_f, bin_g, alpha: int, beta: int) -> FpPoly:
+    """sum_{k<p} bin_f[p-1-k] * bin_g[k] * alpha^(p-1-k) * beta^k over F_p,
+    for two rows of p polynomials in a; terms whose scalar weight is zero are
     skipped.
 
     One packed dot product: each binomial is packed once into one int, and
@@ -66,11 +77,7 @@ def binomial_sum(f: FpPoly, g: FpPoly, alpha: int, beta: int) -> FpPoly:
     products times a weight, each at most (p-1)^2 and p-1; that bounds the
     slot width.
     """
-    p = f.p
-    if g.p != p:
-        raise ValueError(f"mixed moduli: {p} and {g.p}")
-    bin_f = binomials_of(f, p)
-    bin_g = binomials_of(g, p)
+    p = len(bin_f)
     terms = []
     for k in range(p):
         w = pow(alpha, p - 1 - k, p) * pow(beta, k, p) % p
@@ -96,18 +103,24 @@ def laguerre_pm1(p: int) -> XPoly:
 
 @per_prime
 def laguerre_scaled(p: int, r: int) -> XPoly:
-    """Substitution a -> r*a, X -> r*X: coefficient of X^k is -(ra-1)_(p-1-k) * r^k."""
+    """L_r = sigma_r(L_1) for sigma_r: a -> r*a, X -> r*X: coefficient of X^k
+    is -(ra-1)_(p-1-k) * r^k.
+
+    L_1 is the falling-factorial chain of a - 1; every other r reads the
+    cached L_1 and maps coefficient k, a polynomial num in a, to
+    num.subs_scale(r) * r^k.
+    """
     if r % p == 0:
         raise ValueError("scale r must be nonzero mod p")
     r %= p
-    ra_minus_1 = FpPoly([-1, r], p, "a")
-    ff = _falling_factorials(ra_minus_1, p - 1)
-    coeffs = []
-    rk = 1
-    for k in range(p):
-        coeffs.append(RatFn.from_poly(-ff[p - 1 - k] * rk))
-        rk = rk * r % p
-    return XPoly(coeffs, p)
+    if r != 1:
+        coeffs, rk = [], 1
+        for c in laguerre_scaled(p, 1).coeffs:
+            coeffs.append(RatFn.from_poly(c.num.subs_scale(r) * rk))
+            rk = rk * r % p
+        return XPoly(coeffs, p)
+    ff = _falling_factorials(FpPoly([-1, 1], p, "a"), p - 1)
+    return XPoly([RatFn.from_poly(-ff[p - 1 - k]) for k in range(p)], p)
 
 
 def finite_polylog(p: int, d: int) -> FpPoly:

@@ -82,7 +82,7 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bpoly import (
     b_prefix_products,
@@ -137,9 +137,9 @@ class TheoremId(enum.Enum):
     CCoefficients = "CCoefficients"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Structured outcome of one checker run.
+class VerifyReport(NamedTuple):
+    """Structured outcome of one checker run, an immutable named tuple:
+    ``_replace`` gives a copy with fields changed.
 
     witness is present exactly when status == "fail"; notes carry auxiliary
     deterministic text (uniqueness tallies) and stay out of the JSON object,
@@ -408,7 +408,9 @@ def _check_symmetry(p):
 
 def _check_product_formula(p):
     """prod_s b[1,s] splits with root a of multiplicity p-1-a for a = 1 .. p-1
-    and none at a = 0; every a in F_p is compared."""
+    and none at a = 0, and has constant term 1 as every b[1,s] does; every a
+    in F_p is compared.  The roots fix the product up to its lead, and the
+    constant term fixes the lead."""
     try:
         prod = product_all_b(p)
     except TheoremViolationError as exc:
@@ -420,7 +422,8 @@ def _check_product_formula(p):
             yield _witness(
                 {"root": a}, f"multiplicity {roots.get(a, 0)}", f"multiplicity {want}"
             )
-    yield None
+    const = prod.eval_int(0)
+    yield None if const == 1 else _witness({"part": "constant term"}, const, 1)
 
 
 def _check_l_factorization(p):

@@ -45,6 +45,7 @@ def test_every_prime_keyed_cache_is_registered():
         "_factorials", "ext_quadratic", "_power_rows", "_lagrange_columns",
         "laguerre_scaled", "laguerre_const_routes", "b_prefix_products",
         "product_all_b", "glog", "power_route", "_binomial_table", "_weights",
+        "_a_minus_1_binomials",
     }
     for fn in caches.values():
         assert not hasattr(fn.__wrapped__, "cache_info")
@@ -55,14 +56,14 @@ def test_a_new_prime_empties_every_cache_first():
     trunclog.verify_all(5)
     ext_quadratic(5)
     assert any(bp._B_CACHE) and fields._prime == 5
-    laguerre_scaled(7, 2)
+    laguerre_scaled(7, 2)  # sigma_2 of L_1, so L_1 is cached too
     counts, b_cache = sizes()
     assert b_cache == {}
     assert {key: n for key, n in counts.items() if n} == {
-        ("trunclog.special", "laguerre_scaled"): 1
+        ("trunclog.special", "laguerre_scaled"): 2
     }
     info = laguerre_scaled.cache_info()
-    assert (info.hits, info.misses) == (0, 1)
+    assert (info.hits, info.misses) == (0, 2)
     b_rs(7, 2, 3)
     assert {key[0] for key in bp._B_CACHE} == {7}
 

@@ -11,11 +11,16 @@ name or an imported name, apart from its own definition.  A name bound by a
 top-level assignment (dunders aside) must be read somewhere in the package,
 as a name in load context, so a constant nothing reads any more fails.
 Every cache goes under ``fields.per_prime``'s one-prime rule: ``lru_cache``
-and ``cache`` appear only inside ``per_prime``.
+and ``cache`` appear only inside ``per_prime``.  ``import trunclog.cli``, which
+every CLI process pays, loads neither ``dataclasses`` nor the ``inspect``
+chain it pulls in.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,3 +143,17 @@ def test_trunclog_glog_is_the_constructor():
     module = importlib.import_module("trunclog.glog")
     assert trunclog.glog is module.glog and callable(trunclog.glog)
     assert hasattr(module, "power_route")
+
+
+def test_the_cli_imports_no_dataclasses():
+    # -S: no site hooks, so every module listed is one the import loaded
+    code = (
+        "import sys, json, trunclog.cli; "
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={"PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []

@@ -68,7 +68,54 @@ class TestLaguerrePm1:
             laguerre_pm1(2)
 
 
+def laguerre_direct(p, r):
+    """Independent oracle for L_r: the falling-factorial chain of r*a - 1 for
+    every r, coefficient of X^k -(ra-1)_(p-1-k) * r^k, with no cached L_1."""
+    ra_minus_1 = FpPoly([-1, r], p)
+    ff = [FpPoly.one(p)]
+    for m in range(p - 1):
+        ff.append(ff[-1] * (ra_minus_1 - m))
+    return XPoly([RatFn.from_poly(-ff[p - 1 - k] * pow(r, k, p)) for k in range(p)], p)
+
+
+def clear_per_prime_caches():
+    from trunclog import fields
+
+    for clear in fields.per_prime_clears:
+        clear()
+
+
 class TestLaguerreScaled:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_sigma_build_equals_the_direct_chain(self, p):
+        for r in range(1, p):
+            assert laguerre_scaled(p, r) == laguerre_direct(p, r), r
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_a_bumped_l1_reaches_every_scale(self, monkeypatch, p):
+        # every L_r with r != 1 is read off the cached L_1, so a twin L_1
+        # moves them all off the direct chain, and PowerFormula fails
+        import trunclog.verify as v
+
+        orig = special.laguerre_scaled
+
+        def bumped(pp, r):
+            x = orig(pp, r)
+            if r != 1:
+                return x
+            return XPoly([x.coeffs[0], x.coeffs[1] + 1, *x.coeffs[2:]], pp)
+
+        monkeypatch.setattr(special, "laguerre_scaled", bumped)
+        monkeypatch.setattr(v, "laguerre_scaled", bumped)
+        clear_per_prime_caches()
+        try:
+            for r in range(2, p):
+                assert bumped(p, r) != laguerre_direct(p, r), r
+            report = v.verify_theorem(p, "PowerFormula")
+            assert report.status == "fail"
+        finally:
+            clear_per_prime_caches()  # the L_r built from the twin go
+
     def test_r_one_is_plain(self):
         for p in (3, 5, 7):
             assert laguerre_scaled(p, 1) == laguerre_pm1(p)

@@ -1,6 +1,5 @@
 """The checker battery: reports, witnesses, determinism, mutation traps."""
 
-import dataclasses
 import json
 import math
 import os
@@ -150,7 +149,7 @@ class TestVerifyAll:
 
     def test_deterministic_apart_from_elapsed(self):
         def strip(rs):
-            return [dataclasses.replace(r, elapsed_ms=0) for r in rs]
+            return [r._replace(elapsed_ms=0) for r in rs]
 
         assert strip(verify_all(5)) == strip(verify_all(5))
 
@@ -439,6 +438,11 @@ def _times_a2_plus_1(orig):
     return lambda p: orig(p) * FpPoly([1, 0, 1], p)
 
 
+def _times_2(orig):
+    # the same roots with the same multiplicities: only the constant term moves
+    return lambda p: orig(p) * 2
+
+
 CHECKER_MUTATIONS = [
     pytest.param(TheoremId.LucasCriterion, "b_root_lucas", _lucas_flipped_at_1_1,
                  None, id="LucasCriterion"),
@@ -455,6 +459,9 @@ CHECKER_MUTATIONS = [
     pytest.param(TheoremId.ProductFormula, "product_all_b", _times_a2_plus_1,
                  {"case": {}, "lhs": "a^2 + 1", "rhs": "split"},
                  id="ProductFormula-non-split"),
+    pytest.param(TheoremId.ProductFormula, "product_all_b", _times_2,
+                 {"case": {"part": "constant term"}, "lhs": "2", "rhs": "1"},
+                 id="ProductFormula-times-2"),
     pytest.param(TheoremId.RootsTheorem, "b_rs", _zero_b,
                  {"case": {"s": 1}, "lhs": "0", "rhs": "nonzero"},
                  id="RootsTheorem-zero-b"),
@@ -481,6 +488,18 @@ class TestEveryCheckerCanFail:
         assert r.witness is not None and "case" in r.witness
         if witness is not None:
             assert r.witness == witness
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_product_formula_wants_constant_term_1(monkeypatch, p):
+    # twice the product has its roots and multiplicities; p = 7 is in
+    # CHECKER_MUTATIONS
+    import trunclog.verify as v
+
+    monkeypatch.setattr(v, "product_all_b", _times_2(v.product_all_b))
+    r = verify_theorem(p, TheoremId.ProductFormula)
+    assert r.status == "fail" and r.cases_checked == 1
+    assert r.witness == {"case": {"part": "constant term"}, "lhs": "2", "rhs": "1"}
 
 
 @pytest.mark.parametrize("p", [5, 11])
@@ -1497,9 +1516,13 @@ class TestValueVectorTraps:
         for name, mod in list(sys.modules.items()):
             if name.startswith("trunclog") and vars(mod).get("binomials_of") is orig:
                 monkeypatch.setattr(mod, "binomials_of", bumped)
-        # b_rs rebuilds through the bumped binomials; the trap's entries are
-        # dropped with the patch
-        monkeypatch.setattr(sys.modules["trunclog.bpoly"], "_B_CACHE", {})
+        # b_rs rebuilds through the bumped binomials, its row-1 table
+        # uncached; the trap's entries are dropped with the patches
+        bpoly = sys.modules["trunclog.bpoly"]
+        monkeypatch.setattr(bpoly, "_B_CACHE", {})
+        monkeypatch.setattr(
+            bpoly, "_a_minus_1_binomials", bpoly._a_minus_1_binomials.__wrapped__
+        )
         broken = b_rs(p, 1, 1)
         assert broken != honest
         r = verify_theorem(p, TheoremId.BAltAgreement)
@@ -1754,7 +1777,8 @@ def _bypass_product_caches(monkeypatch):
     import trunclog.special as special
 
     monkeypatch.setattr(bpoly, "_B_CACHE", {})
-    for mod, name in ((bpoly, "b_prefix_products"), (special, "laguerre_const_routes")):
+    for mod, name in ((bpoly, "b_prefix_products"), (bpoly, "_a_minus_1_binomials"),
+                      (special, "laguerre_const_routes")):
         fn = getattr(mod, name)
         monkeypatch.setattr(mod, name, getattr(fn, "__wrapped__", fn))
 
@@ -1787,7 +1811,7 @@ class TestProductFormulaRouteAudit:
         ):
             assert ("trunclog.bpoly", route) in seen
         # with the caches bypassed, the routes reach their own constructors
-        assert ("trunclog.special", "binomial_sum") in seen
+        assert ("trunclog.bpoly", "_a_minus_1_binomials") in seen
         assert ("trunclog.special", "_lc_by_substitution") in seen
         assert _shared_product_routes(monkeypatch, 7) == set()
 
