@@ -9,8 +9,9 @@ the degree-(p-1) Jacobi polynomial at (A, B; x) equals
 and at x = (s - r)/(s + r) with A = r*a, B = s*a it reproduces b[r,s](a).
 ``jacobi_pm1`` is that sum as one call to ``special.binomial_sum``.
 ``p_times_jacobi_p`` is the p-fold multiple of the degree-p polynomial, which
-collapses mod p to (A - A^p)(x+1)^p / 2 + (B - B^p)(x-1)^p / 2 and feeds the
-parameter-shift recurrence
+collapses mod p to (A - A^p)(x+1)^p / 2 + (B - B^p)(x-1)^p / 2 = C - C^p,
+C = A(x+1)^p / 2 + B(x-1)^p / 2 (one Frobenius map, since a -> a^p is
+additive and fixes F_p), and feeds the parameter-shift recurrence
 
     (A+B)(x+1)/2 * P(A, B+1; x) = B * P(A, B; x) + p*P_p(A, B; x).
 
@@ -25,34 +26,42 @@ which is nonzero, so the verifier checks the recurrence there.
 
 from __future__ import annotations
 
+import operator
+
 from .fields import check_odd_prime, inv_mod
 from .polys import FpPoly
 from .special import binomial_sum
 
 
-def jacobi_pm1(p: int, A: FpPoly, B: FpPoly, x) -> FpPoly:
-    """The reduced degree-(p-1) Jacobi polynomial as a polynomial in a.
-
-    A and B are polynomials in a over F_p; x is read mod p.
-    """
+def _checked(p: int, A: FpPoly, B: FpPoly, x) -> int:
+    """x mod p, after checking p, A and B; x must be integral (a float or a
+    string raises TypeError rather than being truncated)."""
     check_odd_prime(p)
     if A.p != p or B.p != p:
         raise ValueError("parameter polynomials must share the prime")
-    x = int(x) % p
+    try:
+        return operator.index(x) % p
+    except TypeError:
+        raise TypeError(f"argument x must be an integer, got {x!r}") from None
+
+
+def jacobi_pm1(p: int, A: FpPoly, B: FpPoly, x) -> FpPoly:
+    """The reduced degree-(p-1) Jacobi polynomial as a polynomial in a.
+
+    A and B are polynomials in a over F_p; the integer x is read mod p.
+    """
+    x = _checked(p, A, B, x)
     return binomial_sum(A - 1, B - 1, x + 1, x - 1)
 
 
 def p_times_jacobi_p(p: int, A: FpPoly, B: FpPoly, x) -> FpPoly:
     """p times the degree-p Jacobi polynomial, reduced mod p.
 
-    Equals (A - A^p) * (x+1)^p / 2 + (B - B^p) * (x-1)^p / 2; for constant
-    parameters each difference vanishes.
+    Equals (A - A^p) * (x+1)^p / 2 + (B - B^p) * (x-1)^p / 2, formed as
+    C - C^p with C = A * (x+1)^p / 2 + B * (x-1)^p / 2: Frobenius is additive
+    and fixes the scalars of F_p.  For constant parameters C^p = C.
     """
-    check_odd_prime(p)
-    if A.p != p or B.p != p:
-        raise ValueError("parameter polynomials must share the prime")
-    x = int(x) % p
+    x = _checked(p, A, B, x)
     half = inv_mod(2, p)
-    t1 = (A - A.frobenius_p()) * (pow(x + 1, p, p) * half % p)
-    t2 = (B - B.frobenius_p()) * (pow(x - 1, p, p) * half % p)
-    return t1 + t2
+    c = A * (pow(x + 1, p, p) * half % p) + B * (pow(x - 1, p, p) * half % p)
+    return c - c.frobenius_p()

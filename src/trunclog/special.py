@@ -21,7 +21,11 @@ runs the same dot product on binomial tables it already holds.
 
 ``trunc_binomial`` is the series (1 + b*X)^f cut before degree p: its
 coefficient of X^k is C(f, k) * b^k, a polynomial in a when f and b are, with
-no fraction arithmetic unless f or b is a fraction.
+no fraction arithmetic unless f or b is a fraction.  A linear exponent
+f = c*a + d reads one cached table per offset d, C(a + d, k) for k < p, and
+maps it by a -> c*a, as L_r is read off L_1: the series (1+X)^(r*a - 1) of
+TruncBinomialRules and b_rs_coeff are images of one series.  That table is
+not row 1's of b_rs (``bpoly``), so the two routes to b[r,s] share no table.
 
 ``laguerre_const`` is the constant obtained by substituting a -> a^p in the
 coefficients and X -> a^p - a.  ``laguerre_const_routes`` computes it by that
@@ -138,6 +142,10 @@ def trunc_binomial(f, b=1, p=None) -> XPoly:
     f may be an FpPoly or RatFn in the parameter, or an int constant; b is an
     int, FpPoly or RatFn.  For an integer constant 0 <= f < p and b = 1 this
     is exactly (1 + X)^f.  p may be omitted only when f is not an int.
+
+    C(c*a + d, k) is C(a + d, k) under a -> c*a, so a linear FpPoly f over
+    F_p maps the cached table of its offset d (``subs_scale(c)``); any other
+    f runs ``binomials_of``.
     """
     if p is None:
         if isinstance(f, int):
@@ -146,7 +154,21 @@ def trunc_binomial(f, b=1, p=None) -> XPoly:
     check_odd_prime(p)
     if isinstance(f, int):
         f = FpPoly.const(f, p)
-    return XPoly([c * b ** k for k, c in enumerate(binomials_of(f, p))], p)
+    if isinstance(f, FpPoly) and f.p == p and f.degree == 1:
+        d, c = f.coeffs
+        coeffs = [t.subs_scale(c) for t in _shifted_binomials(p, d, f.var)]
+    else:
+        coeffs = binomials_of(f, p)
+    if not (isinstance(b, int) and b == 1):
+        coeffs = [c * b ** k for k, c in enumerate(coeffs)]
+    return XPoly(coeffs, p)
+
+
+@per_prime
+def _shifted_binomials(p: int, d: int, var: str):
+    """(C(a + d, 0), ..., C(a + d, p-1)) in the variable var: the exponent
+    c*a + d of ``trunc_binomial`` reads its image under a -> c*a."""
+    return tuple(binomials_of(FpPoly([d, 1], p, var), p))
 
 
 def alpha_p_minus_alpha(p: int) -> FpPoly:

@@ -30,8 +30,10 @@ LemmaProduct, TruncBinomialRules, BAltAgreement, JacobiLink and JacobiShift
 compute row r = 1 only: a case (r, s) with r != 1 is counted as the image of
 the passed case (1, s/r) under a -> r*a (X -> r*X for LemmaProduct) when the
 conditions in the checker's docstring hold on the objects of record, b_rs of
-record included (``_b_image``).  Every other case is computed, so the first
-failing case, its witness and the count are the direct loop's.
+record included (``_b_image``).  TruncBinomialRules' derivative cases are
+one orbit too: case r != 1 is the a -> r*a image of case 1 when the two
+series it reads are the images of case 1's.  Every other case is computed,
+so the first failing case, its witness and the count are the direct loop's.
 
 BAltAgreement and the three Jacobi checkers compare value vectors
 [f(0), ..., f(p-1)] on F_p.  Every b[r,s] route and every Jacobi sum with
@@ -47,11 +49,16 @@ back to a polynomial for the witness.
 
 PowersFunctional compares split forms.  Lc and every b[1,s] with s <= p-2
 split into linear factors over F_p, so each is bound once to a form
-lead * prod_t (a - t)^e[t]: ``roots_and_split`` gives it, and it must
-re-expand to the polynomial of record, or that factor is the witness.  F_p[a]
-has unique factorisation, so two nonzero products of bound forms are equal
-iff their leads and exponent vectors are; products, powers and a -> h*a act
-on the vectors, and polynomials are rebuilt only for a witness.
+lead * prod_t (a - t)^e[t] that must re-expand to the polynomial of record,
+or that factor is the witness.  F_p[a] has unique factorisation, so an equal
+re-expansion proves the form however it was found: a form the paper states
+(Lc = prod_k (1 + a/k)^k, root -k with multiplicity k, and for
+ProductFormula prod_s b[1,s], root a with multiplicity p-1-a) is bound, with
+the record's leading coefficient as its lead, when it re-expands to the
+record, and ``roots_and_split`` finds the form otherwise, so a witness is the
+root search's.  Two nonzero products of bound forms are equal iff their
+leads and exponent vectors are; products, powers and a -> h*a act on the
+vectors, and polynomials are rebuilt only for a witness.
 
 Checkers compute on polynomials only: FpPoly values, FpPoly grids, value
 vectors on F_p, split forms and CCoefficients' packed columns.  Fractions are
@@ -410,17 +417,19 @@ def _check_product_formula(p):
     """prod_s b[1,s] splits with root a of multiplicity p-1-a for a = 1 .. p-1
     and none at a = 0, and has constant term 1 as every b[1,s] does; every a
     in F_p is compared.  The roots fix the product up to its lead, and the
-    constant term fixes the lead."""
+    constant term fixes the lead.  The stated form is bound when it
+    re-expands to the product (``_bound_split_form``); otherwise root search
+    finds the multiplicities that are compared."""
     try:
         prod = product_all_b(p)
     except TheoremViolationError as exc:
         yield _witness({}, str(exc), "three equal routes")
-    _, roots = yield from _split(prod, {})
+    want = (0,) + tuple(p - 1 - a for a in range(1, p))
+    _, e = yield from _bound_split_form({}, prod, want)
     for a in range(p):
-        want = p - 1 - a if a else 0
-        if roots.get(a, 0) != want:
+        if e[a] != want[a]:
             yield _witness(
-                {"root": a}, f"multiplicity {roots.get(a, 0)}", f"multiplicity {want}"
+                {"root": a}, f"multiplicity {e[a]}", f"multiplicity {want[a]}"
             )
     const = prod.eval_int(0)
     yield None if const == 1 else _witness({"part": "constant term"}, const, 1)
@@ -451,15 +460,24 @@ def _check_reciprocal(p):
 # the module docstring says why comparing split forms is exact.
 
 
-def _bound_split_form(name, f):
-    """f's split form; yields the witness instead when f is zero, does not
-    split over F_p, or its form does not re-expand to f."""
+def _bound_split_form(case, f, predicted=None):
+    """f's split form; yields the witness for case instead when f is zero,
+    does not split over F_p, or its form does not re-expand to f.
+
+    A predicted exponent vector is bound, with f's leading coefficient as
+    the lead, when that form re-expands to f; otherwise ``roots_and_split``
+    finds the form, and a witness is the one it gives.
+    """
     p = f.p
-    lead, roots = yield from _split(f, {"factor": name})
+    if predicted is not None and not f.is_zero:
+        form = f.lead, tuple(predicted)
+        if _expand(form, p) == f:
+            return form
+    lead, roots = yield from _split(f, case)
     form = lead, tuple(roots.get(t, 0) for t in range(p))
     expanded = _expand(form, p)
     if expanded != f:
-        yield _witness({"factor": name}, expanded, f)
+        yield _witness(case, expanded, f)
     return form
 
 
@@ -489,17 +507,20 @@ def _check_powers_functional(p):
     q = h*k // p, Q_j = prod_{s<j} b[1,s], P_h = Q_h.  Lc and every b[1,s]
     are bound to split forms once (``_bound_split_form``), so each side is a
     lead times an exponent vector over the factors a - t: products add the
-    vectors, powers scale them and the scalars go on the leads.  A case
-    passes iff both leads and both vectors are equal.  The first failing
+    vectors, powers scale them and the scalars go on the leads.  Lc is bound
+    to the paper's form prod_k (1 + a/k)^k when that re-expands to the
+    record, and found by root search otherwise; each b[1,s] is found by root
+    search.  A case passes iff both leads and both vectors are equal.  The first failing
     case's witness shows both sides rebuilt as polynomials from Lc and the
     b[1,s] of record; a factor that fails to bind is the witness instead.
     """
     lc = laguerre_const(p)
     bs = [b_rs(p, 1, s) for s in range(1, p - 1)]
-    lc_lead, lc_e = yield from _bound_split_form("Lc", lc)
+    stated = (0,) + tuple(p - t for t in range(1, p))  # root -k, multiplicity k
+    lc_lead, lc_e = yield from _bound_split_form({"factor": "Lc"}, lc, stated)
     pre = [(1, (0,) * p)]
     for s, b in enumerate(bs, 1):
-        form = yield from _bound_split_form(f"b[1,{s}]", b)
+        form = yield from _bound_split_form({"factor": f"b[1,{s}]"}, b)
         lead, e = pre[-1]
         pre.append((lead * form[0] % p, [c + d for c, d in zip(e, form[1])]))
     for h in range(1, p):
@@ -626,7 +647,10 @@ def _check_trunc_binomial_rules(p):
     tau_r o tau_u = tau_{r*u}.  So case (r, s), r != 1, is tau_r of the passed
     case (1, s1), s1 = s/r, when sym[u]: grids[u] = tau_u(grids[1]) holds at
     u = r, s, s1 and wsym[u]: wants[u] = tau_u(wants[1]) at u = r+s, 1+s1,
-    or, on the diagonal r + s = 0, tau_r fixes wants[0].
+    or, on the diagonal r + s = 0, tau_r fixes wants[0].  tau_r commutes with
+    d/dX, sends a - 1 to r*a - 1 and (a - 1)^p to (r*a - 1)^p, so the
+    derivative case r != 1 is tau_r of the passed case 1 when sym[r] and
+    wsym[r] hold.  Such a case is counted; every other case is computed.
     """
     truncate = FpPoly.zero(p)
     grids = {
@@ -652,6 +676,9 @@ def _check_trunc_binomial_rules(p):
             )
     # d/dX (1+X)^f = f*(1+X)^(f-1) + (f^p-f)*X^(p-1); (1+X)^(f-1) is wants[r]
     for r in range(1, p):
+        if r != 1 and sym[r] and wsym[r]:
+            yield None
+            continue
         f = FpPoly([-1, r], p)
         lhs = [grids[r][e] * e for e in range(1, p)] + [truncate]
         rhs = [row * f for row in wants[r]]
@@ -837,14 +864,15 @@ def _check_jacobi_shift(p):
     computed as row 1's are, shift and recurrence.
     """
     half = inv_mod(2, p)
+    lin = [FpPoly([0, u], p) for u in range(p)]  # the parameters u*a
     row1 = {}
     for r in range(1, p):
+        a_poly = lin[r]
         for s in range(1, p):
             if (r + s) % p == 0:
                 continue
             x = _linked_x(p, r, s)
-            a_poly = FpPoly([0, r], p)
-            b_poly = FpPoly([0, s], p)
+            b_poly = lin[s]
             term = p_times_jacobi_p(p, a_poly, b_poly, x + 1)
             if r == 1:
                 row1[s] = term

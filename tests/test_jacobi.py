@@ -1,5 +1,7 @@
 """Specialized Jacobi polynomials mod p and their link to the b-family."""
 
+import re
+
 import pytest
 
 from trunclog.bpoly import b_rs
@@ -174,6 +176,54 @@ class TestPTimesDegreeP:
         half = inv_mod(2, p)
         want = (a_poly - a_poly.frobenius_p()) * (pow(2, p, p) * half % p)
         assert got == want
+
+
+def p_times_jacobi_p_direct(p, A, B, x):
+    """Independent oracle for ``p_times_jacobi_p``: the two-term form
+    (A - A^p)(x+1)^p / 2 + (B - B^p)(x-1)^p / 2, one Frobenius map per
+    parameter."""
+    half = inv_mod(2, p)
+    t1 = (A - A.frobenius_p()) * (pow(x + 1, p, p) * half % p)
+    t2 = (B - B.frobenius_p()) * (pow(x - 1, p, p) * half % p)
+    return t1 + t2
+
+
+class TestOneFrobenius:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+    def test_equals_the_two_term_form(self, p):
+        import random
+
+        rng = random.Random(p)
+        def random_poly(degree):
+            return FpPoly([rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)], p)
+
+        for deg_a in range(4):
+            for deg_b in range(4):
+                A, B = random_poly(deg_a), random_poly(deg_b)
+                for x in range(p):
+                    want = p_times_jacobi_p_direct(p, A, B, x)
+                    assert p_times_jacobi_p(p, A, B, x) == want, (A, B, x)
+
+    @pytest.mark.parametrize("fn", [jacobi_pm1, p_times_jacobi_p])
+    @pytest.mark.parametrize("x", [2.5, 2.0, "2", None])
+    def test_the_argument_must_be_an_integer(self, fn, x):
+        # int(x) would read 2.5 as 2; both functions refuse it alike
+        a_poly = FpPoly([0, 1], 5)
+        message = f"^argument x must be an integer, got {re.escape(repr(x))}$"
+        with pytest.raises(TypeError, match=message):
+            fn(5, a_poly, a_poly, x)
+
+    @pytest.mark.parametrize("fn", [jacobi_pm1, p_times_jacobi_p])
+    def test_integral_arguments_are_read_mod_p(self, fn):
+        class Two:  # an integral type that is not int
+            def __index__(self):
+                return 2
+
+        a_poly = FpPoly([0, 1], 5)
+        want = fn(5, a_poly, a_poly, 2)
+        assert fn(5, a_poly, a_poly, 7) == fn(5, a_poly, a_poly, -3) == want
+        assert fn(5, a_poly, a_poly, Two()) == want
+        assert fn(5, a_poly, a_poly, True) == fn(5, a_poly, a_poly, 1)
 
 
 class TestClassicalSanity:

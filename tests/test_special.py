@@ -269,6 +269,60 @@ class TestTruncBinomial:
         assert got == want
 
 
+def trunc_binomial_direct(f, b, p):
+    """Independent oracle for ``trunc_binomial``: the binomials of f itself,
+    C(f, k) by ``binomials_of``, times b^k, with no cached table."""
+    return XPoly([c * b ** k for k, c in enumerate(special.binomials_of(f, p))], p)
+
+
+ODD_PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+class TestTruncBinomialTable:
+    """A linear exponent c*a + d reads the table C(a + d, k) mapped by
+    a -> c*a; the oracle builds the binomials of c*a + d itself."""
+
+    @staticmethod
+    def _agree(f, b, p):
+        got, want = trunc_binomial(f, b, p), trunc_binomial_direct(f, b, p)
+        assert got == want, (f, b)
+
+    @pytest.mark.parametrize("p", ODD_PRIMES_TO_31)
+    def test_every_linear_exponent(self, p):
+        # b alternates between 1 and p - 1 over the exponents
+        for c in range(1, p):
+            for d in range(p):
+                self._agree(FpPoly([d, c], p), (1, p - 1)[(c + d) % 2], p)
+
+    @pytest.mark.parametrize("p", ODD_PRIMES_TO_31)
+    def test_every_kind_of_scale(self, p):
+        scales = [
+            1, p - 1, FpPoly([2, 0, 1], p), RatFn(FpPoly([1], p), FpPoly([1, 1], p)),
+        ]
+        for c in (1, 2, p - 1):
+            for d in (0, 1, p - 1):
+                for b in scales:
+                    self._agree(FpPoly([d, c], p), b, p)
+
+    def test_the_variable_is_kept(self):
+        f = FpPoly([3, 2], 7, "t")
+        got = trunc_binomial(f, 1, 7)
+        assert str(got) == str(trunc_binomial_direct(f, 1, 7)) and "t" in str(got)
+        assert str(trunc_binomial(FpPoly([3, 2], 7), 1, 7)) == str(got).replace("t", "a")
+
+    def test_mixed_moduli_rejected(self):
+        with pytest.raises(ValueError, match="^mixed moduli: 7 and 5$"):
+            trunc_binomial(FpPoly([1, 1], 5), 1, 7)
+
+    def test_one_table_per_offset(self):
+        clear_per_prime_caches()
+        for c in range(1, 7):
+            trunc_binomial(FpPoly([-1, c], 7), 1, 7)
+            trunc_binomial(FpPoly([-2, c], 7), 1, 7)
+        info = special._shifted_binomials.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+
 class TestLaguerreConst:
     def test_p3_value(self):
         # (1+a)(1+2a)^2 expanded mod 3

@@ -812,6 +812,9 @@ def _non_residue(p):
 POWERS_FUNCTIONAL_MUTATIONS = {
     "none": (None, None),
     "Lc times 2": (lambda pp: laguerre_const(pp) * 2, None),
+    # off the form prod_k (1 + a/k)^k, so bound by root search
+    "Lc times a": (lambda pp: laguerre_const(pp) * FpPoly.x(pp), None),
+    "Lc times (a - 1)": (lambda pp: laguerre_const(pp) * FpPoly([-1, 1], pp), None),
     "b[1,1] times (a - 1)": (None, _b_times(lambda p: 1, 1)),
     "b[1,p-2] times a": (None, _b_times(lambda p: p - 2, 0)),
 }
@@ -863,7 +866,9 @@ class TestPowersFunctionalOracle:
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_binding_check_catches_a_dropped_root(self, monkeypatch, p):
         # a split that loses a root leaves a form that is not Lc; only the
-        # re-expansion against the record can tell
+        # re-expansion against the record can tell.  An honest Lc binds the
+        # paper's form with no root search, so the record is the twin a * Lc,
+        # off that form: the search runs on it and drops its root 0
         import trunclog.verify as v
 
         orig = v.roots_and_split
@@ -874,12 +879,14 @@ class TestPowersFunctionalOracle:
             del roots[min(roots)]
             return lead, roots
 
+        twin = laguerre_const(p) * FpPoly.x(p)
+        _patch_records(monkeypatch, lambda pp: laguerre_const(pp) * FpPoly.x(pp))
         monkeypatch.setattr(v, "roots_and_split", drops_a_root)
         r = verify_theorem(p, TheoremId.PowersFunctional)
         assert (r.status, r.cases_checked) == ("fail", 1)
-        assert r.witness["case"] == {"factor": "Lc"}
-        assert r.witness["rhs"] == str(laguerre_const(p))
-        assert r.witness["lhs"] != r.witness["rhs"]
+        assert r.witness == {
+            "case": {"factor": "Lc"}, "lhs": str(laguerre_const(p)), "rhs": str(twin),
+        }
 
 
 class TestPowersHEqualsPMinus1Trap:
@@ -895,12 +902,12 @@ class TestPowersHEqualsPMinus1Trap:
 SPLIT_PRIMES = [3, 5, 7, 11, 13, 17, 19]
 
 
-def _bound(name, f):
+def _bound(name, f, predicted=None):
     """The split form ``_bound_split_form`` returns; it must yield no witness."""
     import trunclog.verify as v
 
     with pytest.raises(StopIteration) as stop:
-        next(v._bound_split_form(name, f))
+        next(v._bound_split_form({"factor": name}, f, predicted))
     return stop.value.value
 
 
@@ -939,6 +946,120 @@ class TestSplitForms:
             poly = v._expand(form, p)
             for h in range(1, p):
                 assert v._expand(v._form_subs_scale(form, h, p), p) == poly.subs_scale(h)
+
+
+def _lc_form(p):
+    """The exponent vector of Lc = prod_k (1 + a/k)^k: root -k, multiplicity k."""
+    return (0,) + tuple(p - t for t in range(1, p))
+
+
+def _product_form(p):
+    """The exponent vector of prod_s b[1,s]: root a, multiplicity p-1-a."""
+    return (0,) + tuple(p - 1 - a for a in range(1, p))
+
+
+def _product_formula_direct(p):
+    """(status, cases_checked, witness) of ProductFormula by root search
+    alone, from verify's product_all_b."""
+    import trunclog.verify as v
+    from trunclog.errors import NonSplitError
+    from trunclog.polys import roots_and_split
+
+    def fail(case, lhs, rhs):
+        return "fail", 1, {"case": case, "lhs": str(lhs), "rhs": str(rhs)}
+
+    try:
+        prod = v.product_all_b(p)
+    except TheoremViolationError as exc:
+        return fail({}, exc, "three equal routes")
+    if prod.is_zero:
+        return fail({}, prod, "nonzero")
+    try:
+        _, roots = roots_and_split(prod)
+    except NonSplitError as exc:
+        return fail({}, exc.remainder, "split")
+    for a in range(p):
+        got, want = roots.get(a, 0), p - 1 - a if a else 0
+        if got != want:
+            return fail({"root": a}, f"multiplicity {got}", f"multiplicity {want}")
+    if prod.eval_int(0) != 1:
+        return fail({"part": "constant term"}, prod.eval_int(0), 1)
+    return "pass", 1, None
+
+
+# name: wrapper of verify.product_all_b, None for the library's own
+PRODUCT_FORMULA_TWINS = {
+    "none": None,
+    "times 2": _times_2,  # on the stated form, with lead 2
+    "times a": _times_a,
+    "times (a - 1)": _times_a_minus_1,
+    "zero": _zero_product,
+    "times a non-residue quadratic": lambda orig: lambda p: orig(p) * FpPoly(
+        [-_non_residue(p), 0, 1], p
+    ),
+    "routes disagree": _routes_disagree,
+}
+
+
+def _searched(monkeypatch):
+    """Every polynomial verify hands to roots_and_split, in order."""
+    import trunclog.verify as v
+
+    seen = []
+    orig = v.roots_and_split
+    monkeypatch.setattr(v, "roots_and_split", lambda f: seen.append(f) or orig(f))
+    return seen
+
+
+class TestPredictedSplitForms:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("twin", sorted(PRODUCT_FORMULA_TWINS))
+    def test_product_formula_matches_the_root_search(self, monkeypatch, p, twin):
+        import trunclog.verify as v
+
+        if PRODUCT_FORMULA_TWINS[twin] is not None:
+            wrap = PRODUCT_FORMULA_TWINS[twin]
+            monkeypatch.setattr(v, "product_all_b", wrap(v.product_all_b))
+        want = _product_formula_direct(p)
+        r = verify_theorem(p, TheoremId.ProductFormula)
+        assert (r.status, r.cases_checked, r.witness) == want
+        assert (want[0] == "pass") == (twin == "none")
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_honest_records_search_no_roots_of_lc_or_the_product(self, monkeypatch, p):
+        searched = _searched(monkeypatch)
+        assert verify_theorem(p, TheoremId.ProductFormula).status == "pass"
+        assert searched == []
+        assert verify_theorem(p, TheoremId.PowersFunctional).status == "pass"
+        assert searched == [b_rs(p, 1, s) for s in range(1, p - 1)]
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_twins_off_the_form_are_searched(self, monkeypatch, p):
+        import trunclog.verify as v
+        from trunclog.bpoly import product_all_b
+
+        twin_lc = laguerre_const(p) * FpPoly.x(p)
+        twin_prod = product_all_b(p) * FpPoly.x(p)
+        _patch_records(monkeypatch, lambda pp: laguerre_const(pp) * FpPoly.x(pp))
+        monkeypatch.setattr(v, "product_all_b", _times_a(v.product_all_b))
+        searched = _searched(monkeypatch)
+        verify_theorem(p, TheoremId.ProductFormula)
+        assert searched == [twin_prod]
+        verify_theorem(p, TheoremId.PowersFunctional)
+        assert searched[1] == twin_lc
+
+    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    def test_the_stated_forms_bind_with_the_records_lead(self, p):
+        from trunclog.bpoly import product_all_b
+
+        lc, prod = laguerre_const(p), product_all_b(p)
+        assert _bound("Lc", lc, _lc_form(p)) == (lc.lead, _lc_form(p))
+        assert _bound("Lc", lc) == (lc.lead, _lc_form(p))
+        assert _bound("prod", prod, _product_form(p)) == (prod.lead, _product_form(p))
+        assert _bound("prod", prod) == (prod.lead, _product_form(p))
+        # a wrong prediction leaves the root search to find the form
+        wrong = (0,) * p
+        assert _bound("Lc", lc, wrong) == _bound("Lc", lc)
 
 
 # Traps for RightInverse.  The input traps change what the identity is about:
@@ -1415,6 +1536,33 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _counted_frobenius(monkeypatch):
+    """Count FpPoly.frobenius_p calls; TruncBinomialRules makes one for each
+    derivative case it computes."""
+    calls = []
+    orig = FpPoly.frobenius_p
+
+    def frobenius_p(self):
+        calls.append(1)
+        return orig(self)
+
+    monkeypatch.setattr(FpPoly, "frobenius_p", frobenius_p)
+    return calls
+
+
+def _tau_off(t0, offset, orig):
+    """verify._tau with 1 added to the image under tau_t0 of the series
+    whose X coefficient is a + offset: a - 1 is grids[1], so sym[t0] fails;
+    a - 2 is wants[1], so wsym[t0] fails."""
+    def _tau(grid, t):
+        out = orig(grid, t)
+        if t == t0 and grid[1] == FpPoly([offset, 1], grid[1].p):
+            out[0] = out[0] + 1
+        return out
+
+    return _tau
+
+
 class TestOrbitOracles:
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     @pytest.mark.parametrize("mutation", list(orbit.MUTATIONS))
@@ -1461,6 +1609,53 @@ class TestOrbitOracles:
         r = verify_theorem(7, TheoremId.TruncBinomialRules)
         assert r.status == "pass" and r.cases_checked == 42
         assert len(calls) == 6
+
+    def test_trunc_binomial_rules_derives_row_one_only(self, monkeypatch):
+        # f^p - f is formed once per computed derivative case: r = 1 only,
+        # every other r is a tau_r image
+        calls = _counted_frobenius(monkeypatch)
+        r = verify_theorem(7, TheoremId.TruncBinomialRules)
+        assert r.status == "pass" and r.cases_checked == 42
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("offset, condition", [(-1, "sym"), (-2, "wsym")])
+    @pytest.mark.parametrize("r0", [2, 6])
+    def test_a_failed_symmetry_computes_its_derivative(
+        self, monkeypatch, offset, condition, r0
+    ):
+        # the symmetry test twinned to fail at r0 alone, on honest records:
+        # derivative case r0 is computed besides r = 1, and the report is
+        # still the direct loop's
+        import trunclog.verify as v
+
+        p = 7
+        want = _trunc_binomial_rules_direct(p)
+        monkeypatch.setattr(v, "_tau", _tau_off(r0, offset, v._tau))
+        calls = _counted_frobenius(monkeypatch)
+        r = verify_theorem(p, TheoremId.TruncBinomialRules)
+        assert (r.status, r.cases_checked, r.witness) == want
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_a_bumped_series_table_fails_row_one(self, monkeypatch, p):
+        # the series of record read one table per offset; bumped as
+        # test_binomials_of_bump bumps the binomials, with the table uncached
+        import trunclog.special as special
+
+        orig = special.binomials_of
+
+        def bumped(f, pp):
+            out = orig(f, pp)
+            out[1] = out[1] + 1
+            return out
+
+        monkeypatch.setattr(special, "binomials_of", bumped)
+        monkeypatch.setattr(
+            special, "_shifted_binomials", special._shifted_binomials.__wrapped__
+        )
+        r = verify_theorem(p, TheoremId.TruncBinomialRules)
+        assert (r.status, r.cases_checked) == ("fail", 1)
+        assert r.witness["case"] == {"r": 1, "s": 1}
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     @pytest.mark.parametrize("theorem, per_case", [("JacobiLink", 1), ("JacobiShift", 4)])
@@ -1778,7 +1973,8 @@ def _bypass_product_caches(monkeypatch):
 
     monkeypatch.setattr(bpoly, "_B_CACHE", {})
     for mod, name in ((bpoly, "b_prefix_products"), (bpoly, "_a_minus_1_binomials"),
-                      (special, "laguerre_const_routes")):
+                      (special, "laguerre_const_routes"),
+                      (special, "_shifted_binomials")):
         fn = getattr(mod, name)
         monkeypatch.setattr(mod, name, getattr(fn, "__wrapped__", fn))
 
@@ -1795,6 +1991,25 @@ def _shared_product_routes(monkeypatch, p):
         fn = getattr(bpoly, route)
         seen.append(_above_the_basics(_profiled_calls(lambda: fn(p))))
     return (seen[0] & seen[1]) | (seen[0] & seen[2]) | (seen[1] & seen[2])
+
+
+def _shared_b_tables(monkeypatch, p):
+    """The per-prime tables that both b_rs and b_rs_coeff enter, each route
+    audited on its own with the caches bypassed."""
+    import trunclog.bpoly as bpoly
+    from trunclog import fields
+
+    # every per-prime cache registers its clear, bypassed or not
+    caches = [getattr(clear, "__self__", None) for clear in fields.per_prime_clears]
+    tables = {(fn.__module__, fn.__qualname__) for fn in caches if fn is not None}
+    assert {("trunclog.bpoly", "_a_minus_1_binomials"),
+            ("trunclog.special", "_shifted_binomials")} <= tables
+    seen = []
+    for route in ("b_rs", "b_rs_coeff"):
+        _bypass_product_caches(monkeypatch)
+        fn = getattr(bpoly, route)
+        seen.append(_profiled_calls(lambda: [fn(p, r, s) for r, s in ((1, 2), (3, 2))]))
+    return seen[0] & seen[1] & tables
 
 
 class TestProductFormulaRouteAudit:
@@ -1830,6 +2045,31 @@ class TestProductFormulaRouteAudit:
         monkeypatch.setattr(bpoly, "_product_by_linear_factors", via_falling_factorials)
         shared = _shared_product_routes(monkeypatch, 7)
         assert ("trunclog.special", "_falling_factorials") in shared
+
+    def test_b_rs_and_b_rs_coeff_share_no_table(self, monkeypatch):
+        # both build binomials, each from its own table: row 1's C(a - 1, k)
+        # and trunc_binomial's C(a + d, k)
+        import trunclog.bpoly as bpoly
+
+        _bypass_product_caches(monkeypatch)
+        seen = _profiled_calls(lambda: (bpoly.b_rs(7, 1, 2), bpoly.b_rs_coeff(7, 1, 2)))
+        assert ("trunclog.bpoly", "_a_minus_1_binomials") in seen
+        assert ("trunclog.special", "_shifted_binomials") in seen
+        assert _shared_b_tables(monkeypatch, 7) == set()
+
+    def test_audit_sees_a_shared_table(self, monkeypatch):
+        # the same audit flags a coefficient route that reads row 1's table
+        import trunclog.bpoly as bpoly
+
+        orig = bpoly.trunc_binomial
+
+        def via_row_one_table(f, b=1, p=None):
+            bpoly._a_minus_1_binomials(f.p)
+            return orig(f, b, p)
+
+        monkeypatch.setattr(bpoly, "trunc_binomial", via_row_one_table)
+        shared = _shared_b_tables(monkeypatch, 7)
+        assert shared == {("trunclog.bpoly", "_a_minus_1_binomials")}
 
 
 def _value_type_calls(fn):
