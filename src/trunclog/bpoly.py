@@ -39,7 +39,7 @@ and entries are immutable, so concurrent duplicate inserts are harmless.
 from __future__ import annotations
 
 from .errors import TheoremViolationError
-from .fields import binom_lucas, check_odd_prime, inv_mod, per_prime
+from .fields import as_index, binom_lucas, check_odd_prime, inv_mod, per_prime
 from .fields import per_prime_clears, switch_prime
 from .polys import FpPoly, roots_and_split
 from .special import binomial_dot, binomial_sum, binomials_of, laguerre_const
@@ -47,9 +47,9 @@ from .special import trunc_binomial, w_poly
 
 
 def _check_indices(p: int, r: int, s: int) -> None:
-    """p an odd prime and 1 <= r, s <= p-1, else ValueError."""
+    """p an odd prime and integers 1 <= r, s <= p-1, else ValueError or TypeError."""
     check_odd_prime(p)
-    if not (1 <= r <= p - 1 and 1 <= s <= p - 1):
+    if not (1 <= as_index(r, "r") <= p - 1 and 1 <= as_index(s, "s") <= p - 1):
         raise ValueError(f"indices must lie in [1, p-1], got r={r}, s={s}")
 
 

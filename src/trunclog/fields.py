@@ -15,6 +15,7 @@ here is safe to share between threads without synchronization.
 from __future__ import annotations
 
 import functools
+import operator
 
 
 def _is_prime(n: int) -> bool:
@@ -35,6 +36,14 @@ def check_odd_prime(p) -> int:
     if not isinstance(p, int) or isinstance(p, bool) or p < 3 or not _is_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p!r}")
     return p
+
+
+def as_index(x, name: str) -> int:
+    """x by ``operator.index``: TypeError, not truncation, for a float."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"argument {name} must be an integer, got {x!r}") from None
 
 
 per_prime_clears = []  # the clear of every per-prime cache

@@ -26,23 +26,17 @@ which is nonzero, so the verifier checks the recurrence there.
 
 from __future__ import annotations
 
-import operator
-
-from .fields import check_odd_prime, inv_mod
+from .fields import as_index, check_odd_prime, inv_mod
 from .polys import FpPoly
 from .special import binomial_sum
 
 
 def _checked(p: int, A: FpPoly, B: FpPoly, x) -> int:
-    """x mod p, after checking p, A and B; x must be integral (a float or a
-    string raises TypeError rather than being truncated)."""
+    """x mod p, after checking p, A and B and that x is an integer."""
     check_odd_prime(p)
     if A.p != p or B.p != p:
         raise ValueError("parameter polynomials must share the prime")
-    try:
-        return operator.index(x) % p
-    except TypeError:
-        raise TypeError(f"argument x must be an integer, got {x!r}") from None
+    return as_index(x, "x") % p
 
 
 def jacobi_pm1(p: int, A: FpPoly, B: FpPoly, x) -> FpPoly:

@@ -38,7 +38,7 @@ import sys
 from array import array
 
 from .errors import NonSplitError, PoleError
-from .fields import check_odd_prime, inv_mod, per_prime
+from .fields import as_index, check_odd_prime, inv_mod, per_prime
 
 
 def _trim(coeffs):
@@ -105,6 +105,20 @@ def _divmod_tuples(a, b, p):
             for j in range(lb):
                 r[i + j] -= c * b[j]
     return _trim(q), _trim([c % p for c in r[: lb - 1]])
+
+
+def _add_tuples(a, b, sign, p):
+    """a + sign*b, sign = ±1: the longer operand copied, the shorter added."""
+    if len(a) < len(b):
+        a, b, sign = (b if sign == 1 else [-c % p for c in b]), a, 1
+    out = list(a)
+    if sign == 1:
+        for i, c in enumerate(b):
+            out[i] = (out[i] + c) % p
+    else:
+        for i, c in enumerate(b):
+            out[i] = (out[i] - c) % p
+    return _trim(out)
 
 
 def _gcd_tuples(a, b, p):
@@ -208,13 +222,7 @@ class FpPoly:
         oc = self._other_coeffs(other)
         if oc is None:
             return NotImplemented
-        a, b, p = self.coeffs, oc, self.p
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return FpPoly._raw(_trim(out), p, self.var)
+        return FpPoly._raw(_add_tuples(self.coeffs, oc, 1, self.p), self.p, self.var)
 
     __radd__ = __add__
 
@@ -222,17 +230,13 @@ class FpPoly:
         oc = self._other_coeffs(other)
         if oc is None:
             return NotImplemented
-        p = self.p
-        n = max(len(self.coeffs), len(oc))
-        out = [
-            ((self.coeffs[i] if i < len(self.coeffs) else 0)
-             - (oc[i] if i < len(oc) else 0)) % p
-            for i in range(n)
-        ]
-        return FpPoly._raw(_trim(out), p, self.var)
+        return FpPoly._raw(_add_tuples(self.coeffs, oc, -1, self.p), self.p, self.var)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        oc = self._other_coeffs(other)
+        if oc is None:
+            return NotImplemented
+        return FpPoly._raw(_add_tuples(oc, self.coeffs, -1, self.p), self.p, self.var)
 
     def __neg__(self):
         p = self.p
@@ -279,7 +283,7 @@ class FpPoly:
 
     def eval_int(self, a: int) -> int:
         p = self.p
-        a %= p
+        a = as_index(a, "a") % p
         out = 0
         for c in reversed(self.coeffs):
             out = (out * a + c) % p
@@ -574,7 +578,7 @@ class RatFn:
 
     def eval(self, a) -> int:
         """Evaluate at a point of F_p; raises PoleError at a denominator root."""
-        a = int(a)
+        a = as_index(a, "a")
         dv = self.den.eval_int(a)
         if dv == 0:
             raise PoleError(a % self.p)

@@ -32,15 +32,16 @@ coefficients and X -> a^p - a.  ``laguerre_const_routes`` computes it by that
 substitution and by the product formula prod_{k=1}^{p-1} (1 + a/k)^k, once
 per prime, each route in its own function so that the two can be audited
 apart; ``laguerre_const`` asserts the two equal and LFactorization compares
-the same pair, so the factorization identity is a permanent check.
+the same pair, so the factorization identity is a permanent check.  The
+substitution, ``frobenius_image`` of L's record, is shared with RightInverse.
 """
 
 from __future__ import annotations
 
 from .errors import TheoremViolationError
-from .fields import check_odd_prime, inv_mod, per_prime
+from .fields import as_index, check_odd_prime, inv_mod, per_prime
 from .polys import FpPoly, RatFn, _pack, _slot_typecode, _unpack
-from .quotient import XPoly
+from .quotient import XPoly, common_denominator
 
 
 def _falling_factorials(f: FpPoly, upto: int):
@@ -139,21 +140,20 @@ def finite_polylog(p: int, d: int) -> FpPoly:
 def trunc_binomial(f, b=1, p=None) -> XPoly:
     """The binomial series for (1 + b*X)^f cut before degree p.
 
-    f may be an FpPoly or RatFn in the parameter, or an int constant; b is an
-    int, FpPoly or RatFn.  For an integer constant 0 <= f < p and b = 1 this
-    is exactly (1 + X)^f.  p may be omitted only when f is not an int.
+    f may be an FpPoly or RatFn in the parameter, or an int constant (else
+    TypeError); b is an int, FpPoly or RatFn.  For an integer constant
+    0 <= f < p and b = 1 this is exactly (1 + X)^f.  p is needed for an int f.
 
     C(c*a + d, k) is C(a + d, k) under a -> c*a, so a linear FpPoly f over
     F_p maps the cached table of its offset d (``subs_scale(c)``); any other
     f runs ``binomials_of``.
     """
-    if p is None:
-        if isinstance(f, int):
+    if not isinstance(f, (FpPoly, RatFn)):
+        f = as_index(f, "f")
+        if p is None:
             raise ValueError("p is required for an int exponent")
-        p = f.p
-    check_odd_prime(p)
-    if isinstance(f, int):
         f = FpPoly.const(f, p)
+    p = check_odd_prime(f.p if p is None else p)
     if isinstance(f, FpPoly) and f.p == p and f.degree == 1:
         d, c = f.coeffs
         coeffs = [t.subs_scale(c) for t in _shifted_binomials(p, d, f.var)]
@@ -189,18 +189,22 @@ def laguerre_const_routes(p: int):
 
 
 def _lc_by_substitution(p: int) -> FpPoly:
-    """-sum_k (a^p - 1)_(p-1-k) * (a^p - a)^k: L's coefficients at a -> a^p,
-    evaluated at X = a^p - a."""
-    ap_minus_1 = FpPoly.monomial(1, p, p) - 1
-    ff = _falling_factorials(ap_minus_1, p - 1)
-    arg = alpha_p_minus_alpha(p)
-    total = FpPoly.zero(p)
-    arg_pow = FpPoly.one(p)
-    for k in range(p):
-        total = total - ff[p - 1 - k] * arg_pow
-        if k < p - 1:
-            arg_pow = arg_pow * arg
-    return total
+    """sum_k L_k(a^p) * (a^p - a)^k: ``frobenius_image`` of L's record at
+    a^p - a, shared with RightInverse; L's record is polynomial, so M = 1."""
+    return frobenius_image(p, laguerre_pm1(p).coeffs, alpha_p_minus_alpha(p))[0]
+
+
+@per_prime
+def frobenius_image(p: int, coeffs, arg: FpPoly):
+    """(N, M) with sum_k c_k(a^p) * arg^k = N / M for a tuple of RatFn c_k, one
+    run per (coeffs, arg): M = D(a^p) for the c_k's common denominator D, and N
+    the Horner sum in arg of the cleared numerators (c_k * D)(a^p).  Over F_p,
+    f(a^p) = f(a)^p, so M is nonzero and N == want * M decides the equation."""
+    nums, den = common_denominator(coeffs)
+    acc = FpPoly.zero(p)
+    for num in reversed(nums):
+        acc = acc * arg + num.frobenius_p()
+    return acc, den.frobenius_p()
 
 
 def _lc_by_product(p: int) -> FpPoly:

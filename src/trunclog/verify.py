@@ -105,10 +105,11 @@ from .glog import left_inverse_lhs, power_route, reciprocal_rhs
 from .jacobi import p_times_jacobi_p
 from .pairsystem import Layout, pair_columns, solve_pair, substitutes
 from .polys import FpPoly, interpolate, roots_and_split, values
-from .quotient import common_denominator, grid_mulmod, grid_to_xpoly, xpoly_to_grid
+from .quotient import grid_mulmod, grid_to_xpoly, xpoly_to_grid
 from .special import (
     alpha_p_minus_alpha,
     finite_polylog,
+    frobenius_image,
     laguerre_const,
     laguerre_const_routes,
     laguerre_pm1,
@@ -215,20 +216,6 @@ def _check_left_inverse(p, g=None):
         yield _is_x(left_inverse_lhs(g, lag))
 
 
-def _frobenius_image(coeffs, arg: FpPoly):
-    """(N, M) with sum_k c_k(a^p) * arg^k = N / M for RatFn coefficients c_k.
-
-    M = D(a^p) for the common denominator D of the c_k, and N is the Horner
-    sum in arg of the cleared numerators (c_k * D)(a^p).  Over F_p,
-    f(a^p) = f(a)^p, so M is nonzero and N == want * M decides the equation.
-    """
-    nums, den = common_denominator(coeffs)
-    acc = FpPoly.zero(arg.p)
-    for num in reversed(nums):
-        acc = acc * arg + num.frobenius_p()
-    return acc, den.frobenius_p()
-
-
 def _check_right_inverse(p):
     """L(G(X)) = X mod X^p - Lc, proved from LeftInverse by the inverse-map
     lemma; no composition L(G(X)) is formed.
@@ -249,18 +236,19 @@ def _check_right_inverse(p):
     Both maps are F_p(a)-linear and both rings have dimension p over F_p(a).
     K1 -> K2 -> K1 is the identity, so K2 -> K1 is onto, hence bijective;
     X -> G(Y) is its inverse and L(G(Y)) = Y in K2, which is the statement.
-    A twin of ``glog`` or ``laguerre_pm1`` reaches each part.  One case; a
-    Frobenius witness is cross-multiplied by M as in ``_frobenius_image``.
+    One case; a witness is cross-multiplied by M as in ``frobenius_image``.  An
+    honest L reads the run ``laguerre_const`` built, not vacuously: its guard
+    proved that run equal to prod_k (1 + a/k)^k.  A twin gets a run of its own.
     """
     g, lag, lc = glog(p), laguerre_pm1(p), laguerre_const(p)
     alpha = alpha_p_minus_alpha(p)
-    num, den = _frobenius_image(lag.coeffs, alpha)
+    num, den = frobenius_image(p, lag.coeffs, alpha)
     if num != lc * den:
         yield _witness({"part": "L-frobenius"}, num, lc * den)
     if left_inverse_by_powers(g, lag, *_power_inputs(p)):
         yield None
         return
-    num, den = _frobenius_image(g.as_xpoly().coeffs, lc)
+    num, den = frobenius_image(p, g.as_xpoly().coeffs, lc)
     if num != alpha * den:
         yield _witness({"part": "G-frobenius"}, num, alpha * den)
     yield _is_x(left_inverse_lhs(g, lag), part="left inverse")

@@ -1,8 +1,11 @@
 """The b-family: three routes, predicted roots, conjugates, the full product."""
 
 import math
+import re
 
 import pytest
+
+import trunclog.bpoly as bp
 
 from trunclog.bpoly import (
     CSV_HEADER,
@@ -94,6 +97,17 @@ class TestDefiningSum:
 
     def test_memoized(self):
         assert b_rs(5, 1, 1) is b_rs(5, 1, 1)
+
+    @pytest.mark.parametrize("fn", [b_rs, b_rs_alt, b_rs_coeff])
+    @pytest.mark.parametrize("r, s, name", [(2.5, 1, "r"), (1, 1.5, "s"), ("2", 1, "r")])
+    def test_indices_must_be_integers(self, fn, r, s, name):
+        # a float index would give a polynomial with float coefficients
+        bad = r if name == "r" else s
+        message = f"^argument {name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(TypeError, match=message):
+            fn(5, r, s)
+        assert all(isinstance(key[1], int) and isinstance(key[2], int)
+                   for key in bp._B_CACHE)
 
 
 class TestSigmaBuild:

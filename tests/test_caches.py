@@ -45,7 +45,7 @@ def test_every_prime_keyed_cache_is_registered():
         "_factorials", "ext_quadratic", "_power_rows", "_lagrange_columns",
         "laguerre_scaled", "laguerre_const_routes", "b_prefix_products",
         "product_all_b", "glog", "power_route", "_binomial_table", "_weights",
-        "_a_minus_1_binomials", "_shifted_binomials",
+        "_a_minus_1_binomials", "_shifted_binomials", "frobenius_image",
     }
     for fn in caches.values():
         assert not hasattr(fn.__wrapped__, "cache_info")

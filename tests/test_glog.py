@@ -305,6 +305,12 @@ class TestSpecialization:
         assert exc.value.index == 2
         assert exc.value.point == 1
 
+    @pytest.mark.parametrize("x", [0.5, 2.0, "2"])
+    def test_the_point_must_be_an_integer(self, x):
+        # int(0.5) would give the a = 0 result
+        with pytest.raises(TypeError, match=f"^argument a must be an integer, got {x!r}$"):
+            glog_specialize(glog(7), x)
+
     def test_p3_at_two(self):
         # (a+2) at a=2 is 4 = 1, so -X - X^2
         assert glog_specialize(glog(3), 2) == FpPoly([0, -1, -1], 3, "X")

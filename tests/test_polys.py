@@ -1,10 +1,12 @@
 """Dense polynomial arithmetic, splitting into linear factors, rational functions."""
 
 import random
+import re
 
 import pytest
 
 from trunclog.errors import NonSplitError, PoleError
+from trunclog.fields import inv_mod
 from trunclog.polys import FpPoly, RatFn, interpolate, roots_and_split, values
 from trunclog.polys import _pack, _slot_typecode, _unpack
 
@@ -84,6 +86,78 @@ class TestFpPolyBasics:
         assert (0 * f).is_zero and (f * p).is_zero
         assert f * 1 == f and (f * 1).var == "X"
         assert FpPoly.zero(p) * 3 == 0
+
+
+def sub_by_index_guards(a, b, p):
+    """Oracle for a - b: the index-guarded comprehension over both operands."""
+    n = max(len(a), len(b))
+    return [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
+            for i in range(n)]
+
+
+class TestAddAndSubtract:
+    # __add__, __sub__ and __rsub__ share one copy-and-loop
+    @pytest.mark.parametrize("p", [3, 19, 61])
+    def test_random_operands_of_unequal_length(self, p):
+        rng = random.Random(p)
+        for _ in range(60):
+            f, g = rand_poly(rng, p, 12), rand_poly(rng, p, 30)
+            for x, y in ((f, g), (g, f)):
+                assert x - y == FpPoly(sub_by_index_guards(x.coeffs, y.coeffs, p), p)
+                assert x + y == FpPoly([c + d for c, d in zip(
+                    x.coeffs + (0,) * len(y.coeffs), y.coeffs + (0,) * len(x.coeffs))], p)
+                assert (x - y) + y == x and x.__rsub__(y) == y - x
+
+    @pytest.mark.parametrize("p", [3, 13])
+    def test_int_operands_on_both_sides(self, p):
+        f = FpPoly([1, p - 1, 0, 2], p, "X")
+        for n in (0, 1, p - 1, p, p + 2, -3):
+            assert f - n == FpPoly(sub_by_index_guards(f.coeffs, (n % p,), p), p)
+            assert n - f == FpPoly(sub_by_index_guards((n % p,), f.coeffs, p), p)
+            assert n + f == f + n == FpPoly([1 + n, p - 1, 0, 2], p)
+            assert (f - n).var == (n - f).var == (n + f).var == "X"
+        assert FpPoly.const(3, p) - 3 == 0 and (3 - FpPoly.const(3, p)).is_zero
+        assert (1 - FpPoly.zero(p)) == 1 and (FpPoly.zero(p) - 1) == p - 1
+
+    def test_cancellation_to_zero(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            f, low = rand_poly(rng, 7, 9), rand_poly(rng, 7, 3)
+            # the tops cancel and the difference is trimmed to what is left
+            assert ((f + low) - f).coeffs == low.coeffs
+            assert (f - f).coeffs == () and f.__rsub__(f).coeffs == ()
+            assert (f + (-f)).coeffs == ()
+
+    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__rsub__"])
+    def test_mixed_moduli_rejected(self, op):
+        with pytest.raises(ValueError, match="^mixed moduli: 5 and 7$"):
+            getattr(FpPoly([1, 2], 5), op)(FpPoly([1], 7))
+
+
+class TestIntegralPoints:
+    # a float is refused rather than read by int(), which would truncate it
+    @pytest.mark.parametrize("x", [2.5, 2.0, "2", None])
+    def test_eval_int_point_must_be_an_integer(self, x):
+        message = f"^argument a must be an integer, got {re.escape(repr(x))}$"
+        with pytest.raises(TypeError, match=message):
+            FpPoly([1, 1, 1], 5).eval_int(x)
+
+    @pytest.mark.parametrize("x", [0.5, 2.0, "2", None])
+    def test_ratfn_eval_point_must_be_an_integer(self, x):
+        r = RatFn(FpPoly([1, 1], 7), FpPoly([3, 1], 7))
+        message = f"^argument a must be an integer, got {re.escape(repr(x))}$"
+        with pytest.raises(TypeError, match=message):
+            r.eval(x)
+
+    def test_integer_points_unchanged(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        f, r = FpPoly([1, 1, 1], 5), RatFn(FpPoly([1, 1], 7), FpPoly([3, 1], 7))
+        assert f.eval_int(2) == f.eval_int(Two()) == f.eval_int(-3) == 2
+        assert r.eval(2) == r.eval(Two()) == 3 * inv_mod(5, 7) % 7
+        assert f.eval_int(True) == 3
 
 
 class TestProductSlotLimit:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -223,6 +224,15 @@ class TestTruncBinomial:
         with pytest.raises(ValueError, match="p is required for an int exponent"):
             trunc_binomial(3)
 
+    @pytest.mark.parametrize("f", [2.5, 2.0, "2", None])
+    def test_a_plain_exponent_must_be_an_integer(self, f):
+        # binomials_of(2.5, p) would give a series with float coefficients
+        message = f"^argument f must be an integer, got {re.escape(repr(f))}$"
+        with pytest.raises(TypeError, match=message):
+            trunc_binomial(f, 1, 5)
+        with pytest.raises(TypeError, match=message):
+            trunc_binomial(f)
+
     def test_small_integer_exponent_is_exact_binomial(self):
         for p in (5, 7):
             for a in range(p):
@@ -323,7 +333,57 @@ class TestTruncBinomialTable:
         assert (info.misses, info.currsize) == (2, 2)
 
 
+def lc_by_falling_factorials(p):
+    """Independent oracle for the modulus constant:
+    -sum_k (a^p - 1)_(p-1-k) * (a^p - a)^k, the falling factorials of a^p - 1
+    and the powers of a^p - a each built as a chain of products."""
+    ap_minus_1 = FpPoly.monomial(1, p, p) - 1
+    ff = [FpPoly.one(p)]
+    for m in range(p - 1):
+        ff.append(ff[-1] * (ap_minus_1 - m))
+    arg, arg_pow, total = alpha_p_minus_alpha(p), FpPoly.one(p), FpPoly.zero(p)
+    for k in range(p):
+        total = total - ff[p - 1 - k] * arg_pow
+        arg_pow = arg_pow * arg
+    return total
+
+
 class TestLaguerreConst:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+    def test_substitution_route_equals_the_falling_factorials(self, p):
+        # the route reads the Frobenius image of L's record; the oracle forms
+        # the falling factorials of a^p - 1 themselves
+        assert laguerre_const_routes(p)[0] == lc_by_falling_factorials(p)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_a_bumped_l1_of_record_fails_l_factorization(self, monkeypatch, p):
+        # the substitution route reads L's record, so a twin L_1 moves it off
+        # the product route: LFactorization fails with both routes as witness
+        import trunclog.verify as v
+
+        orig = special.laguerre_scaled
+
+        def bumped(pp, r):
+            x = orig(pp, r)
+            if r != 1:
+                return x
+            return XPoly([x.coeffs[0], x.coeffs[1] + 1, *x.coeffs[2:]], pp)
+
+        monkeypatch.setattr(special, "laguerre_scaled", bumped)
+        clear_per_prime_caches()
+        try:
+            report = v.verify_theorem(p, "LFactorization")
+            sub_route, prod_route = laguerre_const_routes(p)
+            assert sub_route != prod_route == lc_by_falling_factorials(p)
+            assert report.status == "fail" and report.cases_checked == 1
+            assert report.witness == {
+                "case": {}, "lhs": str(sub_route), "rhs": str(prod_route),
+            }
+            with pytest.raises(TheoremViolationError, match="factorization"):
+                laguerre_const(p)
+        finally:
+            clear_per_prime_caches()  # the routes built from the twin go
+
     def test_p3_value(self):
         # (1+a)(1+2a)^2 expanded mod 3
         assert laguerre_const(3) == FpPoly([1, 2, 2, 1], 3)

@@ -1141,10 +1141,10 @@ class TestRightInverseTraps:
         # tampered G condition must still be the witness, ahead of the left
         # inverse's own
         target = alpha_p_minus_alpha(p) if part == "L-frobenius" else laguerre_const(p)
-        orig = v._frobenius_image
+        orig = v.frobenius_image
 
-        def tampered(coeffs, arg):
-            num, den = orig(coeffs, arg)
+        def tampered(pp, coeffs, arg):
+            num, den = orig(pp, coeffs, arg)
             return (num + den, den) if arg == target else (num, den)
 
         if part == "G-frobenius":
@@ -1154,7 +1154,7 @@ class TestRightInverseTraps:
             monkeypatch.setattr(v, "left_inverse_lhs", lambda g, lag: composite(g, lag) + 1)
             r = verify_theorem(p, TheoremId.RightInverse)
             assert r.witness["case"] == {"part": "left inverse", "coefficient": 0}
-        monkeypatch.setattr(v, "_frobenius_image", tampered)
+        monkeypatch.setattr(v, "frobenius_image", tampered)
         r = verify_theorem(p, TheoremId.RightInverse)
         assert r.status == "fail" and r.cases_checked == 1
         assert r.witness["case"] == {"part": part}
@@ -1929,25 +1929,27 @@ def _above_the_basics(seen):
     }
 
 
-def _shared_lc_routes(p):
+def _shared_lc_routes(monkeypatch, p):
     """What the two routes to the modulus constant both enter above the
-    basics, each route audited on its own."""
+    basics, each route audited on its own with the caches bypassed: a cached
+    L_1 or Frobenius image would hide what the substitution route reads."""
     import trunclog.special as special
 
+    _bypass_product_caches(monkeypatch)
     sub = _above_the_basics(_profiled_calls(lambda: special._lc_by_substitution(p)))
     prod = _above_the_basics(_profiled_calls(lambda: special._lc_by_product(p)))
     return sub & prod
 
 
 class TestLFactorizationRouteAudit:
-    def test_routes_share_nothing_above_the_basics(self):
+    def test_routes_share_nothing_above_the_basics(self, monkeypatch):
         import trunclog.special as special
 
         # the cached pair LFactorization compares is built by the two routes
         seen = _profiled_calls(lambda: special.laguerre_const_routes.__wrapped__(5))
         assert ("trunclog.special", "_lc_by_substitution") in seen
         assert ("trunclog.special", "_lc_by_product") in seen
-        assert _shared_lc_routes(5) == set()
+        assert _shared_lc_routes(monkeypatch, 5) == set()
 
     def test_audit_sees_a_shared_route(self, monkeypatch):
         # the same audit flags a product route that reads the substitution's
@@ -1961,20 +1963,22 @@ class TestLFactorizationRouteAudit:
             return orig(p)
 
         monkeypatch.setattr(special, "_lc_by_product", via_falling_factorials)
-        assert ("trunclog.special", "_falling_factorials") in _shared_lc_routes(5)
+        shared = _shared_lc_routes(monkeypatch, 5)
+        assert ("trunclog.special", "_falling_factorials") in shared
 
 
 def _bypass_product_caches(monkeypatch):
     """A fresh cache for b_rs, and the cached constructors the routes of
-    product_all_b read unwrapped, so an audit sees every function a route
-    enters."""
+    product_all_b and of the modulus constant read unwrapped, so an audit
+    sees every function a route enters."""
     import trunclog.bpoly as bpoly
     import trunclog.special as special
 
     monkeypatch.setattr(bpoly, "_B_CACHE", {})
     for mod, name in ((bpoly, "b_prefix_products"), (bpoly, "_a_minus_1_binomials"),
                       (special, "laguerre_const_routes"),
-                      (special, "_shifted_binomials")):
+                      (special, "_shifted_binomials"), (special, "laguerre_scaled"),
+                      (special, "frobenius_image")):
         fn = getattr(mod, name)
         monkeypatch.setattr(mod, name, getattr(fn, "__wrapped__", fn))
 
@@ -2979,6 +2983,7 @@ print(json.dumps({
     "grid_mulmod_repeats": len(pairs) - len(set(pairs)),
     "power_route_runs": glog.power_route.cache_info().misses,
     "routes_built": special.laguerre_const_routes.cache_info().misses,
+    "image_runs": special.frobenius_image.cache_info().misses,
     "statuses": sorted({r.status for r in reports}),
 }))
 """
@@ -2990,7 +2995,8 @@ class TestSharedResults:
         # run of the power formula, LemmaProduct reads its steps for row 1,
         # no grid product is formed twice, and a passing run composes
         # nothing; laguerre_const and LFactorization share the routes to the
-        # modulus constant
+        # modulus constant, and RightInverse's L-Frobenius part reads the
+        # substitution route's Frobenius image
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -3003,5 +3009,5 @@ class TestSharedResults:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
             "compose_mod": 0, "grid_mulmod_repeats": 0, "power_route_runs": 1,
-            "routes_built": 1, "statuses": ["pass"],
+            "routes_built": 1, "image_runs": 1, "statuses": ["pass"],
         }
